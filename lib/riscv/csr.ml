@@ -123,26 +123,53 @@ let canonical = function
   | Hpmcounter n -> Mhpmcounter n
   | id -> id
 
-type t = (id, Word.t) Hashtbl.t
+(* The counters the pipeline bumps every cycle — mcycle (slot 0),
+   minstret (slot 2) and mhpmcounter3..31 (slots 3..31) — live unboxed
+   in [counters]; every other CSR (including out-of-range counter
+   indices) lives in [others].  A CSR never written reads as 0. *)
+type t = { counters : Bytes.t; others : (id, Word.t) Hashtbl.t }
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let counter_slots = 32
+
+(* The slot of counter [n], or -1 when it lives in [others]. *)
+let slot_of_index n = if n = 0 || n = 2 || (n >= 3 && n < counter_slots) then n else -1
+
+let slot = function
+  | Mcycle -> 0
+  | Minstret -> 2
+  | Mhpmcounter n -> if n >= 3 && n < counter_slots then n else -1
+  | _ -> -1
 
 let modelled_counters = [ 0; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
 
-let create () : t =
-  let t = Hashtbl.create 64 in
+let create () =
+  let t = { counters = Bytes.make (8 * counter_slots) '\000'; others = Hashtbl.create 64 } in
   (* By default no user-level counter access: the host OS must opt in,
      which riscv-pk does for cycle/instret/hpmcounters. *)
-  Hashtbl.replace t Mcounteren (Word.mask 32);
-  Hashtbl.replace t Scounteren (Word.mask 32);
+  Hashtbl.replace t.others Mcounteren (Word.mask 32);
+  Hashtbl.replace t.others Scounteren (Word.mask 32);
   t
 
-let copy (t : t) : t = Hashtbl.copy t
+let copy t = { counters = Bytes.copy t.counters; others = Hashtbl.copy t.others }
 
-let restore_into (src : t) ~(into : t) =
-  Hashtbl.reset into;
-  Hashtbl.iter (fun id v -> Hashtbl.replace into id v) src
+let restore_into src ~into =
+  Bytes.blit src.counters 0 into.counters 0 (8 * counter_slots);
+  Hashtbl.reset into.others;
+  Hashtbl.iter (fun id v -> Hashtbl.replace into.others id v) src.others
 
-let raw_read t id = Option.value (Hashtbl.find_opt t (canonical id)) ~default:0L
-let raw_write t id v = Hashtbl.replace t (canonical id) v
+let raw_read t id =
+  let id = canonical id in
+  let s = slot id in
+  if s >= 0 then get64 t.counters (8 * s)
+  else Option.value (Hashtbl.find_opt t.others id) ~default:0L
+
+let raw_write t id v =
+  let id = canonical id in
+  let s = slot id in
+  if s >= 0 then set64 t.counters (8 * s) v else Hashtbl.replace t.others id v
 
 type access_result = Ok of Word.t | Illegal_instruction
 
@@ -175,7 +202,10 @@ let counter_id n =
   match n with 0 -> Mcycle | 2 -> Minstret | n -> Mhpmcounter n
 
 let bump_counter t n ~by =
-  let id = counter_id n in
-  raw_write t id (Int64.add (raw_read t id) by)
+  let s = slot_of_index n in
+  if s >= 0 then set64 t.counters (8 * s) (Int64.add (get64 t.counters (8 * s)) (Int64.of_int by))
+  else
+    let id = counter_id n in
+    raw_write t id (Int64.add (raw_read t id) (Int64.of_int by))
 
 let reset_counters t = List.iter (fun n -> raw_write t (counter_id n) 0L) modelled_counters

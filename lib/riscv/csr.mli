@@ -67,8 +67,8 @@ val create : unit -> t
 val copy : t -> t
 
 (** [restore_into src ~into] overwrites [into] with [src]'s contents.
-    Nothing in the model iterates the table, so insertion order cannot
-    affect behaviour. *)
+    Nothing in the model iterates the registers, so insertion order
+    cannot affect behaviour. *)
 val restore_into : t -> into:t -> unit
 
 (** [raw_read t id] reads without any permission check — this is what the
@@ -90,8 +90,9 @@ val write : t -> priv:Priv.t -> id -> Word.t -> (unit, unit) result
 
 (** [bump_counter t n ~by] adds [by] to [Mhpmcounter n] (or [Mcycle] /
     [Minstret] for n = 0 / 2).  The user views alias the machine
-    counters. *)
-val bump_counter : t -> int -> by:int64 -> unit
+    counters.  Bumping mcycle, minstret or mhpmcounter3..31 allocates
+    nothing. *)
+val bump_counter : t -> int -> by:int -> unit
 
 (** [reset_counters t] zeroes every hardware performance counter — the
     flush-HPC mitigation of Table 4. *)

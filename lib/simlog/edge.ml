@@ -26,22 +26,10 @@ let class_index = function
   | Monitor -> 4
 
 let n_classes = List.length all_ctx_classes
-let n_origins = List.length Log.all_origins
-let n_structures = List.length Structure.all
-
-let structure_index s =
-  let rec find i = function
-    | [] -> invalid_arg "Edge.structure_index"
-    | x :: rest -> if Structure.equal x s then i else find (i + 1) rest
-  in
-  find 0 Structure.all
-
-let origin_index (o : Log.origin) =
-  let rec find i = function
-    | [] -> invalid_arg "Edge.origin_index"
-    | x :: rest -> if x = o then i else find (i + 1) rest
-  in
-  find 0 Log.all_origins
+let n_origins = Log.origin_count
+let n_structures = Structure.count
+let structure_index = Structure.to_code
+let origin_index = Log.origin_to_code
 
 type t = {
   structure : Structure.t;
@@ -62,12 +50,14 @@ let to_string t =
 
 let count = n_structures * n_origins * n_classes * n_classes
 
-let index t =
-  ((((structure_index t.structure * n_origins) + origin_index t.origin)
-    * n_classes)
-   + class_index t.from_class)
+let index_of ~structure ~origin ~from_class ~to_class =
+  ((((structure * n_origins) + origin) * n_classes) + class_index from_class)
   * n_classes
-  + class_index t.to_class
+  + class_index to_class
+
+let index t =
+  index_of ~structure:(structure_index t.structure) ~origin:(origin_index t.origin)
+    ~from_class:t.from_class ~to_class:t.to_class
 
 let of_index i =
   if i < 0 || i >= count then invalid_arg "Edge.of_index";
@@ -85,32 +75,24 @@ let of_index i =
   }
 
 let of_log log =
-  let counts = Hashtbl.create 64 in
+  let counts = Array.make count 0 in
   let order = ref [] in
   (* The transition state starts as a self-loop on the first record's
      context (a log with no mode switch yet has performed none). *)
   let from_class = ref None in
-  List.iter
-    (fun (r : Log.record) ->
-      match r.Log.event with
-      | Log.Mode_switch { from_ctx; _ } -> from_class := Some (ctx_class from_ctx)
-      | Log.Write { structure; origin; _ } ->
-        let to_class = ctx_class r.Log.ctx in
-        let edge =
-          {
-            structure;
-            origin;
-            from_class = Option.value !from_class ~default:to_class;
-            to_class;
-          }
+  Log.iter log (fun c ->
+      match Log.Cursor.kind c with
+      | Log.Mode_switch_kind -> from_class := Some (ctx_class (Log.Cursor.from_ctx c))
+      | Log.Write_kind ->
+        let to_class = ctx_class (Log.Cursor.ctx c) in
+        let i =
+          index_of
+            ~structure:(structure_index (Log.Cursor.structure c))
+            ~origin:(origin_index (Log.Cursor.origin c))
+            ~from_class:(Option.value !from_class ~default:to_class)
+            ~to_class
         in
-        (match Hashtbl.find_opt counts edge with
-        | Some n -> Hashtbl.replace counts edge (n + 1)
-        | None ->
-          Hashtbl.replace counts edge 1;
-          order := edge :: !order)
-      | Log.Snapshot _ | Log.Commit _ | Log.Exception_raised _
-      | Log.Fault_injected _ ->
-        ())
-    (Log.to_list log);
-  List.rev_map (fun e -> (e, Hashtbl.find counts e)) !order
+        if counts.(i) = 0 then order := i :: !order;
+        counts.(i) <- counts.(i) + 1
+      | Log.Snapshot_kind | Log.Commit_kind | Log.Exception_kind | Log.Fault_kind -> ());
+  List.rev_map (fun i -> (of_index i, counts.(i))) !order

@@ -9,7 +9,15 @@ open Import
     full {!Snapshot} events are recorded at every context switch so that
     the checker can detect both data being {e fetched into} structures
     while outside enclave mode and data {e remaining} there across a
-    boundary (principle P1). *)
+    boundary (principle P1).
+
+    {b Representation.}  The log is an append-only byte buffer of
+    fixed-width fields (the layout is documented in [log.ml]) plus a
+    byte heap for strings, so a recorded event retains no OCaml
+    record, list, option or boxed integer: the garbage collector never
+    scans a log, and a case's log costs its bytes and nothing more.
+    Readers walk it through a {!Cursor}, decoding only the fields they
+    need; {!to_list} materialises records for printers and tests only. *)
 
 (** Why a value entered a structure — the access path provenance.  The
     checker uses this to classify a finding into the paper's leakage
@@ -38,6 +46,15 @@ val all_origins : origin list
 
 (** [origin_of_string s] inverts [origin_to_string]. *)
 val origin_of_string : string -> origin option
+
+(** [origin_to_code o] is [o]'s position in {!all_origins}. *)
+val origin_to_code : origin -> int
+
+(** [origin_of_code c] inverts {!origin_to_code}; raises
+    [Invalid_argument] outside [0 .. origin_count - 1]. *)
+val origin_of_code : int -> origin
+
+val origin_count : int
 
 val pp_origin : Format.formatter -> origin -> unit
 
@@ -73,23 +90,125 @@ type t
 
 val create : unit -> t
 
+(** {2 Recording} *)
+
+(** [record t ~cycle ~ctx event] appends one event. *)
 val record : t -> cycle:int -> ctx:Exec_context.t -> event -> unit
 
-(** Records in chronological order. *)
-val to_list : t -> record list
+(** [begin_write t ~cycle ~ctx ~structure ~origin] appends a [Write]
+    record with no entries; the [add_*] functions below append its
+    entries.  Together they are [record] without building the event. *)
+val begin_write :
+  t -> cycle:int -> ctx:Exec_context.t -> structure:Structure.t -> origin:origin -> unit
+
+(** [begin_snapshot t ~cycle ~ctx ~structure] is {!begin_write} for a
+    [Snapshot] record. *)
+val begin_snapshot : t -> cycle:int -> ctx:Exec_context.t -> structure:Structure.t -> unit
+
+(** [add_entry t ~slot ~note data] appends an entry without an address to
+    the record opened by the last [begin_*] call.  Raises
+    [Invalid_argument] when another record, a {!mark} or a {!reset_to}
+    came in between. *)
+val add_entry : t -> slot:int -> note:string -> Word.t -> unit
+
+(** [add_addr_entry] is {!add_entry} with an address. *)
+val add_addr_entry : t -> slot:int -> addr:Word.t -> note:string -> Word.t -> unit
+
+(** [add_line t ~slot ~addr words] appends one entry per word of a cache
+    line: slot [slot], address [addr + 8i], no note. *)
+val add_line : t -> slot:int -> addr:Word.t -> Word.t array -> unit
+
+(** [add_words t ~addr words] is {!add_line} with slot [i] for word [i]. *)
+val add_words : t -> addr:Word.t -> Word.t array -> unit
+
+(** [open_entries t] is the entry count of the open record (0 when none
+    is open). *)
+val open_entries : t -> int
 
 val length : t -> int
 
 (** A saved log position, for the snapshot engine. *)
 type mark
 
-(** [mark t] captures the current position.  Records are immutable, so
-    the capture is O(1) structural sharing. *)
+(** [mark t] captures the log's contents: a copy of its bytes, so the
+    mark stays valid whatever the log records or restores later. *)
 val mark : t -> mark
 
-(** [reset_to t m] truncates the log back to the position saved by
-    [mark]; records appended since are discarded. *)
+(** [reset_to t m] makes the log hold exactly what it held at [mark]
+    time; records appended since are discarded. *)
 val reset_to : t -> mark -> unit
+
+(** {2 Reading} *)
+
+type kind =
+  | Write_kind
+  | Snapshot_kind
+  | Mode_switch_kind
+  | Commit_kind
+  | Exception_kind
+  | Fault_kind
+
+(** A set of words, matched against logged entry data without boxing. *)
+module Values : sig
+  type t
+
+  val of_list : Word.t list -> t
+end
+
+(** A position on one record of a log.  A cursor handed to an {!iter}
+    callback is only valid during that call. *)
+module Cursor : sig
+  type t
+
+  (** Position of the record in the log, from 0. *)
+  val index : t -> int
+
+  val kind : t -> kind
+  val cycle : t -> int
+  val ctx : t -> Exec_context.t
+
+  (** The structure of a [Write] or [Snapshot]; raises
+      [Invalid_argument] on other records. *)
+  val structure : t -> Structure.t
+
+  (** The origin of a [Write]; raises [Invalid_argument] otherwise. *)
+  val origin : t -> origin
+
+  (** The number of entries ([0] unless [Write] or [Snapshot]). *)
+  val entries : t -> int
+
+  val slot : t -> int -> int
+  val data : t -> int -> Word.t
+  val note : t -> int -> string
+
+  (** [note_contains c i ~needle] is [Strutil]-style substring search in
+      entry [i]'s note, without decoding it. *)
+  val note_contains : t -> int -> needle:string -> bool
+
+  (** [find_data c v] is the first entry whose data is [v], or [-1]. *)
+  val find_data : t -> Word.t -> int
+
+  (** [next_match c values i] is the first entry at or after [i] whose
+      data is in [values], or [-1].  Entries are compared in place. *)
+  val next_match : t -> Values.t -> int -> int
+
+  (** The pc of a [Commit] or [Exception_raised]. *)
+  val pc : t -> Word.t
+
+  (** The context a [Mode_switch] leaves. *)
+  val from_ctx : t -> Exec_context.t
+
+  (** The whole record, decoded. *)
+  val record : t -> record
+end
+
+(** [iter t f] calls [f] on every record in chronological order.  [f]
+    must not append to [t]. *)
+val iter : t -> (Cursor.t -> unit) -> unit
+
+(** Records in chronological order — for printers, the reference checker
+    and tests; readers on the simulation paths use {!iter}. *)
+val to_list : t -> record list
 
 (** [writes_of t] keeps only the [Write] records. *)
 val writes_of : t -> record list

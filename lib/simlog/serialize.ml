@@ -75,20 +75,17 @@ let record_to_string (r : Log.record) =
         escape detail;
       ]
 
+(* Streams the log one decoded record at a time. *)
 let write_channel oc log =
-  List.iter
-    (fun r ->
-      output_string oc (record_to_string r);
+  Log.iter log (fun c ->
+      output_string oc (record_to_string (Log.Cursor.record c));
       output_char oc '\n')
-    (Log.to_list log)
 
 let to_string log =
   let buf = Buffer.create 4096 in
-  List.iter
-    (fun r ->
-      Buffer.add_string buf (record_to_string r);
-      Buffer.add_char buf '\n')
-    (Log.to_list log);
+  Log.iter log (fun c ->
+      Buffer.add_string buf (record_to_string (Log.Cursor.record c));
+      Buffer.add_char buf '\n');
   Buffer.contents buf
 
 let save ~path log =

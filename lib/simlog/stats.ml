@@ -18,25 +18,24 @@ let of_log log =
   let writes = ref 0 and snapshots = ref 0 and commits = ref 0 in
   let exceptions = ref 0 and mode_switches = ref 0 and faults = ref 0 in
   let first_cycle = ref max_int and last_cycle = ref 0 in
-  let structures = Hashtbl.create 16 and origins = Hashtbl.create 16 in
-  let bump table key =
-    Hashtbl.replace table key (1 + Option.value (Hashtbl.find_opt table key) ~default:0)
-  in
-  List.iter
-    (fun (r : Log.record) ->
-      if r.Log.cycle < !first_cycle then first_cycle := r.Log.cycle;
-      if r.Log.cycle > !last_cycle then last_cycle := r.Log.cycle;
-      match r.Log.event with
-      | Log.Write { structure; origin; _ } ->
+  let structures = Array.make Structure.count 0 in
+  let origins = Array.make Log.origin_count 0 in
+  Log.iter log (fun c ->
+      let cycle = Log.Cursor.cycle c in
+      if cycle < !first_cycle then first_cycle := cycle;
+      if cycle > !last_cycle then last_cycle := cycle;
+      match Log.Cursor.kind c with
+      | Log.Write_kind ->
         incr writes;
-        bump structures structure;
-        bump origins (Log.origin_to_string origin)
-      | Log.Snapshot _ -> incr snapshots
-      | Log.Commit _ -> incr commits
-      | Log.Exception_raised _ -> incr exceptions
-      | Log.Mode_switch _ -> incr mode_switches
-      | Log.Fault_injected _ -> incr faults)
-    (Log.to_list log);
+        let s = Structure.to_code (Log.Cursor.structure c) in
+        structures.(s) <- structures.(s) + 1;
+        let o = Log.origin_to_code (Log.Cursor.origin c) in
+        origins.(o) <- origins.(o) + 1
+      | Log.Snapshot_kind -> incr snapshots
+      | Log.Commit_kind -> incr commits
+      | Log.Exception_kind -> incr exceptions
+      | Log.Mode_switch_kind -> incr mode_switches
+      | Log.Fault_kind -> incr faults);
   {
     records = Log.length log;
     writes = !writes;
@@ -49,10 +48,17 @@ let of_log log =
     last_cycle = !last_cycle;
     by_structure =
       List.filter_map
-        (fun s -> Option.map (fun n -> (s, n)) (Hashtbl.find_opt structures s))
+        (fun s ->
+          let n = structures.(Structure.to_code s) in
+          if n > 0 then Some (s, n) else None)
         Structure.all;
     by_origin =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) origins []);
+      List.sort compare
+        (List.filter_map
+           (fun o ->
+             let n = origins.(Log.origin_to_code o) in
+             if n > 0 then Some (Log.origin_to_string o, n) else None)
+           Log.all_origins);
   }
 
 let pp fmt t =

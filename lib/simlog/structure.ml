@@ -34,6 +34,43 @@ let all =
     Prefetcher;
   ]
 
+let to_code = function
+  | Reg_file -> 0
+  | L1i_data -> 1
+  | L1d_data -> 2
+  | L2_data -> 3
+  | Lfb -> 4
+  | Store_buffer -> 5
+  | Store_queue -> 6
+  | Load_queue -> 7
+  | Dtlb -> 8
+  | Ptw_cache -> 9
+  | Ubtb -> 10
+  | Ftb -> 11
+  | Hpm_counters -> 12
+  | Wb_buffer -> 13
+  | Prefetcher -> 14
+
+let of_code = function
+  | 0 -> Reg_file
+  | 1 -> L1i_data
+  | 2 -> L1d_data
+  | 3 -> L2_data
+  | 4 -> Lfb
+  | 5 -> Store_buffer
+  | 6 -> Store_queue
+  | 7 -> Load_queue
+  | 8 -> Dtlb
+  | 9 -> Ptw_cache
+  | 10 -> Ubtb
+  | 11 -> Ftb
+  | 12 -> Hpm_counters
+  | 13 -> Wb_buffer
+  | 14 -> Prefetcher
+  | c -> invalid_arg (Printf.sprintf "Structure.of_code %d" c)
+
+let count = 15
+
 let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
 

@@ -23,6 +23,17 @@ type t =
   | Prefetcher  (** Next-line prefetcher request register. *)
 
 val all : t list
+
+(** [to_code s] is [s]'s position in {!all}: the compact code the
+    simulation log and the wave stream store. *)
+val to_code : t -> int
+
+(** [of_code c] inverts {!to_code}; raises [Invalid_argument] outside
+    [0 .. count - 1]. *)
+val of_code : int -> t
+
+(** Number of structures, [List.length all]. *)
+val count : int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val to_string : t -> string

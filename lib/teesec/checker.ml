@@ -164,12 +164,15 @@ let check_data_naive log tracker records =
 
 (* {2 P1: data leakage — indexed}
 
-   Single pass over the records with three indexes replacing the naive
-   nested loops:
+   The log is read once through a cursor ({!scan}).  Entry data is
+   compared in place against the seeded secret values, so only the
+   matching entries are decoded ({!hit}s, with their record and entry
+   index), together with every commit and the few records the metadata
+   checks read.  Three indexes then replace the naive nested loops:
 
    - a value-keyed table mapping each secret value to the secrets that
-     carry it, so every log entry costs one lookup instead of a scan of
-     all seeded secrets;
+     carry it, so every hit costs one lookup instead of a scan of all
+     seeded secrets;
    - a per-(structure, value) list of secret-valued writes in record
      order, so residue provenance folds over a handful of candidates
      instead of the full log;
@@ -181,8 +184,68 @@ let check_data_naive log tracker records =
    returned list — and therefore which duplicate survives [dedupe] — is
    identical to the reference. *)
 
-let check_data tracker records =
-  match Secret.all tracker with
+type hit = {
+  h_record : int;
+  h_entry : int;
+  h_structure : Structure.t;
+  h_origin : Log.origin option;  (** [None] for a [Snapshot] hit. *)
+  h_cycle : int;
+  h_ctx : Exec_context.t;
+  h_value : Word.t;
+  h_note : string;  (** The entry's note; [""] for snapshot hits. *)
+}
+
+type scanned = {
+  hits : hit list;  (** In record, then entry order. *)
+  commits : (int * Word.t) list;  (** [(cycle, pc)] in record order. *)
+  metadata : Log.record list;
+      (** The records {!check_btb_residue} and {!check_hpc} read, in
+          record order: host BTB snapshots, HPM snapshots and CSR-read
+          register writes.  Both checks ignore every other record. *)
+}
+
+let metadata_record c =
+  match (Log.Cursor.kind c, Log.Cursor.structure c) with
+  | Log.Snapshot_kind, (Structure.Ubtb | Structure.Ftb) -> (
+    match Log.Cursor.ctx c with Exec_context.Host _ -> true | _ -> false)
+  | Log.Snapshot_kind, Structure.Hpm_counters -> true
+  | Log.Write_kind, Structure.Reg_file -> Log.Cursor.origin c = Log.Csr_read
+  | _ -> false
+
+let scan log values =
+  let hits = ref [] and commits = ref [] and metadata = ref [] in
+  Log.iter log (fun c ->
+      match Log.Cursor.kind c with
+      | Log.Commit_kind -> commits := (Log.Cursor.cycle c, Log.Cursor.pc c) :: !commits
+      | (Log.Write_kind | Log.Snapshot_kind) as kind ->
+        if metadata_record c then metadata := Log.Cursor.record c :: !metadata;
+        let i = ref (Log.Cursor.next_match c values 0) in
+        if !i >= 0 then begin
+          let write = kind = Log.Write_kind in
+          let h_structure = Log.Cursor.structure c in
+          let h_origin = if write then Some (Log.Cursor.origin c) else None in
+          let h_cycle = Log.Cursor.cycle c and h_ctx = Log.Cursor.ctx c in
+          while !i >= 0 do
+            hits :=
+              {
+                h_record = Log.Cursor.index c;
+                h_entry = !i;
+                h_structure;
+                h_origin;
+                h_cycle;
+                h_ctx;
+                h_value = Log.Cursor.data c !i;
+                h_note = (if write then Log.Cursor.note c !i else "");
+              }
+              :: !hits;
+            i := Log.Cursor.next_match c values (!i + 1)
+          done
+        end
+      | Log.Mode_switch_kind | Log.Exception_kind | Log.Fault_kind -> ());
+  { hits = List.rev !hits; commits = List.rev !commits; metadata = List.rev !metadata }
+
+let check_data secrets { hits; commits; _ } =
+  match secrets with
   | [] -> []
   | secrets ->
     (* Secret value -> [(position in Secret.all, secret)], ascending. *)
@@ -197,31 +260,22 @@ let check_data tracker records =
         Hashtbl.replace by_value s.Secret.value ((si, s) :: prev))
       secrets;
     Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) by_value;
-    (* Pass A: index secret-valued writes and all commits. *)
+    let matches h = Option.value (Hashtbl.find_opt by_value h.h_value) ~default:[] in
+    (* Secret-valued writes, in record order. *)
     let writes : (Structure.t * Word.t, (int * Log.origin) list) Hashtbl.t =
       Hashtbl.create 256
     in
-    let commits = ref [] in
     List.iter
-      (fun (r : Log.record) ->
-        match r.Log.event with
-        | Log.Write { structure; entries; origin } ->
-          List.iter
-            (fun (e : Log.entry) ->
-              if Hashtbl.mem by_value e.Log.data then
-                let key = (structure, e.Log.data) in
-                let prev =
-                  Option.value (Hashtbl.find_opt writes key) ~default:[]
-                in
-                Hashtbl.replace writes key ((r.Log.cycle, origin) :: prev))
-            entries
-        | Log.Commit { pc; _ } -> commits := (r.Log.cycle, pc) :: !commits
-        | Log.Snapshot _ | Log.Mode_switch _ | Log.Exception_raised _
-        | Log.Fault_injected _ ->
-          ())
-      records;
+      (fun h ->
+        match h.h_origin with
+        | Some origin ->
+          let key = (h.h_structure, h.h_value) in
+          let prev = Option.value (Hashtbl.find_opt writes key) ~default:[] in
+          Hashtbl.replace writes key ((h.h_cycle, origin) :: prev)
+        | None -> ())
+      hits;
     Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) writes;
-    let commits = Array.of_list (List.rev !commits) in
+    let commits = Array.of_list commits in
     (* Stable by cycle: record order survives among equal cycles, so the
        last eligible slot is the record-order-last commit of the maximal
        cycle — exactly what [Log.last_commit_before] returns. *)
@@ -252,94 +306,80 @@ let check_data tracker records =
                  | _ -> Some (cycle, origin))
              None l)
     in
-    (* Pass B: detection, tagging each emission with its position in the
-       naive (secret-major, record, entry) emission order. *)
+    (* Detection, tagging each emission with its position in the naive
+       (secret-major, record, entry) emission order. *)
     let emissions = ref [] in
-    let emit ~si ~ri ~ei ~secret ~structure ~origin ~detection ~note ~cycle ~ctx
-        =
+    let emit ~si ~ei h ~secret ~origin ~detection ~note =
       let case =
-        classify ~structure ~origin ~owner:secret.Secret.owner ~ctx ~note
-          ~detection
+        classify ~structure:h.h_structure ~origin ~owner:secret.Secret.owner
+          ~ctx:h.h_ctx ~note ~detection
       in
       emissions :=
         ( si,
-          ri,
+          h.h_record,
           ei,
           {
             case;
             secret = Some secret;
-            structure;
-            cycle;
-            ctx;
+            structure = h.h_structure;
+            cycle = h.h_cycle;
+            ctx = h.h_ctx;
             origin;
             detection;
             note;
-            last_pc = last_commit_before ~cycle;
+            last_pc = last_commit_before ~cycle:h.h_cycle;
           } )
         :: !emissions
     in
-    List.iteri
-      (fun ri (r : Log.record) ->
-        match r.Log.event with
-        | Log.Write { structure; entries; origin } ->
-          List.iteri
-            (fun ei (e : Log.entry) ->
-              match Hashtbl.find_opt by_value e.Log.data with
-              | None -> ()
-              | Some matches ->
-                List.iter
-                  (fun (si, (s : Secret.seeded)) ->
-                    if not (Secret.authorized s.Secret.owner r.Log.ctx) then
-                      let eligible =
-                        if s.Secret.derived then
-                          Structure.equal structure Structure.Reg_file
-                          && contains_substring ~needle:"transient" e.Log.note
-                        else true
-                      in
-                      if eligible then
-                        emit ~si ~ri ~ei ~secret:s ~structure
-                          ~origin:(Some origin) ~detection:Fetched
-                          ~note:e.Log.note ~cycle:r.Log.cycle ~ctx:r.Log.ctx)
-                  matches)
-            entries
-        | Log.Snapshot { structure; entries } ->
-          (* The naive pass emits at most once per (secret, snapshot). *)
-          let seen = Hashtbl.create 8 in
+    (* The naive pass emits at most once per (secret, snapshot). *)
+    let seen_record = ref (-1) and seen = ref [] in
+    List.iter
+      (fun h ->
+        if h.h_origin <> None then
           List.iter
-            (fun (e : Log.entry) ->
-              match Hashtbl.find_opt by_value e.Log.data with
-              | None -> ()
-              | Some matches ->
-                List.iter
-                  (fun (si, (s : Secret.seeded)) ->
-                    if
-                      (not s.Secret.derived)
-                      && (not (Hashtbl.mem seen si))
-                      && not (Secret.authorized s.Secret.owner r.Log.ctx)
-                    then begin
-                      Hashtbl.replace seen si ();
-                      let origin =
-                        provenance ~structure ~value:s.Secret.value
-                          ~before_cycle:r.Log.cycle
-                      in
-                      emit ~si ~ri ~ei:0 ~secret:s ~structure ~origin
-                        ~detection:Residue ~note:"snapshot residue"
-                        ~cycle:r.Log.cycle ~ctx:r.Log.ctx
-                    end)
-                  matches)
-            entries
-        | Log.Mode_switch _ | Log.Commit _ | Log.Exception_raised _
-        | Log.Fault_injected _ ->
-          ())
-      records;
+            (fun (si, (s : Secret.seeded)) ->
+              if not (Secret.authorized s.Secret.owner h.h_ctx) then
+                let eligible =
+                  if s.Secret.derived then
+                    Structure.equal h.h_structure Structure.Reg_file
+                    && contains_substring ~needle:"transient" h.h_note
+                  else true
+                in
+                if eligible then
+                  emit ~si ~ei:h.h_entry h ~secret:s ~origin:h.h_origin
+                    ~detection:Fetched ~note:h.h_note)
+            (matches h)
+        else begin
+          if h.h_record <> !seen_record then begin
+            seen_record := h.h_record;
+            seen := []
+          end;
+          List.iter
+            (fun (si, (s : Secret.seeded)) ->
+              if
+                (not s.Secret.derived)
+                && (not (List.mem si !seen))
+                && not (Secret.authorized s.Secret.owner h.h_ctx)
+              then begin
+                seen := si :: !seen;
+                let origin =
+                  provenance ~structure:h.h_structure ~value:s.Secret.value
+                    ~before_cycle:h.h_cycle
+                in
+                emit ~si ~ei:0 h ~secret:s ~origin ~detection:Residue
+                  ~note:"snapshot residue"
+              end)
+            (matches h)
+        end)
+      hits;
     (* The naive pass prepends as it emits, so its result is emission
        order reversed: sort the tags descending. *)
-    List.map
-      (fun (_, _, _, f) -> f)
-      (List.sort
-         (fun (a_si, a_ri, a_ei, _) (b_si, b_ri, b_ei, _) ->
-           compare (b_si, b_ri, b_ei) (a_si, a_ri, a_ei))
-         !emissions)
+    let descending (a_si, a_ri, a_ei, _) (b_si, b_ri, b_ei, _) =
+      if a_si <> b_si then Int.compare b_si a_si
+      else if a_ri <> b_ri then Int.compare b_ri a_ri
+      else Int.compare b_ei a_ei
+    in
+    List.map (fun (_, _, _, f) -> f) (List.sort descending !emissions)
 
 (* {2 P2: metadata leakage} *)
 
@@ -502,9 +542,12 @@ let finish findings =
   List.stable_sort (fun a b -> Int.compare (case_rank a) (case_rank b)) findings
 
 let check log tracker =
-  let records = Log.to_list log in
-  finish
-    (check_data tracker records @ check_btb_residue records @ check_hpc records)
+  let secrets = Secret.all tracker in
+  let scanned =
+    scan log (Log.Values.of_list (List.map (fun (s : Secret.seeded) -> s.Secret.value) secrets))
+  in
+  let metadata = scanned.metadata in
+  finish (check_data secrets scanned @ check_btb_residue metadata @ check_hpc metadata)
 
 let check_reference log tracker =
   let records = Log.to_list log in

@@ -35,10 +35,9 @@ let observe config tc =
   let structures_seq = ref [] in
   let origins_seq = ref [] in
   let outcome = Runner.run config tc in
-  List.iter
-    (fun (r : Log.record) ->
-      match r.Log.event with
-      | Log.Write { structure; origin; _ } ->
+  Log.iter outcome.Runner.log (fun c ->
+      if Log.Cursor.kind c = Log.Write_kind then begin
+        let structure = Log.Cursor.structure c and origin = Log.Cursor.origin c in
         if not (Hashtbl.mem structures structure) then begin
           Hashtbl.replace structures structure ();
           structures_seq := structure :: !structures_seq
@@ -47,8 +46,7 @@ let observe config tc =
           Hashtbl.replace origins origin ();
           origins_seq := origin :: !origins_seq
         end
-      | _ -> ())
-    (Log.to_list outcome.Runner.log);
+      end);
   (List.rev !structures_seq, List.rev !origins_seq)
 
 let measure ?(jobs = 1) config testcases =

@@ -38,41 +38,60 @@ let check_of_finding (f : Checker.finding) =
   | Some _ -> "data-leakage"
   | None -> "residue-scan"
 
-(* The structure entry that carries the finding's evidence: the secret
-   value for data findings, the first enclave-owned entry for metadata
-   ones. *)
-let entry_slot entries (f : Checker.finding) =
-  let hit (e : Log.entry) =
-    match f.Checker.secret with
-    | Some s -> Int64.equal e.Log.data s.Secret.value
-    | None -> Strutil.contains_substring ~needle:"owner=enclave" e.Log.note
+(* The latest write of each finding's evidence into the finding's
+   structure at or before the detection cycle: the secret value for data
+   findings, the first enclave-owned entry for metadata ones.  For a
+   Fetched finding this is the observed write itself; for a Residue
+   finding it is the access the residue survives from.  One cursor pass
+   serves every finding; data entries are matched in place, so only the
+   writes that carry some finding's evidence are looked at. *)
+let find_writes log (findings : Checker.finding array) =
+  let best = Array.make (Array.length findings) None in
+  let values =
+    Log.Values.of_list
+      (Array.to_list findings
+      |> List.filter_map (fun (f : Checker.finding) ->
+             Option.map (fun s -> s.Secret.value) f.Checker.secret))
   in
-  List.fold_left
-    (fun acc (e : Log.entry) ->
-      match acc with Some _ -> acc | None -> if hit e then Some e.Log.slot else None)
-    None entries
-
-(* Latest write of the finding's evidence into the finding's structure
-   at or before the detection cycle.  For a Fetched finding this is the
-   observed write itself; for a Residue finding it is the access the
-   residue survives from. *)
-let find_write records (f : Checker.finding) =
-  let best = ref None in
-  List.iter
-    (fun (r : Log.record) ->
-      if r.Log.cycle <= f.Checker.cycle then
-        match r.Log.event with
-        | Log.Write { structure; entries; origin }
-          when Structure.equal structure f.Checker.structure -> (
-          match entry_slot entries f with
-          | None -> ()
-          | Some slot -> (
-            match !best with
-            | Some (c, _, _) when c > r.Log.cycle -> ()
-            | _ -> best := Some (r.Log.cycle, origin, slot)))
-        | _ -> ())
-    records;
-  !best
+  let metadata_structures =
+    Array.to_list findings
+    |> List.filter_map (fun (f : Checker.finding) ->
+           if f.Checker.secret = None then Some f.Checker.structure else None)
+  in
+  Log.iter log (fun c ->
+      if Log.Cursor.kind c = Log.Write_kind then begin
+        let structure = Log.Cursor.structure c in
+        if
+          Log.Cursor.next_match c values 0 >= 0
+          || List.exists (Structure.equal structure) metadata_structures
+        then begin
+          let cycle = Log.Cursor.cycle c in
+          Array.iteri
+            (fun k (f : Checker.finding) ->
+              if cycle <= f.Checker.cycle && Structure.equal structure f.Checker.structure
+              then
+                let slot =
+                  match f.Checker.secret with
+                  | Some s -> Log.Cursor.find_data c s.Secret.value
+                  | None ->
+                    let n = Log.Cursor.entries c in
+                    let rec first i =
+                      if i >= n then -1
+                      else if Log.Cursor.note_contains c i ~needle:"owner=enclave" then i
+                      else first (i + 1)
+                    in
+                    first 0
+                in
+                if slot >= 0 then
+                  match best.(k) with
+                  | Some (c', _, _) when c' > cycle -> ()
+                  | _ ->
+                    best.(k) <-
+                      Some (cycle, Log.Cursor.origin c, Log.Cursor.slot c slot))
+            findings
+        end
+      end);
+  best
 
 (* Writes after the fork point come from the access gadget; earlier ones
    from the setup prefix, which we name after its final helper (the one
@@ -86,8 +105,8 @@ let gadget_at (tc : Testcase.t) ~fork_cycle ~cycle =
     | _access :: prev :: _ -> "prefix:" ^ Gadget.name prev
     | _ -> Gadget.name (Testcase.access_gadget tc)
 
-let of_finding ~(config : Config.t) ~records ~(outcome : Runner.outcome)
-    (f : Checker.finding) =
+let of_finding ~(config : Config.t) ~(outcome : Runner.outcome) (f : Checker.finding)
+    write =
   let tc = outcome.Runner.testcase in
   let structure = Structure.to_string f.Checker.structure in
   let case = case_string f in
@@ -106,7 +125,7 @@ let of_finding ~(config : Config.t) ~records ~(outcome : Runner.outcome)
           a_structure = structure;
           a_slot = slot;
         })
-      (find_write records f)
+      write
   in
   {
     p_id = Printf.sprintf "%s/%s/%d/%s" core case tc.Testcase.id structure;
@@ -131,8 +150,12 @@ let of_finding ~(config : Config.t) ~records ~(outcome : Runner.outcome)
   }
 
 let of_outcome ~config (outcome : Runner.outcome) findings =
-  let records = Log.to_list outcome.Runner.log in
-  List.map (of_finding ~config ~records ~outcome) findings
+  match findings with
+  | [] -> []
+  | findings ->
+    let findings = Array.of_list findings in
+    let writes = find_writes outcome.Runner.log findings in
+    Array.to_list (Array.map2 (of_finding ~config ~outcome) findings writes)
 
 let parse_id s =
   match String.split_on_char '/' s with

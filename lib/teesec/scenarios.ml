@@ -16,15 +16,16 @@ let record_to_string r = Format.asprintf "%a" Log.pp_record r
 (* Keep the log lines that mention one of the given structures as Write
    events — the "interesting" excerpt of a figure's trace. *)
 let excerpt log structures =
-  List.filter_map
-    (fun (r : Log.record) ->
-      match r.Log.event with
-      | Log.Write { structure; _ }
-        when List.exists (Structure.equal structure) structures ->
-        Some (record_to_string r)
-      | Log.Exception_raised _ -> Some (record_to_string r)
-      | _ -> None)
-    (Log.to_list log)
+  let lines = ref [] in
+  Log.iter log (fun c ->
+      let keep =
+        match Log.Cursor.kind c with
+        | Log.Write_kind -> List.exists (Structure.equal (Log.Cursor.structure c)) structures
+        | Log.Exception_kind -> true
+        | _ -> false
+      in
+      if keep then lines := record_to_string (Log.Cursor.record c) :: !lines);
+  List.rev !lines
 
 let run_path config path ~params =
   let tc = Assembler.assemble ~id:0 path ~params in
@@ -163,16 +164,15 @@ let hpc_interrupt config =
   (* The interrupt service routine spills x1..x31; with a 16-entry buffer
      the early registers may already have drained into the L1D, so check
      both the buffer and the logged context-save stores. *)
-  let spilled =
-    Machine.store_buffer_holds m marker
-    || List.exists
-         (fun (r : Log.record) ->
-           match r.Log.event with
-           | Log.Write { structure = Structure.Store_buffer; entries; origin = Log.Context_save } ->
-             List.exists (fun (e : Log.entry) -> Int64.equal e.Log.data marker) entries
-           | _ -> false)
-         (Log.to_list (Machine.log m))
-  in
+  let spilled = ref (Machine.store_buffer_holds m marker) in
+  Log.iter (Machine.log m) (fun c ->
+      if
+        Log.Cursor.kind c = Log.Write_kind
+        && Log.Cursor.structure c = Structure.Store_buffer
+        && Log.Cursor.origin c = Log.Context_save
+        && Log.Cursor.find_data c marker >= 0
+      then spilled := true);
+  let spilled = !spilled in
   let arch_leak = not (Int64.equal (Machine.get_reg m Instr.a5) 0L) in
   {
     title =

@@ -15,9 +15,12 @@ open! Import
    prefix actually reads lets every case whose prefix is
    seed-independent share one snapshot.
 
-   Caches are per-domain ([Domain.DLS]), so slots are never shared
-   across threads and restores race with nothing; only the statistics
-   counters are atomic. *)
+   Caches are per-domain, so slots are never shared across threads and
+   restores race with nothing; only the statistics counters and the
+   list of caches are atomic.  The caches hang off the engine, not off
+   domain-local storage: OCaml never frees a DLS slot, so a cache held
+   there would outlive its engine, pooled machine and up to [slots]
+   snapshots included. *)
 
 type slot = {
   s_key : int64;
@@ -57,7 +60,7 @@ type t = {
   config_hash : int64;
   wave : bool;
   capacity : int;
-  dls : cache Domain.DLS.key;
+  caches : (int * cache) list Atomic.t;  (** Per-domain caches, by domain id. *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   stores : int Atomic.t;
@@ -97,8 +100,7 @@ let create ?(slots = 1024) ?(obs = Obs.noop) ?(wave = false) config =
     config_hash = Config.hash config;
     wave;
     capacity = slots;
-    dls =
-      Domain.DLS.new_key (fun () -> { slots = []; clock = 0; pool = None });
+    caches = Atomic.make [];
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     stores = Atomic.make 0;
@@ -163,6 +165,24 @@ let cut_keys t (prefix : Gadget.t list) (params : Params.t) =
 
 (* {2 The cache} *)
 
+let rec update_caches t f =
+  let l = Atomic.get t.caches in
+  if not (Atomic.compare_and_set t.caches l (f l)) then update_caches t f
+
+(* The calling domain's cache, created on first use.  A worker domain
+   drops its cache from the engine when it exits; the main domain's
+   lives as long as the engine. *)
+let domain_cache t =
+  let self = (Domain.self () :> int) in
+  match List.assoc_opt self (Atomic.get t.caches) with
+  | Some cache -> cache
+  | None ->
+    let cache = { slots = []; clock = 0; pool = None } in
+    update_caches t (fun l -> (self, cache) :: l);
+    if not (Domain.is_main_domain ()) then
+      Domain.at_exit (fun () -> update_caches t (List.remove_assoc self));
+    cache
+
 let find_slot cache key =
   List.find_opt (fun s -> s.s_key = key) cache.slots
 
@@ -209,7 +229,7 @@ let split_last gadgets =
 let establish t (tc : Testcase.t) =
   let prefix, _access = split_last tc.Testcase.gadgets in
   let keys = cut_keys t prefix tc.Testcase.params in
-  let cache = Domain.DLS.get t.dls in
+  let cache = domain_cache t in
   (* Recycle the pooled environment: every pipeline fully consumes a
      case's outcome (log, tracker) before establishing the next one on
      the same domain, so the record copy only swaps the per-case

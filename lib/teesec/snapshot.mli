@@ -26,8 +26,9 @@ open! Import
     campaign run through the engine produces artifacts byte-identical to
     the replay-everything oracle — [test/test_differential.ml] pins
     campaign CSV, inject JSON and fuzz JSON across both paths at several
-    job counts.  Caches are per-domain ([Domain.DLS]); only the
-    statistics counters are shared (atomically). *)
+    job counts.  Caches are per-domain and owned by the engine, so a
+    dropped engine frees them; only the statistics counters are shared
+    (atomically). *)
 
 type t
 

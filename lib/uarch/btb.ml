@@ -164,22 +164,18 @@ let occupancy t =
     (fun n set -> Array.fold_left (fun n s -> if s.valid then n + 1 else n) n set)
     0 t.slots
 
-let snapshot t =
-  let acc = ref [] in
+let snapshot t log =
   Array.iteri
     (fun si set ->
       Array.iter
         (fun s ->
           if s.valid then
-            acc :=
-              Log.entry ~slot:si
-                ~note:
-                  (Printf.sprintf "tag=%s taken=%b owner=%s%s" (Word.to_hex s.entry.tag)
-                     s.entry.taken
-                     (Exec_context.to_string s.entry.owner)
-                     (if t.tagged_by_owner then " id-tagged" else ""))
-                s.entry.target
-              :: !acc)
+            Log.add_entry log ~slot:si
+              ~note:
+                (Printf.sprintf "tag=%s taken=%b owner=%s%s" (Word.to_hex s.entry.tag)
+                   s.entry.taken
+                   (Exec_context.to_string s.entry.owner)
+                   (if t.tagged_by_owner then " id-tagged" else ""))
+              s.entry.target)
         set)
-    t.slots;
-  List.rev !acc
+    t.slots

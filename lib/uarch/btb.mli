@@ -74,4 +74,6 @@ val residue : t -> f:(Exec_context.t -> bool) -> (int * entry) list
 
 val flush : t -> unit
 val occupancy : t -> int
-val snapshot : t -> Log.entry list
+
+(** [snapshot t log] appends the valid entries to the log's open record. *)
+val snapshot : t -> Log.t -> unit

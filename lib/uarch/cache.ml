@@ -130,44 +130,58 @@ let restore_into src ~into =
     done
   done;
   Array.blit src.next_victim 0 into.next_victim 0 src.sets
-let line_base addr = Word.align_down addr ~alignment:Memory.line_bytes
+
+(* Address arithmetic stays on unboxed primitives: a lookup allocates
+   nothing. *)
+let line_mask = Int64.lognot (Int64.of_int (Memory.line_bytes - 1))
+let line_base addr = Int64.logand addr line_mask
 
 let set_index t addr =
   Int64.to_int (Int64.rem (Int64.shift_right_logical (line_base addr) 6)
                   (Int64.of_int t.sets))
 
+(* The valid line holding [addr], or [no_line]. *)
+let no_line = { valid = false; tag = 0L; dirty = false; data = [||] }
+
 let find t addr =
   let base = line_base addr in
   let set = t.lines.(set_index t addr) in
-  let rec go way =
-    if way >= t.ways then None
-    else if set.(way).valid && Int64.equal set.(way).tag base then Some set.(way)
-    else go (way + 1)
-  in
-  go 0
+  let way = ref 0 and found = ref no_line in
+  while !found == no_line && !way < t.ways do
+    let l = set.(!way) in
+    if l.valid && l.tag = base then found := l;
+    incr way
+  done;
+  !found
 
-let lookup t ~addr = Option.map (fun l -> Array.copy l.data) (find t addr)
+let lookup t ~addr =
+  let l = find t addr in
+  if l == no_line then None else Some (Array.copy l.data)
 
-let word_index addr = Int64.to_int (Word.extract addr ~pos:3 ~len:3)
+let word_index addr = Int64.to_int (Int64.shift_right_logical addr 3) land 7
 
-let read_word t ~addr = Option.map (fun l -> l.data.(word_index addr)) (find t addr)
+let read_word t ~addr =
+  let l = find t addr in
+  if l == no_line then None else Some l.data.(word_index addr)
 
 let write_word t ~addr v =
-  match find t addr with
-  | None -> false
-  | Some l ->
+  let l = find t addr in
+  if l == no_line then false
+  else begin
     l.data.(word_index addr) <- v;
     l.dirty <- true;
     true
+  end
 
 let insert t ~addr line_data =
   assert (Array.length line_data = line_words);
   let base = line_base addr in
-  match find t addr with
-  | Some l ->
+  let l = find t addr in
+  if l != no_line then begin
     Array.blit line_data 0 l.data 0 line_words;
     None
-  | None ->
+  end
+  else
     let si = set_index t addr in
     let set = t.lines.(si) in
     let way =
@@ -192,11 +206,12 @@ let insert t ~addr line_data =
     evicted
 
 let evict t ~addr =
-  match find t addr with
-  | None -> None
-  | Some l ->
+  let l = find t addr in
+  if l == no_line then None
+  else begin
     l.valid <- false;
     Some (Array.copy l.data, l.dirty)
+  end
 
 let flush t =
   let dirty = ref [] in
@@ -212,7 +227,7 @@ let flush t =
     t.lines;
   !dirty
 
-let contains t ~addr = Option.is_some (find t addr)
+let contains t ~addr = find t addr != no_line
 
 let valid_lines t =
   let acc = ref [] in
@@ -222,12 +237,10 @@ let valid_lines t =
     t.lines;
   List.rev !acc
 
-let snapshot t =
-  List.concat_map
-    (fun (base, data) ->
-      List.init line_words (fun i ->
-          Log.entry ~slot:i ~addr:(Int64.add base (Int64.of_int (i * 8))) data.(i)))
-    (valid_lines t)
+let snapshot t log =
+  Array.iter
+    (Array.iter (fun l -> if l.valid then Log.add_words log ~addr:l.tag l.data))
+    t.lines
 
 let corrupt_bit t ~select ~bit =
   let valid = ref [] in

@@ -49,7 +49,8 @@ val lookup : t -> addr:Word.t -> Word.t array option
 val read_word : t -> addr:Word.t -> Word.t option
 
 (** [write_word t ~addr v] updates the aligned word at [addr] if the line
-    is present, marking it dirty.  Returns [false] on a miss. *)
+    is present, marking it dirty.  Returns [false] on a miss.  Allocates
+    nothing. *)
 val write_word : t -> addr:Word.t -> Word.t -> bool
 
 (** [insert t ~addr line] installs a line, returning the evicted victim
@@ -65,15 +66,17 @@ val evict : t -> addr:Word.t -> (Word.t array * bool) option
     [(addr, line)] pairs for write-back. *)
 val flush : t -> (Word.t * Word.t array) list
 
-(** [contains t ~addr] is true when the line holding [addr] is valid. *)
+(** [contains t ~addr] is true when the line holding [addr] is valid.
+    Allocates nothing. *)
 val contains : t -> addr:Word.t -> bool
 
 (** [valid_lines t] lists [(addr, line)] for every valid line. *)
 val valid_lines : t -> (Word.t * Word.t array) list
 
-(** [snapshot t] renders the valid lines as log entries (one entry per
-    word so the checker can match secrets directly). *)
-val snapshot : t -> Log.entry list
+(** [snapshot t log] appends the valid lines, in set then way order, to
+    the log's open record: one entry per word (slot = word index) so the
+    checker can match secrets directly. *)
+val snapshot : t -> Log.t -> unit
 
 (** [corrupt_bit t ~select ~bit] flips one bit of one valid line for
     fault injection: [select] deterministically picks the line and the

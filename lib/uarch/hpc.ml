@@ -44,14 +44,14 @@ let counter_index = function
   | Exception_event -> 9
   | Ptw_walk_event -> 10
 
-let bump csr e = Csr.bump_counter csr (counter_index e) ~by:1L
+let bump csr e = Csr.bump_counter csr (counter_index e) ~by:1
 let read csr e = Csr.raw_read csr (Csr.Mhpmcounter (counter_index e))
 
-let snapshot csr =
-  let counter n =
-    let id =
-      match n with 0 -> Csr.Mcycle | 2 -> Csr.Minstret | n -> Csr.Mhpmcounter n
-    in
-    Log.entry ~slot:n ~note:(Csr.name id) (Csr.raw_read csr id)
-  in
-  List.map counter Csr.modelled_counters
+let snapshot csr log =
+  List.iter
+    (fun n ->
+      let id =
+        match n with 0 -> Csr.Mcycle | 2 -> Csr.Minstret | n -> Csr.Mhpmcounter n
+      in
+      Log.add_entry log ~slot:n ~note:(Csr.name id) (Csr.raw_read csr id))
+    Csr.modelled_counters

@@ -33,6 +33,6 @@ val bump : Csr.t -> event -> unit
 (** [read csr e] is the current count of [e]. *)
 val read : Csr.t -> event -> int64
 
-(** [snapshot csr] renders all modelled counters (including cycle and
-    instret) as log entries, slot = counter index. *)
-val snapshot : Csr.t -> Log.entry list
+(** [snapshot csr log] appends all modelled counters (including cycle
+    and instret) to the log's open record, slot = counter index. *)
+val snapshot : Csr.t -> Log.t -> unit

@@ -102,17 +102,7 @@ let holds_value t v =
     (fun s -> s.has_data && Array.exists (Int64.equal v) s.data)
     t.slots
 
-let entries_of_word_array ~slot ~addr ~data =
-  Array.to_list
-    (Array.mapi
-       (fun i w -> Log.entry ~slot ~addr:(Int64.add addr (Int64.of_int (i * 8))) w)
-       data)
-
-let snapshot t =
-  Array.to_list t.slots
-  |> List.mapi (fun i s ->
-         if s.has_data then entries_of_word_array ~slot:i ~addr:s.addr ~data:s.data
-         else [])
-  |> List.concat
-
-let entries_of_fill ~slot ~addr ~data = entries_of_word_array ~slot ~addr ~data
+let snapshot t log =
+  Array.iteri
+    (fun i s -> if s.has_data then Log.add_line log ~slot:i ~addr:s.addr s.data)
+    t.slots

@@ -45,13 +45,9 @@ val occupied : t -> int
     contains word [v]. *)
 val holds_value : t -> Word.t -> bool
 
-(** [snapshot t] renders every slot that holds data (valid or stale) as
-    log entries. *)
-val snapshot : t -> Log.entry list
-
-(** [entries_of_fill ~slot ~addr ~data] are the log entries for a fill
-    event, one per word. *)
-val entries_of_fill : slot:int -> addr:Word.t -> data:Word.t array -> Log.entry list
+(** [snapshot t log] appends every slot that holds data (valid or stale)
+    to the log's open record, one entry per word. *)
+val snapshot : t -> Log.t -> unit
 
 (** [corrupt_bit t ~select ~bit] flips one bit of one data-holding slot
     (valid or stale) for fault injection; [select] picks slot and word,

@@ -134,7 +134,7 @@ let tap t ~kind ~structure ~slot ~value =
 let advance t n =
   assert (n >= 0);
   t.cycle <- t.cycle + n;
-  Csr.bump_counter t.csr 0 ~by:(Int64.of_int n);
+  Csr.bump_counter t.csr 0 ~by:n;
   match t.advance_hook with
   | Some hook when not t.in_advance_hook ->
     (* The hook's own perturbations burn cycles too; don't recurse. *)
@@ -157,6 +157,11 @@ let set_reg t r v = if r <> 0 then t.regs.(r) <- v
 (* {2 Logging helpers} *)
 
 let record t event = Log.record t.log ~cycle:t.cycle ~ctx:t.ctx event
+
+(* Opens a [Write] record; the caller appends its entries straight into
+   the log, so no event, entry or list is built. *)
+let begin_write t ~structure ~origin =
+  Log.begin_write t.log ~cycle:t.cycle ~ctx:t.ctx ~structure ~origin
 
 let log_exception t ~cause ~pc =
   Hpc.bump t.csr Hpc.Exception_event;
@@ -181,14 +186,15 @@ let writeback t ~value ~origin ~transient ~note =
   let slot = Regfile.writeback t.regfile ~value ~ctx:t.ctx ~transient in
   tap t ~kind:Wave.Event.Fill ~structure:Structure.Reg_file ~slot ~value:0;
   let note = if transient then note ^ " transient" else note in
-  record t (Log.Write { structure = Structure.Reg_file; entries = [ Log.entry ~slot ~note value ]; origin })
+  begin_write t ~structure:Structure.Reg_file ~origin;
+  Log.add_entry t.log ~slot ~note value
 
 (* {2 Memory hierarchy internals} *)
 
 let latencies t = t.config.Config.latencies
 let line_base addr = Word.align_down addr ~alignment:Memory.line_bytes
-let granule_base addr = Word.align_down addr ~alignment:8
-let word_in_line addr = Int64.to_int (Word.extract addr ~pos:3 ~len:3)
+let granule_base addr = Int64.logand addr (-8L)
+let word_in_line addr = Int64.to_int (Int64.shift_right_logical addr 3) land 7
 
 (* Insert into the L2, writing any displaced dirty victim to memory. *)
 let insert_l2 t ~addr line =
@@ -213,13 +219,8 @@ let log_wb_buffer t ~addr line ~origin =
   if wave_enabled t then
     tap t ~kind:Wave.Event.Fill ~structure:Structure.Wb_buffer ~slot
       ~value:(1 + Lfb.occupied t.wb_buffer);
-  record t
-    (Log.Write
-       {
-         structure = Structure.Wb_buffer;
-         entries = Lfb.entries_of_fill ~slot ~addr ~data:line;
-         origin;
-       })
+  begin_write t ~structure:Structure.Wb_buffer ~origin;
+  Log.add_line t.log ~slot ~addr line
 
 (* Write back a dirty L1 victim: wb-buffer, then L2 and memory. *)
 let writeback_victim t ~addr line ~origin =
@@ -244,9 +245,8 @@ let lfb_fill t ~paddr ~origin =
   if wave_enabled t then
     tap t ~kind:Wave.Event.Fill ~structure:Structure.Lfb ~slot
       ~value:(1 + Lfb.occupied t.lfb);
-  record t
-    (Log.Write
-       { structure = Structure.Lfb; entries = Lfb.entries_of_fill ~slot ~addr:base ~data:line; origin });
+  begin_write t ~structure:Structure.Lfb ~origin;
+  Log.add_line t.log ~slot ~addr:base line;
   Lfb.complete t.lfb ~slot;
   (line, lat)
 
@@ -260,13 +260,8 @@ let prefetch_next_line t ~paddr =
     let _line, _lat = lfb_fill t ~paddr:next ~origin:Log.Prefetch in
     t.last_prefetch <- Some next;
     tap t ~kind:Wave.Event.Fill ~structure:Structure.Prefetcher ~slot:0 ~value:0;
-    record t
-      (Log.Write
-         {
-           structure = Structure.Prefetcher;
-           entries = [ Log.entry ~addr:next ~note:"next-line request" next ];
-           origin = Log.Prefetch;
-         });
+    begin_write t ~structure:Structure.Prefetcher ~origin:Log.Prefetch;
+    Log.add_addr_entry t.log ~slot:0 ~addr:next ~note:"next-line request" next;
     advance t 1;
     t.prefetch_inhibit <- false
   end
@@ -309,16 +304,20 @@ let drain_entries t entries =
   List.iter
     (fun (e : Store_buffer.entry) ->
       let g = granule_base e.addr in
-      if not (Cache.contains t.l1 ~addr:g) then begin
-        Hpc.bump t.csr Hpc.L1d_miss;
-        (* The refill drags the line's *previous* contents through the
-           LFB — with a memset origin this is exactly leakage case D3. *)
-        ignore (refill_l1 t ~paddr:g ~origin:e.origin ~trigger_prefetch:false)
+      (* A full-word store replaces the whole word: on a hit, one lookup
+         writes it. *)
+      if not (e.size = 8 && Cache.write_word t.l1 ~addr:g e.value) then begin
+        if not (Cache.contains t.l1 ~addr:g) then begin
+          Hpc.bump t.csr Hpc.L1d_miss;
+          (* The refill drags the line's *previous* contents through the
+             LFB — with a memset origin this is exactly leakage case D3. *)
+          ignore (refill_l1 t ~paddr:g ~origin:e.origin ~trigger_prefetch:false)
+        end;
+        let old = Option.value (Cache.read_word t.l1 ~addr:g) ~default:0L in
+        let offset = Int64.to_int (Int64.sub e.addr g) in
+        let merged = merge_into_word ~old ~value:e.value ~offset ~size:e.size in
+        ignore (Cache.write_word t.l1 ~addr:g merged)
       end;
-      let old = Option.value (Cache.read_word t.l1 ~addr:g) ~default:0L in
-      let offset = Int64.to_int (Int64.sub e.addr g) in
-      let merged = merge_into_word ~old ~value:e.value ~offset ~size:e.size in
-      ignore (Cache.write_word t.l1 ~addr:g merged);
       if wave_enabled t then
         tap t ~kind:Wave.Event.Evict ~structure:Structure.Store_buffer ~slot:0
           ~value:(1 + Store_buffer.occupancy t.stb);
@@ -353,13 +352,8 @@ let ptw_cache_insert t ~vaddr ~paddr ~perm =
   if wave_enabled t then
     tap t ~kind:Wave.Event.Fill ~structure:Structure.Ptw_cache ~slot:0
       ~value:(1 + Tlb.occupancy t.ptw_cache);
-  record t
-    (Log.Write
-       {
-         structure = Structure.Ptw_cache;
-         entries = [ Log.entry ~addr:(granule_base vaddr) ~note:"pte refill" paddr ];
-         origin = Log.Ptw_walk;
-       })
+  begin_write t ~structure:Structure.Ptw_cache ~origin:Log.Ptw_walk;
+  Log.add_addr_entry t.log ~slot:0 ~addr:(granule_base vaddr) ~note:"pte refill" paddr
 
 (* Hardware page-table walk.  All accesses are implicit.  The two cores
    differ in when the PMP check happens relative to the memory request:
@@ -590,13 +584,8 @@ let rec store ?(origin = Log.Explicit_store) t ~vaddr ~size ~value () =
         if wave_enabled t then
           tap t ~kind:Wave.Event.Fill ~structure:Structure.Store_buffer ~slot:0
             ~value:(1 + Store_buffer.occupancy t.stb);
-        record t
-          (Log.Write
-             {
-               structure = Structure.Store_buffer;
-               entries = [ Log.entry ~addr:paddr ~note:entry.ctx_note entry.value ];
-               origin;
-             });
+        begin_write t ~structure:Structure.Store_buffer ~origin;
+        Log.add_addr_entry t.log ~slot:0 ~addr:paddr ~note:entry.ctx_note entry.value;
         advance t 1;
         None
       end
@@ -951,13 +940,10 @@ let flip_bit t ~structure ~select ~bit =
   | Some (slot, addr, value) ->
     tap t ~kind:Wave.Event.Fill ~structure ~slot ~value:0;
     log_fault t ~structure (Printf.sprintf "bit-flip select=%d bit=%d" select bit);
-    record t
-      (Log.Write
-         {
-           structure;
-           entries = [ Log.entry ~slot ?addr ~note:"injected bit-flip" value ];
-           origin = Log.Fault_inject;
-         });
+    begin_write t ~structure ~origin:Log.Fault_inject;
+    (match addr with
+    | Some addr -> Log.add_addr_entry t.log ~slot ~addr ~note:"injected bit-flip" value
+    | None -> Log.add_entry t.log ~slot ~note:"injected bit-flip" value);
     true
 
 (* {2 Context switching} *)
@@ -970,13 +956,15 @@ let snapshot_all t =
     log_fault t "context-switch snapshot delayed"
   end
   else begin
+  (* Each structure appends its entries straight into the open record. *)
   let snap structure entries =
+    Log.begin_snapshot t.log ~cycle:t.cycle ~ctx:t.ctx ~structure;
+    entries t.log;
     (* Residue events carry the surviving occupancy: what the incoming
        context can still observe of the outgoing one. *)
     if wave_enabled t then
       tap t ~kind:Wave.Event.Residue ~structure ~slot:0
-        ~value:(1 + List.length entries);
-    record t (Log.Snapshot { structure; entries })
+        ~value:(1 + Log.open_entries t.log)
   in
   snap Structure.Reg_file (Regfile.snapshot t.regfile);
   snap Structure.L1i_data (Cache.snapshot t.l1i);
@@ -990,9 +978,10 @@ let snapshot_all t =
   snap Structure.Ftb (Btb.snapshot t.ftb);
   snap Structure.Hpm_counters (Hpc.snapshot t.csr);
   snap Structure.Wb_buffer (Lfb.snapshot t.wb_buffer);
-  match t.last_prefetch with
-  | Some addr -> snap Structure.Prefetcher [ Log.entry ~addr addr ]
-  | None -> snap Structure.Prefetcher []
+  snap Structure.Prefetcher (fun log ->
+      Option.iter
+        (fun addr -> Log.add_addr_entry log ~slot:0 ~addr ~note:"" addr)
+        t.last_prefetch)
   end
 
 let apply_mitigation_flushes t =
@@ -1063,13 +1052,8 @@ let icache_fetch t ~pc =
        let line, lat = fetch_line t ~paddr:pc in
        (match Cache.insert t.l1i ~addr:pc line with _ -> ());
        tap t ~kind:Wave.Event.Fill ~structure:Structure.L1i_data ~slot:0 ~value:0;
-       record t
-         (Log.Write
-            {
-              structure = Structure.L1i_data;
-              entries = Lfb.entries_of_fill ~slot:0 ~addr:(line_base pc) ~data:line;
-              origin = Log.Refill;
-            });
+       begin_write t ~structure:Structure.L1i_data ~origin:Log.Refill;
+       Log.add_line t.log ~slot:0 ~addr:(line_base pc) line;
        advance t lat
      end);
     true
@@ -1108,21 +1092,12 @@ let execute_branch t ~pc ~taken ~target =
     if wave_enabled t then
       tap t ~kind:Wave.Event.Fill ~structure ~slot:set_index
         ~value:(1 + Btb.occupancy btb);
-    record t
-      (Log.Write
-         {
-           structure;
-           entries =
-             [
-               Log.entry ~slot:set_index
-                 ~note:
-                   (Printf.sprintf "tag=%s taken=%b owner=%s"
-                      (Word.to_hex entry.Btb.tag) taken
-                      (Exec_context.to_string t.ctx))
-                 target;
-             ];
-           origin = Log.Branch_exec;
-         })
+    begin_write t ~structure ~origin:Log.Branch_exec;
+    Log.add_entry t.log ~slot:set_index
+      ~note:
+        (Printf.sprintf "tag=%s taken=%b owner=%s" (Word.to_hex entry.Btb.tag) taken
+           (Exec_context.to_string t.ctx))
+      target
   in
   update t.ubtb Structure.Ubtb;
   update t.ftb Structure.Ftb
@@ -1158,7 +1133,7 @@ let run t prog =
         result := Some Fetch_fault
       | Some instr -> (
         advance t 1;
-        Csr.bump_counter t.csr 2 ~by:1L;
+        Csr.bump_counter t.csr 2 ~by:1;
         let next = Int64.add !pc 4L in
         let commit () =
           record t (Log.Commit { pc = !pc; instr = Instr.to_string instr })

@@ -61,9 +61,7 @@ let clear t =
       c.note <- "")
     t.cells
 
-let snapshot t =
-  let acc = ref [] in
+let snapshot t log =
   Array.iteri
-    (fun i c -> if c.in_use then acc := Log.entry ~slot:i ~note:c.note c.value :: !acc)
-    t.cells;
-  List.rev !acc
+    (fun i c -> if c.in_use then Log.add_entry log ~slot:i ~note:c.note c.value)
+    t.cells

@@ -34,7 +34,9 @@ val holds_value : t -> Word.t -> bool
     switch; used by tests). *)
 val clear : t -> unit
 
-val snapshot : t -> Log.entry list
+(** [snapshot t log] appends the registers in use to the log's open
+    record. *)
+val snapshot : t -> Log.t -> unit
 
 (** [corrupt_bit t ~select ~bit] flips one bit of one allocated physical
     register for fault injection ([select] picks the register, both

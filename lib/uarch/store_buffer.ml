@@ -90,7 +90,7 @@ let occupancy t = List.length t.items
 let entries t = List.rev t.items
 let holds_value t v = List.exists (fun e -> Int64.equal e.value v) t.items
 
-let snapshot t =
-  List.mapi
-    (fun i e -> Log.entry ~slot:i ~addr:e.addr ~note:e.ctx_note e.value)
+let snapshot t log =
+  List.iteri
+    (fun i e -> Log.add_addr_entry log ~slot:i ~addr:e.addr ~note:e.ctx_note e.value)
     (entries t)

@@ -63,4 +63,7 @@ val clear : t -> unit
 val occupancy : t -> int
 val entries : t -> entry list
 val holds_value : t -> Word.t -> bool
-val snapshot : t -> Log.entry list
+
+(** [snapshot t log] appends the buffered stores, oldest first, to the
+    log's open record. *)
+val snapshot : t -> Log.t -> unit

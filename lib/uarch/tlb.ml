@@ -90,15 +90,12 @@ let corrupt_bit t ~select ~bit =
     s.entry <- { s.entry with ppn };
     Some (Int64.shift_left s.entry.vpn 12, Int64.shift_left ppn 12)
 
-let snapshot t =
-  Array.to_list t.slots
-  |> List.mapi (fun i s ->
-         if s.valid then
-           [
-             Log.entry ~slot:i
-               ~addr:(Int64.shift_left s.entry.vpn 12)
-               ~note:"vpn->ppn"
-               (Int64.shift_left s.entry.ppn 12);
-           ]
-         else [])
-  |> List.concat
+let snapshot t log =
+  Array.iteri
+    (fun i s ->
+      if s.valid then
+        Log.add_addr_entry log ~slot:i
+          ~addr:(Int64.shift_left s.entry.vpn 12)
+          ~note:"vpn->ppn"
+          (Int64.shift_left s.entry.ppn 12))
+    t.slots

@@ -34,7 +34,9 @@ val translate : entry -> vaddr:Word.t -> Word.t
 
 val flush : t -> unit
 val occupancy : t -> int
-val snapshot : t -> Log.entry list
+
+(** [snapshot t log] appends the valid entries to the log's open record. *)
+val snapshot : t -> Log.t -> unit
 
 (** [drop_half t] models a faulty flush: only every other valid entry is
     invalidated, so half the translations survive. *)

@@ -81,25 +81,16 @@ let domain_to_string d =
 
 (* {2 Structure ids}
 
-   One byte indexing {!Structure.all}; 0xff marks the machine-wide
-   events (PMP checks, domain switches, case marks). *)
+   One byte, {!Structure.to_code} (the index in {!Structure.all}); 0xff
+   marks the machine-wide events (PMP checks, domain switches, case
+   marks). *)
 
 let no_structure = 0xff
 
-let structure_table = Array.of_list Structure.all
-
-let structure_to_int s =
-  let n = Array.length structure_table in
-  let rec go i =
-    if i >= n then no_structure
-    else if Structure.equal structure_table.(i) s then i
-    else go (i + 1)
-  in
-  go 0
+let structure_to_int = Structure.to_code
 
 let structure_of_int i =
-  if i >= 0 && i < Array.length structure_table then Some structure_table.(i)
-  else None
+  if i >= 0 && i < Structure.count then Some (Structure.of_code i) else None
 
 (* {2 The decoded event} *)
 

@@ -1,0 +1,71 @@
+(* Golden verdict digests over the full corpus.
+
+   For every test case of the 585-case corpus, on both cores, the case's
+   serialised simulation log ([Simlog.Serialize.to_string]), its checker
+   findings ([Checker.pp_finding], one per line) and the provenance
+   chains of all its findings ([Provenance.list_to_json]) are digested;
+   the per-case digests are folded into one digest per core.  The
+   expected values were recorded from the list-backed simulation log, so
+   they pin every reader of the log (checker, provenance, serialiser)
+   byte for byte across changes to the log's representation.
+
+   The same digests must come out of the snapshot engine and of the
+   replay path ([Runner.run] without an engine). *)
+
+open Teesec
+module Config = Uarch.Config
+
+let case_text config (outcome : Runner.outcome) =
+  let findings = Checker.check outcome.Runner.log outcome.Runner.tracker in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Simlog.Serialize.to_string outcome.Runner.log);
+  Buffer.add_string buf "-- findings\n";
+  List.iter
+    (fun f ->
+      Buffer.add_string buf (Format.asprintf "%a" Checker.pp_finding f);
+      Buffer.add_char buf '\n')
+    findings;
+  Buffer.add_string buf "-- provenance\n";
+  Buffer.add_string buf
+    (Provenance.list_to_json (Provenance.of_outcome ~config outcome findings));
+  Buffer.contents buf
+
+let core_digest ~snapshot config =
+  let snapshots = if snapshot then Some (Snapshot.create config) else None in
+  let digests = Buffer.create (16 * 600) in
+  List.iter
+    (fun tc ->
+      let outcome = Runner.run ?snapshots config tc in
+      Buffer.add_string digests (Digest.string (case_text config outcome)))
+    (Fuzzer.corpus ());
+  Digest.to_hex (Digest.string (Buffer.contents digests))
+
+let golden =
+  [
+    (Config.boom, "4b0a015f4f6ddf91b08c90eec89f5893");
+    (Config.xiangshan, "b4a7314056543beaf219f1a2010cba1b");
+  ]
+
+let check_core ~snapshot (config, expected) () =
+  Alcotest.(check string)
+    (Printf.sprintf "%s digest (%s)"
+       (Config.core_kind_to_string config.Config.kind)
+       (if snapshot then "snapshot" else "replay"))
+    expected
+    (core_digest ~snapshot config)
+
+let () =
+  Alcotest.run "golden"
+    [
+      ( "full-corpus",
+        List.concat_map
+          (fun ((config, _) as g) ->
+            let name = Config.core_kind_to_string config.Config.kind in
+            [
+              Alcotest.test_case (name ^ " snapshot engine") `Slow
+                (check_core ~snapshot:true g);
+              Alcotest.test_case (name ^ " replay path") `Slow
+                (check_core ~snapshot:false g);
+            ])
+          golden );
+    ]

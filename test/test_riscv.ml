@@ -190,7 +190,7 @@ let test_csr_satp_supervisor () =
 
 let test_csr_counter_views () =
   let t = Csr.create () in
-  Csr.bump_counter t 4 ~by:7L;
+  Csr.bump_counter t 4 ~by:7;
   (match Csr.read t ~priv:Priv.User (Csr.Hpmcounter 4) with
   | Csr.Ok v -> Alcotest.(check word) "user view aliases machine counter" 7L v
   | Csr.Illegal_instruction -> Alcotest.fail "counters enabled by default");
@@ -210,7 +210,7 @@ let test_csr_counter_views () =
 
 let test_csr_reset_counters () =
   let t = Csr.create () in
-  List.iter (fun n -> Csr.bump_counter t n ~by:5L) Csr.modelled_counters;
+  List.iter (fun n -> Csr.bump_counter t n ~by:5) Csr.modelled_counters;
   Csr.reset_counters t;
   List.iter
     (fun n ->
@@ -445,6 +445,271 @@ let prop_walk_matches_mapping =
         Int64.equal got (Int64.add paddr (Int64.of_int offset))
       | Page_table.Fault _ -> false)
 
+(* {1 PMP: differential against the reference matcher}
+
+   The matcher below is the original one, which decoded each entry's
+   range on every probe ([Some (base, size)] with boxed words).
+   [Pmp.check] now decodes ranges once per update and matches in place;
+   it must return the same verdict on every entry table and access. *)
+
+module Pmp_reference = struct
+  let entry_byte_range (t : Pmp.entry array) i =
+    let e = t.(i) in
+    match e.Pmp.mode with
+    | Pmp.Off -> None
+    | Pmp.Na4 -> Some (Int64.shift_left e.Pmp.address 2, 4L)
+    | Pmp.Napot -> Some (Pmp.napot_range e)
+    | Pmp.Tor ->
+      let base = if i = 0 then 0L else Int64.shift_left t.(i - 1).Pmp.address 2 in
+      let top = Int64.shift_left e.Pmp.address 2 in
+      if Int64.unsigned_compare top base <= 0 then None
+      else Some (base, Int64.sub top base)
+
+  type match_kind = No_match | Partial | Full
+
+  let match_entry t i ~addr ~size =
+    match entry_byte_range t i with
+    | None -> No_match
+    | Some (base, range_size) ->
+      let access_end = Int64.add addr (Int64.of_int size) in
+      let range_end = Int64.add base range_size in
+      let starts_inside =
+        Int64.unsigned_compare addr base >= 0
+        && Int64.unsigned_compare addr range_end < 0
+      in
+      let ends_inside =
+        Int64.unsigned_compare access_end base > 0
+        && Int64.unsigned_compare access_end range_end <= 0
+      in
+      if starts_inside && ends_inside then Full
+      else if starts_inside || ends_inside then Partial
+      else No_match
+
+  let perm_allows (perm : Pmp.permission) = function
+    | Pmp.Read -> perm.Pmp.read
+    | Pmp.Write -> perm.Pmp.write
+    | Pmp.Execute -> perm.Pmp.execute
+
+  let check t ~priv ~kind ~addr ~size =
+    let any_active = Array.exists (fun e -> e.Pmp.mode <> Pmp.Off) t in
+    let rec search i =
+      if i >= Pmp.entry_count then
+        if Priv.equal priv Priv.Machine || not any_active then Pmp.Allowed
+        else Pmp.Denied { entry_index = None }
+      else
+        match match_entry t i ~addr ~size with
+        | No_match -> search (i + 1)
+        | Partial -> Pmp.Denied { entry_index = Some i }
+        | Full ->
+          let e = t.(i) in
+          if Priv.equal priv Priv.Machine && not e.Pmp.locked then Pmp.Allowed
+          else if perm_allows e.Pmp.perm kind then Pmp.Allowed
+          else Pmp.Denied { entry_index = Some i }
+    in
+    search 0
+end
+
+(* Entry addresses cluster in a small window so that regions overlap,
+   abut and order TOR pairs both ways; a few are arbitrary words (all
+   ones included) to reach the wrap-around corners of NAPOT decoding. *)
+let gen_pmp_address =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun k -> Int64.of_int (0x2000_0000 + (k * 0x40))) (int_bound 64));
+        (2, map (fun (k, ones) -> Int64.logor (Int64.of_int (0x2000_0000 + (k * 0x40))) (Word.mask ones))
+              (pair (int_bound 64) (int_bound 12)));
+        (1, oneofl [ 0L; -1L; Int64.max_int; Int64.min_int; 0x3FFF_FFFF_FFFF_FFFFL ]);
+        (1, ui64);
+      ])
+
+let gen_pmp_entry =
+  QCheck.Gen.(
+    map
+      (fun (mode, (r, w, x), locked, address) ->
+        { Pmp.mode; perm = { Pmp.read = r; write = w; execute = x }; locked; address })
+      (quad
+         (oneofl [ Pmp.Off; Pmp.Tor; Pmp.Na4; Pmp.Napot ])
+         (triple bool bool bool) bool gen_pmp_address))
+
+(* Accesses land on, just inside and just outside region edges. *)
+let pmp_edges entries =
+  List.concat
+    (List.init Pmp.entry_count (fun i ->
+         match Pmp_reference.entry_byte_range entries i with
+         | None -> []
+         | Some (base, size) -> [ base; Int64.add base size ]))
+
+let gen_pmp_case =
+  QCheck.Gen.(
+    array_size (return Pmp.entry_count) gen_pmp_entry >>= fun entries ->
+    let edges = pmp_edges entries in
+    let gen_addr =
+      if edges = [] then gen_pmp_address
+      else
+        frequency
+          [
+            (4, map2 (fun e d -> Int64.add e (Int64.of_int (d - 8))) (oneofl edges) (int_bound 16));
+            (1, gen_pmp_address);
+          ]
+    in
+    list_size (return 24)
+      (quad
+         (oneofl [ Priv.User; Priv.Supervisor; Priv.Machine ])
+         (oneofl [ Pmp.Read; Pmp.Write; Pmp.Execute ])
+         gen_addr (int_range 1 8))
+    >|= fun accesses -> (entries, accesses))
+
+let prop_pmp_matches_reference =
+  QCheck.Test.make ~name:"PMP check matches the reference matcher" ~count:500
+    (QCheck.make gen_pmp_case)
+    (fun (entries, accesses) ->
+      let t = Pmp.create () in
+      Array.iteri (Pmp.set t) entries;
+      let copy = Pmp.copy t in
+      List.for_all
+        (fun (priv, kind, addr, size) ->
+          let expected = Pmp_reference.check entries ~priv ~kind ~addr ~size in
+          Pmp.check t ~priv ~kind ~addr ~size = expected
+          && Pmp.check copy ~priv ~kind ~addr ~size = expected
+          && Pmp.allows t ~priv ~kind ~addr ~size = (expected = Pmp.Allowed))
+        accesses)
+
+let test_pmp_allows_allocates_nothing () =
+  let t = Pmp.create () in
+  Pmp.set t 0 (Pmp.napot_entry ~base:0x8800_0000L ~size:0x1_0000 ~perm:Pmp.no_access ~locked:false);
+  Pmp.set t 15 (Pmp.napot_entry ~base:0x8000_0000L ~size:0x8000_0000 ~perm:Pmp.full_access ~locked:false);
+  let addr = 0x8000_1000L in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Pmp.allows t ~priv:Priv.Supervisor ~kind:Pmp.Read ~addr ~size:8))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words for 10k checks" words) true (words < 100.)
+
+(* {1 CSR: model test}
+
+   The model is the original register file, a plain table keyed by the
+   canonical CSR id.  [Csr.t] keeps mcycle, minstret and
+   mhpmcounter3..31 unboxed and must be observably identical to it. *)
+
+module Csr_model = struct
+  type t = (Csr.id, Word.t) Hashtbl.t
+
+  let canonical = function
+    | Csr.Cycle -> Csr.Mcycle
+    | Csr.Instret -> Csr.Minstret
+    | Csr.Hpmcounter n -> Csr.Mhpmcounter n
+    | id -> id
+
+  let create () : t =
+    let t = Hashtbl.create 64 in
+    Hashtbl.replace t Csr.Mcounteren (Word.mask 32);
+    Hashtbl.replace t Csr.Scounteren (Word.mask 32);
+    t
+
+  let raw_read t id = Option.value (Hashtbl.find_opt t (canonical id)) ~default:0L
+  let raw_write t id v = Hashtbl.replace t (canonical id) v
+
+  let counter_enabled t ~priv id =
+    match Csr.counter_index id with
+    | None -> true
+    | Some bit ->
+      let gate reg = Int64.logand (Int64.shift_right_logical (raw_read t reg) bit) 1L = 1L in
+      (match priv with
+      | Priv.Machine -> true
+      | Priv.Supervisor -> gate Csr.Mcounteren
+      | Priv.User -> gate Csr.Mcounteren && gate Csr.Scounteren)
+
+  let read t ~priv id =
+    if Priv.geq priv (Csr.required_priv id) && counter_enabled t ~priv id then
+      Csr.Ok (raw_read t id)
+    else Csr.Illegal_instruction
+
+  let write t ~priv id v =
+    if Csr.is_counter id then Error ()
+    else if Priv.geq priv (Csr.required_priv id) then begin
+      raw_write t id v;
+      Ok ()
+    end
+    else Error ()
+
+  let counter_id = function 0 -> Csr.Mcycle | 2 -> Csr.Minstret | n -> Csr.Mhpmcounter n
+  let bump_counter t n ~by = raw_write t (counter_id n) (Int64.add (raw_read t (counter_id n)) (Int64.of_int by))
+  let reset_counters t = List.iter (fun n -> raw_write t (counter_id n) 0L) Csr.modelled_counters
+end
+
+(* Counter indices inside and outside the unboxed range, user aliases
+   and a few ordinary CSRs. *)
+let csr_ids =
+  let counters = [ -1; 0; 1; 2; 3; 4; 10; 17; 31; 32; 40 ] in
+  [ Csr.Cycle; Csr.Instret; Csr.Mcycle; Csr.Minstret; Csr.Mcounteren; Csr.Scounteren;
+    Csr.Satp; Csr.Mtvec; Csr.Mscratch ]
+  @ List.map (fun n -> Csr.Hpmcounter n) counters
+  @ List.map (fun n -> Csr.Mhpmcounter n) counters
+
+type csr_op =
+  | Raw_write of Csr.id * Word.t
+  | Write of Priv.t * Csr.id * Word.t
+  | Bump of int * int
+  | Reset_counters
+  | Save
+  | Restore
+
+let gen_csr_op =
+  QCheck.Gen.(
+    let id = oneofl csr_ids and priv = oneofl [ Priv.User; Priv.Supervisor; Priv.Machine ] in
+    let value = oneof [ oneofl [ 0L; 1L; -1L; Word.mask 32; 0x8L ]; ui64 ] in
+    frequency
+      [
+        (3, map2 (fun id v -> Raw_write (id, v)) id value);
+        (3, map3 (fun p id v -> Write (p, id, v)) priv id value);
+        (6, map2 (fun n by -> Bump (n, by)) (oneofl [ -1; 0; 1; 2; 3; 5; 10; 31; 32; 40 ]) (int_range (-3) 1000));
+        (1, return Reset_counters);
+        (1, return Save);
+        (1, return Restore);
+      ])
+
+let prop_csr_matches_model =
+  QCheck.Test.make ~name:"CSR file matches the table model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) gen_csr_op))
+    (fun ops ->
+      let t = Csr.create () and m = Csr_model.create () in
+      let saved = ref (Csr.copy t) and saved_m = ref (Hashtbl.copy m) in
+      let agree () =
+        List.for_all
+          (fun id ->
+            Csr.raw_read t id = Csr_model.raw_read m id
+            && List.for_all
+                 (fun priv -> Csr.read t ~priv id = Csr_model.read m ~priv id)
+                 [ Priv.User; Priv.Supervisor; Priv.Machine ])
+          csr_ids
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Raw_write (id, v) ->
+            Csr.raw_write t id v;
+            Csr_model.raw_write m id v
+          | Write (priv, id, v) ->
+            if Csr.write t ~priv id v <> Csr_model.write m ~priv id v then
+              QCheck.Test.fail_report "write verdicts differ"
+          | Bump (n, by) ->
+            Csr.bump_counter t n ~by;
+            Csr_model.bump_counter m n ~by
+          | Reset_counters ->
+            Csr.reset_counters t;
+            Csr_model.reset_counters m
+          | Save ->
+            saved := Csr.copy t;
+            saved_m := Hashtbl.copy m
+          | Restore ->
+            Csr.restore_into !saved ~into:t;
+            Hashtbl.reset m;
+            Hashtbl.iter (Hashtbl.replace m) !saved_m);
+          agree ())
+        ops)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -453,6 +718,8 @@ let properties =
       prop_napot_contains_base;
       prop_memory_rw_roundtrip;
       prop_walk_matches_mapping;
+      prop_pmp_matches_reference;
+      prop_csr_matches_model;
     ]
 
 let () =
@@ -479,6 +746,8 @@ let () =
           Alcotest.test_case "TOR regions" `Quick test_pmp_tor;
           Alcotest.test_case "execute permission" `Quick test_pmp_exec_permission;
           Alcotest.test_case "denied entry index" `Quick test_pmp_denied_entry_index;
+          Alcotest.test_case "allows allocates nothing" `Quick
+            test_pmp_allows_allocates_nothing;
         ] );
       ( "csr",
         [

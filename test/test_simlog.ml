@@ -107,43 +107,138 @@ let test_origin_strings () =
 
 module Serialize = Simlog.Serialize
 
-let sample_log () =
+let r cycle ctx event = { Log.cycle; ctx; event }
+
+let base_records =
+  [
+    r 1 host
+      (Log.Write
+         {
+           structure = Structure.Lfb;
+           entries =
+             [
+               Log.entry ~slot:3 ~addr:0x8800_0000L ~note:"a note, with %weird~chars" 0xFACEL;
+               Log.entry 0xBEEFL;
+               Log.entry ~slot:max_int ~addr:(-1L) ~note:"tab\there\nnewline" Int64.min_int;
+             ];
+           origin = Log.Prefetch;
+         });
+    r 2 (Exec_context.Enclave 1)
+      (Log.Snapshot { structure = Structure.Ubtb; entries = [ Log.entry ~note:"owner=enclave-1" 1L ] });
+    r 3 Exec_context.Monitor (Log.Mode_switch { from_ctx = Exec_context.Monitor; to_ctx = host });
+    r 4 host (Log.Commit { pc = 0x8000_0000L; instr = "ld x5, 0x0(x6)" });
+    r 5 host (Log.Exception_raised { cause = "load-access-fault"; pc = 0x8000_0004L });
+  ]
+
+(* Records the encoding must also carry exactly: negative and large
+   enclave ids ([enclave--5] is a valid rendering), large slots and
+   cycles, empty and escaped notes, structure-less faults. *)
+let sample_records =
+  base_records
+  @ [
+    r 6 (Exec_context.Enclave (-5))
+      (Log.Write
+         {
+           structure = Structure.Reg_file;
+           entries = [ Log.entry ~slot:(1 lsl 40) ~note:"" 7L; Log.entry ~slot:(-3) 8L ];
+           origin = Log.Fault_inject;
+         });
+    r (1 lsl 50) (Exec_context.Enclave max_int)
+      (Log.Mode_switch { from_ctx = Exec_context.Enclave (-5); to_ctx = Exec_context.Enclave min_int });
+    r max_int (Exec_context.Host Riscv.Priv.User)
+      (Log.Fault_injected { structure = None; detail = "PMP checks stuck at grant" });
+    r 7 (Exec_context.Host Riscv.Priv.Machine)
+      (Log.Fault_injected { structure = Some Structure.L1d_data; detail = "" });
+    r 8 host (Log.Snapshot { structure = Structure.Prefetcher; entries = [] });
+    r 9 host (Log.Commit { pc = -1L; instr = "" });
+  ]
+
+let sample_log ?(records = base_records) () =
   let log = Log.create () in
-  Log.record log ~cycle:1 ~ctx:host
-    (Log.Write
-       {
-         structure = Structure.Lfb;
-         entries =
-           [
-             Log.entry ~slot:3 ~addr:0x8800_0000L ~note:"a note, with %weird~chars" 0xFACEL;
-             Log.entry 0xBEEFL;
-           ];
-         origin = Log.Prefetch;
-       });
-  Log.record log ~cycle:2 ~ctx:(Exec_context.Enclave 1)
-    (Log.Snapshot { structure = Structure.Ubtb; entries = [ Log.entry ~note:"owner=enclave-1" 1L ] });
-  Log.record log ~cycle:3 ~ctx:Exec_context.Monitor
-    (Log.Mode_switch { from_ctx = Exec_context.Monitor; to_ctx = host });
-  Log.record log ~cycle:4 ~ctx:host (Log.Commit { pc = 0x8000_0000L; instr = "ld x5, 0x0(x6)" });
-  Log.record log ~cycle:5 ~ctx:host
-    (Log.Exception_raised { cause = "load-access-fault"; pc = 0x8000_0004L });
+  List.iter (fun r -> Log.record log ~cycle:r.Log.cycle ~ctx:r.Log.ctx r.Log.event) records;
   log
 
 let test_serialize_roundtrip () =
-  let log = sample_log () in
+  let log = sample_log ~records:sample_records () in
+  Alcotest.(check bool) "the encoding carries every record" true
+    (Log.to_list log = sample_records);
   let text = Serialize.to_string log in
   match Serialize.parse_string text with
   | Error msg -> Alcotest.failf "parse failed: %s" msg
   | Ok parsed ->
     Alcotest.(check int) "record count" (Log.length log) (Log.length parsed);
     Alcotest.(check string) "round-trips byte for byte" text (Serialize.to_string parsed);
+    Alcotest.(check bool) "records round-trip" true (Log.to_list parsed = sample_records);
     (* Semantic checks survive the trip. *)
     Alcotest.(check int) "occurrences preserved"
       (List.length (Log.occurrences log 0xFACEL))
       (List.length (Log.occurrences parsed 0xFACEL));
-    (match Log.last_commit_before parsed ~cycle:10 with
+    (match Log.last_commit_before parsed ~cycle:5 with
     | Some pc -> Alcotest.(check int64) "commit pc" 0x8000_0000L pc
     | None -> Alcotest.fail "commit lost")
+
+(* A mark is the log's exact contents: restoring it discards everything
+   recorded since, whatever was marked or restored in between. *)
+let test_marks_are_exact () =
+  let log = Log.create () in
+  let write v =
+    Log.begin_write log ~cycle:1 ~ctx:host ~structure:Structure.Reg_file ~origin:Log.Writeback;
+    Log.add_entry log ~slot:0 ~note:(Printf.sprintf "v%Ld" v) v
+  in
+  write 1L;
+  let m1 = Log.mark log in
+  let at_m1 = Log.to_list log in
+  write 2L;
+  let m2 = Log.mark log in
+  let at_m2 = Log.to_list log in
+  write 3L;
+  Log.reset_to log m1;
+  Alcotest.(check bool) "reset to the first mark" true (Log.to_list log = at_m1);
+  write 4L;
+  Log.reset_to log m2;
+  Alcotest.(check bool) "reset to the second mark" true (Log.to_list log = at_m2);
+  Alcotest.(check int) "length follows" 2 (Log.length log);
+  Alcotest.check_raises "entries need an open record"
+    (Invalid_argument "Log.add_entry: no open Write or Snapshot record") (fun () ->
+      Log.add_entry log ~slot:0 ~note:"" 5L)
+
+let test_cursor_filters () =
+  let log = sample_log ~records:sample_records () in
+  let values = Log.Values.of_list [ 0xBEEFL; Int64.min_int; 42L ] in
+  let hits = ref [] in
+  Log.iter log (fun c ->
+      let i = ref (Log.Cursor.next_match c values 0) in
+      while !i >= 0 do
+        hits := (Log.Cursor.index c, !i, Log.Cursor.data c !i) :: !hits;
+        i := Log.Cursor.next_match c values (!i + 1)
+      done);
+  Alcotest.(check (list (triple int int int64)))
+    "matching entries, in order"
+    [ (0, 1, 0xBEEFL); (0, 2, Int64.min_int) ]
+    (List.rev !hits);
+  Log.iter log (fun c ->
+      if Log.Cursor.index c = 1 then begin
+        Alcotest.(check int) "find_data" 0 (Log.Cursor.find_data c 1L);
+        Alcotest.(check int) "find_data misses" (-1) (Log.Cursor.find_data c 2L);
+        Alcotest.(check bool) "note_contains" true
+          (Log.Cursor.note_contains c 0 ~needle:"owner=enclave");
+        Alcotest.(check bool) "note_contains misses" false
+          (Log.Cursor.note_contains c 0 ~needle:"id-tagged")
+      end)
+
+let test_codes () =
+  List.iteri
+    (fun i s -> Alcotest.(check int) (Structure.to_string s) i (Structure.to_code s))
+    Structure.all;
+  List.iter
+    (fun s -> Alcotest.(check bool) "structure code inverts" true (Structure.of_code (Structure.to_code s) = s))
+    Structure.all;
+  List.iteri
+    (fun i o -> Alcotest.(check int) (Log.origin_to_string o) i (Log.origin_to_code o))
+    Log.all_origins;
+  List.iter
+    (fun o -> Alcotest.(check bool) "origin code inverts" true (Log.origin_of_code (Log.origin_to_code o) = o))
+    Log.all_origins
 
 let test_serialize_file_roundtrip () =
   let log = sample_log () in
@@ -255,6 +350,9 @@ let () =
           Alcotest.test_case "last commit before" `Quick test_last_commit_before;
           Alcotest.test_case "non-data events don't match" `Quick test_contains_value_scopes;
           Alcotest.test_case "origin strings distinct" `Quick test_origin_strings;
+          Alcotest.test_case "marks are exact" `Quick test_marks_are_exact;
+          Alcotest.test_case "cursor filters" `Quick test_cursor_filters;
+          Alcotest.test_case "enum codes" `Quick test_codes;
         ] );
       ( "serialize",
         [

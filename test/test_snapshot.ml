@@ -311,6 +311,26 @@ let test_engine_rejects_other_config () =
        false
      with Invalid_argument _ -> true)
 
+(* A dropped engine must take its caches with it: its pooled machine
+   and stored snapshots may not outlive it in a long-lived process. *)
+let test_dropped_engines_are_freed () =
+  let tcs = Mitigation_eval.slice () in
+  let live_after_campaign () =
+    let engine = Snapshot.create Config.boom in
+    List.iter (fun tc -> ignore (Runner.run ~snapshots:engine Config.boom tc)) tcs;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let first = live_after_campaign () in
+  let last = ref first in
+  for _ = 2 to 10 do
+    last := live_after_campaign ()
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "live words %d after 10 engines, %d after the first" !last first)
+    true
+    (float_of_int !last <= 1.1 *. float_of_int first)
+
 (* {1 The differential suite: snapshot == replay}
 
    The engine's whole value rests on byte-identical artifacts.  Each
@@ -426,6 +446,8 @@ let () =
             test_engine_hits_across_cases;
           Alcotest.test_case "engine refuses a foreign config" `Quick
             test_engine_rejects_other_config;
+          Alcotest.test_case "dropped engines are freed" `Quick
+            test_dropped_engines_are_freed;
         ] );
       ( "differential",
         [

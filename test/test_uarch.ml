@@ -21,6 +21,15 @@ let word = Alcotest.testable Word.pp Int64.equal
 let line_of_value v = Array.make 8 v
 let host_s = Exec_context.Host Priv.Supervisor
 
+(* The entries a structure's [snapshot] appends to a fresh log. *)
+let snapshot_entries snapshot =
+  let log = Log.create () in
+  Log.begin_snapshot log ~cycle:0 ~ctx:host_s ~structure:Structure.L1d_data;
+  snapshot log;
+  match Log.to_list log with
+  | [ { Log.event = Log.Snapshot { entries; _ }; _ } ] -> entries
+  | _ -> Alcotest.fail "snapshot must extend the open record"
+
 (* {1 Cache} *)
 
 let test_cache_insert_lookup () =
@@ -77,7 +86,7 @@ let test_cache_evict_explicit () =
 let test_cache_snapshot () =
   let c = Cache.create ~sets:4 ~ways:2 in
   ignore (Cache.insert c ~addr:0x1000L (line_of_value 0xABL));
-  let entries = Cache.snapshot c in
+  let entries = snapshot_entries (Cache.snapshot c) in
   Alcotest.(check int) "8 words per line" 8 (List.length entries);
   Alcotest.(check bool) "snapshot carries values" true
     (List.for_all (fun (e : Log.entry) -> Int64.equal e.Log.data 0xABL) entries)
@@ -119,7 +128,7 @@ let test_lfb_flush () =
   Lfb.complete lfb ~slot;
   Lfb.flush lfb;
   Alcotest.(check bool) "flushed" false (Lfb.holds_value lfb 9L);
-  Alcotest.(check int) "snapshot empty" 0 (List.length (Lfb.snapshot lfb))
+  Alcotest.(check int) "snapshot empty" 0 (List.length (snapshot_entries (Lfb.snapshot lfb)))
 
 (* {1 Store buffer} *)
 
@@ -271,7 +280,7 @@ let test_btb_owner_tagging () =
           && (String.sub n i (String.length needle) = needle || at (i + 1))
         in
         at 0)
-      (Btb.snapshot btb)
+      (snapshot_entries (Btb.snapshot btb))
   in
   Alcotest.(check bool) "snapshot marks id-tagged" true marked
 
@@ -305,7 +314,7 @@ let test_hpc_bump_read () =
   Alcotest.(check word) "l1d miss" 2L (Hpc.read csr Hpc.L1d_miss);
   Alcotest.(check word) "branch" 1L (Hpc.read csr Hpc.Branch);
   Alcotest.(check word) "untouched" 0L (Hpc.read csr Hpc.Dtlb_miss);
-  let snapshot = Hpc.snapshot csr in
+  let snapshot = snapshot_entries (Hpc.snapshot csr) in
   Alcotest.(check int) "snapshot covers all counters"
     (List.length Csr.modelled_counters) (List.length snapshot)
 
@@ -327,7 +336,7 @@ let test_regfile () =
   done;
   Alcotest.(check bool) "overwritten after wrap" false (Regfile.holds_value rf 42L);
   Alcotest.(check bool) "slot index in range" true (s0 >= 0 && s0 < 4);
-  let snapshot = Regfile.snapshot rf in
+  let snapshot = snapshot_entries (Regfile.snapshot rf) in
   Alcotest.(check int) "all slots in use" 4 (List.length snapshot);
   Alcotest.(check bool) "transient marked in notes" true
     (List.exists
