@@ -22,6 +22,7 @@
 
 open Bechamel
 open Toolkit
+module Json = Obs.Json
 
 let boom = Uarch.Config.boom
 let xiangshan = Uarch.Config.xiangshan
@@ -55,6 +56,27 @@ let timed_phase name f =
       (Obs.metrics obs)
   in
   Obs.timed obs ?histogram name f
+
+(* {1 Bench records}
+
+   Every BENCH_*.json file is one JSON document rendered by {!Obs.Json};
+   measured times and rates are rounded to a fixed number of decimals so
+   the checked-in records stay readable. *)
+
+let fixed digits x =
+  let scale = 10. ** float_of_int digits in
+  Json.Num (Float.round (x *. scale) /. scale)
+
+let rate units seconds = fixed 1 (float_of_int units /. seconds)
+
+let case c = Json.Str (Teesec.Case.to_string c)
+
+let core_name (config : Uarch.Config.t) =
+  String.lowercase_ascii
+    (Uarch.Config.core_kind_to_string config.Uarch.Config.kind)
+
+let write_record ~path fields =
+  Obs.write_file ~path (Json.to_document (Json.Obj fields))
 
 (* {1 Bechamel benches} *)
 
@@ -175,37 +197,28 @@ let find_ns results fragment =
    [timed_phase] wrapper. *)
 
 let write_campaign_json ~path results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"hardware_threads\": %d,\n"
-    (Parallel.Pool.default_jobs ());
-  Printf.bprintf buf "  \"corpus_size\": %d,\n" (Teesec.Fuzzer.total_cases ());
-  Buffer.add_string buf "  \"campaigns\": [\n";
-  List.iteri
-    (fun i ((r : Teesec.Campaign.result), wall_time_s) ->
-      Printf.bprintf buf
-        "    {\"core\": \"%s\", \"testcases\": %d, \"wall_time_s\": %.3f, \
-         \"cases_per_s\": %.1f, \
-         \"total_cycles\": %d, \"total_log_records\": %d, \
-         \"residue_warnings\": %d, \"found\": [%s], \"matches_paper\": %b}%s\n"
-        (String.lowercase_ascii
-           (Uarch.Config.core_kind_to_string r.Teesec.Campaign.config.Uarch.Config.kind))
-        r.Teesec.Campaign.total_cases wall_time_s
-        (float_of_int r.Teesec.Campaign.total_cases /. wall_time_s)
-        r.Teesec.Campaign.total_cycles r.Teesec.Campaign.total_log_records
-        r.Teesec.Campaign.residue_warnings
-        (String.concat ", "
-           (List.map
-              (fun c -> Printf.sprintf "\"%s\"" (Teesec.Case.to_string c))
-              r.Teesec.Campaign.found))
-        (Teesec.Campaign.matches_paper r)
-        (if i < List.length results - 1 then "," else ""))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let campaign ((r : Teesec.Campaign.result), wall_time_s) =
+    let cases = r.Teesec.Campaign.total_cases in
+    Json.Obj
+      [
+        ("core", Str (core_name r.Teesec.Campaign.config));
+        ("testcases", Json.int cases);
+        ("wall_time_s", fixed 3 wall_time_s);
+        ("cases_per_s", rate cases wall_time_s);
+        ("total_cycles", Json.int r.Teesec.Campaign.total_cycles);
+        ("total_log_records", Json.int r.Teesec.Campaign.total_log_records);
+        ("residue_warnings", Json.int r.Teesec.Campaign.residue_warnings);
+        ("found", Json.list case r.Teesec.Campaign.found);
+        ("matches_paper", Bool (Teesec.Campaign.matches_paper r));
+      ]
+  in
+  write_record ~path
+    [
+      ("jobs", Json.int jobs);
+      ("hardware_threads", Json.int (Parallel.Pool.default_jobs ()));
+      ("corpus_size", Json.int (Teesec.Fuzzer.total_cases ()));
+      ("campaigns", Json.list campaign results);
+    ]
 
 (* {1 Machine-readable injection record}
 
@@ -216,35 +229,30 @@ let write_campaign_json ~path results =
    wall clock is wrapped around the call here. *)
 
 let write_inject_json ~path results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Buffer.add_string buf "  \"campaigns\": [\n";
-  List.iteri
-    (fun i ((r : Inject.Inject_campaign.result), wall_time_s) ->
-      let plans = List.length r.Inject.Inject_campaign.plan_results in
-      let units = plans * r.Inject.Inject_campaign.testcases in
-      Printf.bprintf buf
-        "    {\"core\": \"%s\", \"seed\": \"%s\", \"plans\": %d, \
-         \"testcases\": %d, \"faulted_runs\": %d, \"wall_time_s\": %.3f, \
-         \"cases_per_s\": %.1f, \"plan_totals\": {\"stable\": %d, \
-         \"spurious\": %d, \"masked\": %d}, \"baseline_matches_paper\": %b}%s\n"
-        (String.lowercase_ascii
-           (Uarch.Config.core_kind_to_string
-              r.Inject.Inject_campaign.config.Uarch.Config.kind))
-        (Riscv.Word.to_hex r.Inject.Inject_campaign.seed)
-        plans r.Inject.Inject_campaign.testcases units wall_time_s
-        (float_of_int units /. wall_time_s)
-        r.Inject.Inject_campaign.plan_totals.Inject.Inject_campaign.stable
-        r.Inject.Inject_campaign.plan_totals.Inject.Inject_campaign.spurious
-        r.Inject.Inject_campaign.plan_totals.Inject.Inject_campaign.masked
-        r.Inject.Inject_campaign.baseline_matches_paper
-        (if i < List.length results - 1 then "," else ""))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let campaign ((r : Inject.Inject_campaign.result), wall_time_s) =
+    let plans = List.length r.Inject.Inject_campaign.plan_results in
+    let units = plans * r.Inject.Inject_campaign.testcases in
+    let { Inject.Inject_campaign.stable; spurious; masked } =
+      r.Inject.Inject_campaign.plan_totals
+    in
+    Json.Obj
+      [
+        ("core", Str (core_name r.Inject.Inject_campaign.config));
+        ("seed", Str (Riscv.Word.to_hex r.Inject.Inject_campaign.seed));
+        ("plans", Json.int plans);
+        ("testcases", Json.int r.Inject.Inject_campaign.testcases);
+        ("faulted_runs", Json.int units);
+        ("wall_time_s", fixed 3 wall_time_s);
+        ("cases_per_s", rate units wall_time_s);
+        ( "plan_totals",
+          Obj [ ("stable", Json.int stable); ("spurious", Json.int spurious);
+                ("masked", Json.int masked) ] );
+        ( "baseline_matches_paper",
+          Bool r.Inject.Inject_campaign.baseline_matches_paper );
+      ]
+  in
+  write_record ~path
+    [ ("jobs", Json.int jobs); ("campaigns", Json.list campaign results) ]
 
 (* {1 Machine-readable snapshot/fork record}
 
@@ -366,35 +374,35 @@ let run_snapshot_phases () =
   phases
 
 let write_snapshot_json ~path phases =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"reps\": %d,\n" snapshot_reps;
-  Buffer.add_string buf "  \"phases\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf buf
-        "    {\"phase\": \"%s\", \"core\": \"boom\", \"units\": %d, \
-         \"replay_s\": %.3f, \"replay_units_per_s\": %.1f, \
-         \"snapshot_cold_s\": %.3f, \"snapshot_s\": %.3f, \
-         \"snapshot_units_per_s\": %.1f, \"speedup\": %.2f, \
-         \"snapshot\": {\"hits\": %d, \"misses\": %d, \"stores\": %d, \
-         \"restored_gadgets\": %d, \"replayed_gadgets\": %d}}%s\n"
-        p.sp_name p.sp_units p.sp_replay_s
-        (float_of_int p.sp_units /. p.sp_replay_s)
-        p.sp_snap_cold_s p.sp_snap_s
-        (float_of_int p.sp_units /. p.sp_snap_s)
-        (p.sp_replay_s /. p.sp_snap_s)
-        p.sp_stats.Teesec.Snapshot.hits p.sp_stats.Teesec.Snapshot.misses
-        p.sp_stats.Teesec.Snapshot.stores
-        p.sp_stats.Teesec.Snapshot.restored_gadgets
-        p.sp_stats.Teesec.Snapshot.replayed_gadgets
-        (if i < List.length phases - 1 then "," else ""))
-    phases;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let phase p =
+    let { Teesec.Snapshot.hits; misses; stores; restored_gadgets;
+          replayed_gadgets } =
+      p.sp_stats
+    in
+    Json.Obj
+      [
+        ("phase", Str p.sp_name);
+        ("core", Str "boom");
+        ("units", Json.int p.sp_units);
+        ("replay_s", fixed 3 p.sp_replay_s);
+        ("replay_units_per_s", rate p.sp_units p.sp_replay_s);
+        ("snapshot_cold_s", fixed 3 p.sp_snap_cold_s);
+        ("snapshot_s", fixed 3 p.sp_snap_s);
+        ("snapshot_units_per_s", rate p.sp_units p.sp_snap_s);
+        ("speedup", fixed 2 (p.sp_replay_s /. p.sp_snap_s));
+        ( "snapshot",
+          Obj [ ("hits", Json.int hits); ("misses", Json.int misses);
+                ("stores", Json.int stores);
+                ("restored_gadgets", Json.int restored_gadgets);
+                ("replayed_gadgets", Json.int replayed_gadgets) ] );
+      ]
+  in
+  write_record ~path
+    [
+      ("jobs", Json.int jobs);
+      ("reps", Json.int snapshot_reps);
+      ("phases", Json.list phase phases);
+    ]
 
 (* {1 Machine-readable wave-tap record}
 
@@ -466,26 +474,27 @@ let run_wave_phase () =
   p
 
 let write_wave_json ~path p =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"reps\": %d,\n" wave_reps;
-  Buffer.add_string buf "  \"phases\": [\n";
-  Printf.bprintf buf
-    "    {\"phase\": \"%s\", \"core\": \"boom\", \"units\": %d, \
-     \"off_s\": %.3f, \"off_units_per_s\": %.1f, \"on_s\": %.3f, \
-     \"on_units_per_s\": %.1f, \"overhead\": %.3f, \"events\": %d, \
-     \"stream_bytes\": %d}\n"
-    p.wv_name p.wv_units p.wv_off_s
-    (float_of_int p.wv_units /. p.wv_off_s)
-    p.wv_on_s
-    (float_of_int p.wv_units /. p.wv_on_s)
-    (p.wv_on_s /. p.wv_off_s)
-    p.wv_events p.wv_stream_bytes;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let phase =
+    Json.Obj
+      [
+        ("phase", Str p.wv_name);
+        ("core", Str "boom");
+        ("units", Json.int p.wv_units);
+        ("off_s", fixed 3 p.wv_off_s);
+        ("off_units_per_s", rate p.wv_units p.wv_off_s);
+        ("on_s", fixed 3 p.wv_on_s);
+        ("on_units_per_s", rate p.wv_units p.wv_on_s);
+        ("overhead", fixed 3 (p.wv_on_s /. p.wv_off_s));
+        ("events", Json.int p.wv_events);
+        ("stream_bytes", Json.int p.wv_stream_bytes);
+      ]
+  in
+  write_record ~path
+    [
+      ("jobs", Json.int jobs);
+      ("reps", Json.int wave_reps);
+      ("phases", Arr [ phase ]);
+    ]
 
 (* {1 Machine-readable fuzzing record}
 
@@ -497,43 +506,35 @@ let write_wave_json ~path p =
    counts), so wall clocks are wrapped around the calls here. *)
 
 let write_fuzz_json ~path ~seed ~budget results =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"seed\": \"%s\",\n" (Riscv.Word.to_hex seed);
-  Printf.bprintf buf "  \"budget\": %d,\n" budget;
-  Buffer.add_string buf "  \"campaigns\": [\n";
-  List.iteri
-    (fun i ((r : Fuzz.Engine.report), wall_time_s) ->
-      Printf.bprintf buf
-        "    {\"core\": \"%s\", \"mode\": \"%s\", \"energy\": %d, \
-         \"executed\": %d, \"cases_to_full_table3\": %s, \
-         \"edges_covered\": %d, \"bits_covered\": %d, \
-         \"corpus_entries\": %d, \"distilled\": %d, \"wall_time_s\": %.3f, \
-         \"cases_per_s\": %.1f, \"discoveries\": [%s]}%s\n"
-        (String.lowercase_ascii
-           (Uarch.Config.core_kind_to_string r.Fuzz.Engine.config.Uarch.Config.kind))
-        (if r.Fuzz.Engine.options.Fuzz.Engine.energy > 0 then "guided"
-         else "random")
-        r.Fuzz.Engine.options.Fuzz.Engine.energy r.Fuzz.Engine.executed
-        (match r.Fuzz.Engine.cases_to_full_table3 with
-        | Some n -> string_of_int n
-        | None -> "null")
-        r.Fuzz.Engine.edges_covered r.Fuzz.Engine.bits_covered
-        r.Fuzz.Engine.corpus_entries r.Fuzz.Engine.distilled wall_time_s
-        (float_of_int r.Fuzz.Engine.executed /. wall_time_s)
-        (String.concat ", "
-           (List.map
-              (fun (d : Fuzz.Engine.discovery) ->
-                Printf.sprintf "{\"case\": \"%s\", \"at\": %d}"
-                  (Teesec.Case.to_string d.Fuzz.Engine.case) d.Fuzz.Engine.at)
-              r.Fuzz.Engine.discoveries))
-        (if i < List.length results - 1 then "," else ""))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let discovery (d : Fuzz.Engine.discovery) =
+    Json.Obj [ ("case", case d.Fuzz.Engine.case); ("at", Json.int d.Fuzz.Engine.at) ]
+  in
+  let campaign ((r : Fuzz.Engine.report), wall_time_s) =
+    let energy = r.Fuzz.Engine.options.Fuzz.Engine.energy in
+    Json.Obj
+      [
+        ("core", Str (core_name r.Fuzz.Engine.config));
+        ("mode", Str (if energy > 0 then "guided" else "random"));
+        ("energy", Json.int energy);
+        ("executed", Json.int r.Fuzz.Engine.executed);
+        ( "cases_to_full_table3",
+          Json.option Json.int r.Fuzz.Engine.cases_to_full_table3 );
+        ("edges_covered", Json.int r.Fuzz.Engine.edges_covered);
+        ("bits_covered", Json.int r.Fuzz.Engine.bits_covered);
+        ("corpus_entries", Json.int r.Fuzz.Engine.corpus_entries);
+        ("distilled", Json.int r.Fuzz.Engine.distilled);
+        ("wall_time_s", fixed 3 wall_time_s);
+        ("cases_per_s", rate r.Fuzz.Engine.executed wall_time_s);
+        ("discoveries", Json.list discovery r.Fuzz.Engine.discoveries);
+      ]
+  in
+  write_record ~path
+    [
+      ("jobs", Json.int jobs);
+      ("seed", Str (Riscv.Word.to_hex seed));
+      ("budget", Json.int budget);
+      ("campaigns", Json.list campaign results);
+    ]
 
 (* {1 Machine-readable symbolic-execution record}
 
@@ -577,9 +578,7 @@ let run_symex_phases () =
       in
       let t = report.Symex.Explore.totals in
       {
-        sx_core =
-          String.lowercase_ascii
-            (Uarch.Config.core_kind_to_string config.Uarch.Config.kind);
+        sx_core = core_name config;
         sx_paths = t.Symex.Explore.paths_total;
         sx_witnesses = t.Symex.Explore.witnesses_total;
         sx_corpus_entries = List.length seeds;
@@ -589,26 +588,24 @@ let run_symex_phases () =
     [ boom; xiangshan ]
 
 let write_symex_json ~path phases =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Printf.bprintf buf "  \"reps\": %d,\n" symex_reps;
-  Buffer.add_string buf "  \"phases\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf buf
-        "    {\"phase\": \"explore-%s\", \"paths\": %d, \"witnesses\": %d, \
-         \"corpus_entries\": %d, \"explore_s\": %.3f, \"paths_per_s\": %.1f, \
-         \"corpus_seed_s\": %.4f}%s\n"
-        p.sx_core p.sx_paths p.sx_witnesses p.sx_corpus_entries p.sx_explore_s
-        (float_of_int p.sx_paths /. p.sx_explore_s)
-        p.sx_seed_s
-        (if i < List.length phases - 1 then "," else ""))
-    phases;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let phase p =
+    Json.Obj
+      [
+        ("phase", Str ("explore-" ^ p.sx_core));
+        ("paths", Json.int p.sx_paths);
+        ("witnesses", Json.int p.sx_witnesses);
+        ("corpus_entries", Json.int p.sx_corpus_entries);
+        ("explore_s", fixed 3 p.sx_explore_s);
+        ("paths_per_s", rate p.sx_paths p.sx_explore_s);
+        ("corpus_seed_s", fixed 4 p.sx_seed_s);
+      ]
+  in
+  write_record ~path
+    [
+      ("jobs", Json.int jobs);
+      ("reps", Json.int symex_reps);
+      ("phases", Json.list phase phases);
+    ]
 
 (* {1 Machine-readable campaign-service record}
 
@@ -714,24 +711,19 @@ let run_serve_phase () =
   phases
 
 let write_serve_json ~path phases =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"request\": \"campaign slice on boom\",\n";
-  Buffer.add_string buf "  \"phases\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf buf
-        "    {\"workers\": %d, \"shards\": %d, \"cold_s\": %.3f, \
-         \"cold_shards_per_s\": %.1f, \"warm_s\": %.3f, \"warm_hits\": %d}%s\n"
-        p.se_workers p.se_shards p.se_cold_s
-        (float_of_int p.se_shards /. p.se_cold_s)
-        p.se_warm_s p.se_warm_hits
-        (if i < List.length phases - 1 then "," else ""))
-    phases;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
+  let phase p =
+    Json.Obj
+      [
+        ("workers", Json.int p.se_workers);
+        ("shards", Json.int p.se_shards);
+        ("cold_s", fixed 3 p.se_cold_s);
+        ("cold_shards_per_s", rate p.se_shards p.se_cold_s);
+        ("warm_s", fixed 3 p.se_warm_s);
+        ("warm_hits", Json.int p.se_warm_hits);
+      ]
+  in
+  write_record ~path
+    [ ("request", Str "campaign slice on boom"); ("phases", Json.list phase phases) ]
 
 (* {1 Experiment regeneration} *)
 
@@ -768,23 +760,8 @@ let () =
   write_wave_json ~path:"BENCH_wave.json" wave_phase;
   Format.printf "wave record written to BENCH_wave.json@.";
 
-  (* Micro-benchmarks next; their estimates feed Table 2. *)
-  let bench_results = run_benches () in
-
   section "Table 1";
   print_string (Teesec.Tables.table1 ());
-
-  section "Table 2";
-  let timings =
-    match
-      ( find_ns bench_results "gadget-constructor",
-        find_ns bench_results "checker",
-        find_ns bench_results "test-case-boom" )
-    with
-    | Some c, Some k, Some t -> Some (c /. 1e9, k /. 1e9, t /. 1e9)
-    | _ -> None
-  in
-  print_string (Teesec.Tables.table2 ?timings ());
 
   section "Table 3 (full 585-test-case campaign per core)";
   let campaign_results =
@@ -956,6 +933,23 @@ let () =
         (fun (_, trace) -> Format.printf "%a@." Teesec.Scenarios.pp_trace trace)
         (Teesec.Scenarios.all config))
     [ boom; xiangshan ];
+
+  (* The micro-benchmarks run last: after Bechamel has run, this
+     process's heap keeps growing through every later phase (to several
+     GB by exit), so no timed phase may follow it.  Their estimates feed
+     Table 2. *)
+  let bench_results = run_benches () in
+  section "Table 2";
+  let timings =
+    match
+      ( find_ns bench_results "gadget-constructor",
+        find_ns bench_results "checker",
+        find_ns bench_results "test-case-boom" )
+    with
+    | Some c, Some k, Some t -> Some (c /. 1e9, k /. 1e9, t /. 1e9)
+    | _ -> None
+  in
+  print_string (Teesec.Tables.table2 ?timings ());
 
   section "Summary";
   List.iter

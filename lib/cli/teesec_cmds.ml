@@ -118,9 +118,7 @@ let write_wave_file ~path streams =
     if Filename.check_suffix path ".vcd" then Wave.Vcd.render streams
     else Wave.Event.frame_streams streams
   in
-  let oc = open_out_bin path in
-  output_string oc contents;
-  close_out oc;
+  Obs.write_file ~path contents;
   Format.printf "waveforms (%d stream(s)) written to %s@."
     (List.length streams) path
 
@@ -364,20 +362,16 @@ let campaign_cmd =
     | None -> ());
     (match provenance_out with
     | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Teesec.Provenance.list_to_json result.Teesec.Campaign.provenance);
-      output_string oc "\n";
-      close_out oc;
+      Obs.write_file ~path
+        (Teesec.Provenance.list_to_json result.Teesec.Campaign.provenance
+        ^ "\n");
       Format.printf "provenance (%d record(s)) written to %s@."
         (List.length result.Teesec.Campaign.provenance)
         path
     | None -> ());
     match csv with
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Teesec.Tables.table3_csv [ result ]);
-      close_out oc;
+      Obs.write_file ~path (Teesec.Tables.table3_csv [ result ]);
       Format.printf "CSV written to %s@." path
     | None -> ()
   in
@@ -1058,9 +1052,7 @@ let serve_cmd =
 (* submit: build a Request.spec from the same flags the one-shot
    subcommands take, and hand it to the daemon. *)
 let write_file_report ~what path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
+  Obs.write_file ~path contents;
   Format.printf "%s written to %s (%d bytes)@." what path
     (String.length contents)
 

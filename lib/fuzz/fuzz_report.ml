@@ -33,66 +33,43 @@ let pp fmt (r : Engine.report) =
   Format.fprintf fmt "  residue warnings: %d; simulated cycles: %d@."
     r.Engine.residue_warnings r.Engine.total_cycles
 
-(* {2 JSON} — hand-rolled like bench/main.ml and lib/inject. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = Printf.sprintf "\"%s\"" (json_escape s)
+(* {2 JSON} *)
 
 let json_discovery (d : Engine.discovery) =
-  Printf.sprintf "{\"case\": %s, \"at\": %d, \"testcase\": %s}"
-    (json_string (Case.to_string d.Engine.case))
-    d.Engine.at
-    (json_string d.Engine.testcase)
+  Json.Obj
+    [
+      ("case", Str (Case.to_string d.Engine.case));
+      ("at", Json.int d.Engine.at);
+      ("testcase", Str d.Engine.testcase);
+    ]
 
 let to_json_string (r : Engine.report) =
   let o = r.Engine.options in
-  let buf = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"core\": %s,\n"
-    (json_string
-       (String.lowercase_ascii
-          (Config.core_kind_to_string r.Engine.config.Config.kind)));
-  add "  \"mode\": %s,\n"
-    (json_string (if o.Engine.energy > 0 then "guided" else "random"));
-  add "  \"seed\": %s,\n" (json_string (Word.to_hex o.Engine.seed));
-  add "  \"budget\": %d,\n" o.Engine.budget;
-  add "  \"batch\": %d,\n" o.Engine.batch;
-  add "  \"energy\": %d,\n" o.Engine.energy;
-  add "  \"executed\": %d,\n" r.Engine.executed;
-  add "  \"edges_covered\": %d,\n" r.Engine.edges_covered;
-  add "  \"bits_covered\": %d,\n" r.Engine.bits_covered;
-  add "  \"corpus_entries\": %d,\n" r.Engine.corpus_entries;
-  add "  \"distilled\": %d,\n" r.Engine.distilled;
-  add "  \"found\": [%s],\n"
-    (String.concat ", "
-       (List.map (fun c -> json_string (Case.to_string c)) r.Engine.found));
-  add "  \"discoveries\": [%s],\n"
-    (String.concat ", " (List.map json_discovery r.Engine.discoveries));
-  add "  \"cases_to_full_table3\": %s,\n"
-    (match r.Engine.cases_to_full_table3 with
-    | Some n -> string_of_int n
-    | None -> "null");
-  add "  \"residue_warnings\": %d,\n" r.Engine.residue_warnings;
-  add "  \"total_cycles\": %d,\n" r.Engine.total_cycles;
-  add "  \"provenance\": %s\n" (Provenance.list_to_json r.Engine.provenance);
-  add "}\n";
-  Buffer.contents buf
+  Json.to_document
+    (Obj
+       [
+         ( "core",
+           Str
+             (String.lowercase_ascii
+                (Config.core_kind_to_string r.Engine.config.Config.kind)) );
+         ("mode", Str (if o.Engine.energy > 0 then "guided" else "random"));
+         ("seed", Str (Word.to_hex o.Engine.seed));
+         ("budget", Json.int o.Engine.budget);
+         ("batch", Json.int o.Engine.batch);
+         ("energy", Json.int o.Engine.energy);
+         ("executed", Json.int r.Engine.executed);
+         ("edges_covered", Json.int r.Engine.edges_covered);
+         ("bits_covered", Json.int r.Engine.bits_covered);
+         ("corpus_entries", Json.int r.Engine.corpus_entries);
+         ("distilled", Json.int r.Engine.distilled);
+         ( "found",
+           Json.list (fun c -> Json.Str (Case.to_string c)) r.Engine.found );
+         ("discoveries", Json.list json_discovery r.Engine.discoveries);
+         ( "cases_to_full_table3",
+           Json.option Json.int r.Engine.cases_to_full_table3 );
+         ("residue_warnings", Json.int r.Engine.residue_warnings);
+         ("total_cycles", Json.int r.Engine.total_cycles);
+         ("provenance", Json.list Provenance.to_value r.Engine.provenance);
+       ])
 
-let save_json ~path r =
-  let oc = open_out path in
-  output_string oc (to_json_string r);
-  close_out oc
+let save_json ~path r = Obs.write_file ~path (to_json_string r)

@@ -14,3 +14,4 @@ module Checker = Teesec.Checker
 module Provenance = Teesec.Provenance
 module Runner = Teesec.Runner
 module Snapshot = Teesec.Snapshot
+module Json = Obs.Json

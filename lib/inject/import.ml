@@ -12,3 +12,4 @@ module Runner = Teesec.Runner
 module Snapshot = Teesec.Snapshot
 module Testcase = Teesec.Testcase
 module Env = Teesec.Env
+module Json = Obs.Json

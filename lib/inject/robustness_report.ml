@@ -57,45 +57,37 @@ let pp fmt (r : Inject_campaign.result) =
 
 (* {2 JSON}
 
-   Hand-rolled like bench/main.ml.  Deliberately contains no wall time
-   or host detail: the acceptance criterion is that reports for the
-   same seed are byte-identical across job counts and reruns. *)
+   Deliberately contains no wall time or host detail: the acceptance
+   criterion is that reports for the same seed are byte-identical across
+   job counts and reruns. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let json_cases cases =
-  Printf.sprintf "[%s]"
-    (String.concat ", " (List.map (fun c -> json_string (Case.to_string c)) cases))
+let json_cases cases = Json.list (fun c -> Json.Str (Case.to_string c)) cases
 
 let json_counts (c : Inject_campaign.counts) =
-  Printf.sprintf "{\"stable\": %d, \"spurious\": %d, \"masked\": %d}"
-    c.Inject_campaign.stable c.Inject_campaign.spurious c.Inject_campaign.masked
+  Json.Obj
+    [
+      ("stable", Json.int c.Inject_campaign.stable);
+      ("spurious", Json.int c.Inject_campaign.spurious);
+      ("masked", Json.int c.Inject_campaign.masked);
+    ]
 
 let json_fault (f : Fault_plan.fault) =
-  Printf.sprintf
-    "{\"model\": %s, \"window_start\": %d, \"window_len\": %d, \"select\": %d, \
-     \"bit\": %d}"
-    (json_string (Fault_model.to_string f.model))
-    f.window_start f.window_len f.select f.bit
+  Json.Obj
+    [
+      ("model", Str (Fault_model.to_string f.model));
+      ("window_start", Json.int f.window_start);
+      ("window_len", Json.int f.window_len);
+      ("select", Json.int f.select);
+      ("bit", Json.int f.bit);
+    ]
 
 let json_diff (d : Inject_campaign.unit_diff) =
-  Printf.sprintf "{\"testcase\": %s, \"masked\": %s, \"spurious\": %s}"
-    (json_string d.testcase) (json_cases d.masked_cases)
-    (json_cases d.spurious_cases)
+  Json.Obj
+    [
+      ("testcase", Str d.testcase);
+      ("masked", json_cases d.masked_cases);
+      ("spurious", json_cases d.spurious_cases);
+    ]
 
 let json_plan_result (p : Inject_campaign.plan_result) =
   let non_stable =
@@ -104,57 +96,47 @@ let json_plan_result (p : Inject_campaign.plan_result) =
         d.masked_cases <> [] || d.spurious_cases <> [])
       p.diffs
   in
-  Printf.sprintf
-    "{\"id\": %d, \"plan_seed\": %s, \"outcome\": %s, \"faults_applied\": %d, \
-     \"faults\": [%s], \"diffs\": [%s]}"
-    p.plan.Fault_plan.id
-    (json_string (Word.to_hex p.plan.Fault_plan.plan_seed))
-    (json_string (Inject_campaign.outcome_to_string p.outcome))
-    p.faults_applied
-    (String.concat ", " (List.map json_fault p.plan.Fault_plan.faults))
-    (String.concat ", " (List.map json_diff non_stable))
+  Json.Obj
+    [
+      ("id", Json.int p.plan.Fault_plan.id);
+      ("plan_seed", Str (Word.to_hex p.plan.Fault_plan.plan_seed));
+      ("outcome", Str (Inject_campaign.outcome_to_string p.outcome));
+      ("faults_applied", Json.int p.faults_applied);
+      ("faults", Json.list json_fault p.plan.Fault_plan.faults);
+      ("diffs", Json.list json_diff non_stable);
+    ]
 
 let to_json_string (r : Inject_campaign.result) =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"core\": %s,\n" (json_string r.Inject_campaign.config.Config.name);
-  add "  \"seed\": %s,\n" (json_string (Word.to_hex r.Inject_campaign.seed));
-  add "  \"plans\": %d,\n" (List.length r.Inject_campaign.plan_results);
-  add "  \"testcases\": %d,\n" r.Inject_campaign.testcases;
-  add "  \"baseline\": {\"found\": %s, \"matches_paper\": %b, \"residue_warnings\": %d},\n"
-    (json_cases r.Inject_campaign.baseline_found)
-    r.Inject_campaign.baseline_matches_paper r.Inject_campaign.baseline_residue;
-  add "  \"plan_totals\": %s,\n" (json_counts r.Inject_campaign.plan_totals);
-  add "  \"unit_totals\": %s,\n" (json_counts r.Inject_campaign.unit_totals);
-  add "  \"by_model\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun (m, c) ->
-            Printf.sprintf "{\"model\": %s, \"counts\": %s}"
-              (json_string (Fault_model.to_string m))
-              (json_counts c))
-          r.Inject_campaign.by_model));
-  add "  \"by_structure\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun (s, c) ->
-            Printf.sprintf "{\"structure\": %s, \"counts\": %s}"
-              (json_string (Structure.to_string s))
-              (json_counts c))
-          r.Inject_campaign.by_structure));
-  add "  \"plan_results\": [\n    %s\n  ],\n"
-    (String.concat ",\n    "
-       (List.map json_plan_result r.Inject_campaign.plan_results));
-  add "  \"provenance\": %s\n"
-    (Provenance.list_to_json r.Inject_campaign.provenance);
-  add "}\n";
-  Buffer.contents buf
+  let by key name (x, c) =
+    Json.Obj [ (key, Json.Str (name x)); ("counts", json_counts c) ]
+  in
+  Json.to_document
+    (Obj
+       [
+         ("core", Str r.Inject_campaign.config.Config.name);
+         ("seed", Str (Word.to_hex r.Inject_campaign.seed));
+         ("plans", Json.int (List.length r.Inject_campaign.plan_results));
+         ("testcases", Json.int r.Inject_campaign.testcases);
+         ( "baseline",
+           Obj
+             [
+               ("found", json_cases r.Inject_campaign.baseline_found);
+               ("matches_paper", Bool r.Inject_campaign.baseline_matches_paper);
+               ( "residue_warnings",
+                 Json.int r.Inject_campaign.baseline_residue );
+             ] );
+         ("plan_totals", json_counts r.Inject_campaign.plan_totals);
+         ("unit_totals", json_counts r.Inject_campaign.unit_totals);
+         ( "by_model",
+           Json.list (by "model" Fault_model.to_string)
+             r.Inject_campaign.by_model );
+         ( "by_structure",
+           Json.list (by "structure" Structure.to_string)
+             r.Inject_campaign.by_structure );
+         ( "plan_results",
+           Json.list json_plan_result r.Inject_campaign.plan_results );
+         ( "provenance",
+           Json.list Provenance.to_value r.Inject_campaign.provenance );
+       ])
 
-let save_json ~path r =
-  let oc = open_out path in
-  (try output_string oc (to_json_string r)
-   with e ->
-     close_out oc;
-     raise e);
-  close_out oc
+let save_json ~path r = Obs.write_file ~path (to_json_string r)

@@ -209,3 +209,95 @@ let to_bool = function Bool b -> Some b | _ -> None
 
 let number_field key v = Option.bind (member key v) to_number
 let string_field key v = Option.bind (member key v) to_string
+
+(* {2 Printer} *)
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_escaped buf s =
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Printf.bprintf buf "\\u%04x" (Char.code c));
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start)
+
+(* Integral values that fit an OCaml int print as digits (every digit of
+   an epoch-nanosecond stamp survives); anything else as the shorter of
+   %.15g and %.17g that reads back to the same float. *)
+let number_text f =
+  if Float.is_integer f && Float.abs f < 0x1p62 then
+    string_of_int (int_of_float f)
+  else if Float.is_finite f then
+    let short = Printf.sprintf "%.15g" f in
+    if float_of_string short = f then short else Printf.sprintf "%.17g" f
+  else "null"
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
+
+let add_entries buf ~open_ ~sep ~close entries add =
+  Buffer.add_string buf open_;
+  List.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_string buf sep;
+      add e)
+    entries;
+  Buffer.add_string buf close
+
+let add_member buf add (k, v) =
+  add_string buf k;
+  Buffer.add_string buf ": ";
+  add buf v
+
+let rec add_line buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num f -> Buffer.add_string buf (number_text f)
+  | Str s -> add_string buf s
+  | Arr l -> add_entries buf ~open_:"[" ~sep:", " ~close:"]" l (add_line buf)
+  | Obj l ->
+    add_entries buf ~open_:"{" ~sep:", " ~close:"}" l (add_member buf add_line)
+
+(* The top-level container and its direct container children put one
+   entry per line, indented two spaces per level; deeper values and
+   empty containers take the one-line form. *)
+let rec add_document ~depth buf v =
+  let lines open_ close l add =
+    let indent = "\n" ^ String.make (2 * (depth + 1)) ' ' in
+    add_entries buf ~open_:(open_ ^ indent) ~sep:("," ^ indent)
+      ~close:("\n" ^ String.make (2 * depth) ' ' ^ close)
+      l add
+  in
+  let child = add_document ~depth:(depth + 1) in
+  match v with
+  | Arr (_ :: _ as l) when depth < 2 -> lines "[" "]" l (child buf)
+  | Obj (_ :: _ as l) when depth < 2 -> lines "{" "}" l (add_member buf child)
+  | v -> add_line buf v
+
+let to_line v =
+  let buf = Buffer.create 256 in
+  add_line buf v;
+  Buffer.contents buf
+
+let to_document v =
+  let buf = Buffer.create 4096 in
+  add_document ~depth:0 buf v;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* {2 Builders} *)
+
+let int n = Num (float_of_int n)
+let list f l = Arr (List.map f l)
+let option f = function Some x -> f x | None -> Null

@@ -71,52 +71,36 @@ let enabled t level =
   | Null -> false
   | Sink s -> level_rank level >= level_rank s.threshold
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let render_value = function
-  | String s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Int i -> string_of_int i
-  | Float f ->
-    if Float.is_nan f then "null"
-    else if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%.9g" f
-  | Bool b -> string_of_bool b
+let value_to_json = function
+  | String s -> Json.Str s
+  | Int i -> Json.int i
+  | Float f -> Json.Num f
+  | Bool b -> Json.Bool b
 
 let event t level ~event fields =
   match t with
   | Null -> ()
   | Sink s when level_rank level < level_rank s.threshold -> ()
   | Sink s ->
-    let buf = Buffer.create 128 in
-    Buffer.add_char buf '{';
-    Printf.bprintf buf "\"level\": \"%s\"" (level_to_string level);
-    if not s.deterministic then begin
-      (* The monotonic stamp and pid are exactly the fields that vary
-         between runs; deterministic mode drops both so test suites can
-         compare log bytes directly. *)
-      Printf.bprintf buf ", \"ts\": %Ld" (s.clock ());
-      Printf.bprintf buf ", \"pid\": %d" s.pid
-    end;
-    Printf.bprintf buf ", \"event\": \"%s\"" (json_escape event);
-    List.iter
-      (fun (k, v) ->
-        Printf.bprintf buf ", \"%s\": %s" (json_escape k) (render_value v))
-      fields;
-    Buffer.add_string buf "}\n";
-    let line = Buffer.contents buf in
+    (* The monotonic stamp and pid are exactly the fields that vary
+       between runs; deterministic mode drops both so test suites can
+       compare log bytes directly. *)
+    let stamp =
+      if s.deterministic then []
+      else
+        [
+          ("ts", Json.Num (Int64.to_float (s.clock ())));
+          ("pid", Json.int s.pid);
+        ]
+    in
+    let line =
+      Json.to_line
+        (Json.Obj
+           ((("level", Json.Str (level_to_string level)) :: stamp)
+           @ (("event", Json.Str event)
+             :: List.map (fun (k, v) -> (k, value_to_json v)) fields)))
+      ^ "\n"
+    in
     Mutex.lock s.mutex;
     (try s.writer line with exn -> Mutex.unlock s.mutex; raise exn);
     Mutex.unlock s.mutex

@@ -1,7 +1,7 @@
 (** A leveled structured-log sink emitting JSON Lines.
 
-    Each call renders one self-contained JSON object terminated by a
-    newline: the level, a monotonic nanosecond timestamp, the emitting
+    Each call renders one self-contained JSON object ({!Json.to_line})
+    terminated by a newline: the level, a monotonic nanosecond timestamp, the emitting
     pid, the event name and the caller's (key, value) fields in order —
     greppable with [jq] or plain [grep '"event": "dispatch"'].
 

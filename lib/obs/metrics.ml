@@ -456,45 +456,16 @@ let to_prometheus t =
   Mutex.unlock t.mutex;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_labels labels =
-  "{"
-  ^ String.concat ", "
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v))
-         labels)
-  ^ "}"
-
 let to_json t =
-  Mutex.lock t.mutex;
-  let series = List.rev t.rev_series in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"metrics\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Printf.bprintf buf
-        "  {\"name\": \"%s\", \"type\": \"%s\", \"labels\": %s, "
-        (json_escape s.name) (kind_string s.state) (json_labels s.labels);
-      (match s.state with
-      | Counter_state c -> Printf.bprintf buf "\"value\": %d}" c.count
-      | Gauge_state g ->
-        Printf.bprintf buf "\"value\": %s}"
-          (if Float.is_nan g.value then "null" else render_float g.value)
+  let labels l = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) l) in
+  let bucket le count =
+    Json.Obj [ ("le", Json.Str le); ("count", Json.int count) ]
+  in
+  let series_to_json s =
+    let values =
+      match s.state with
+      | Counter_state c -> [ ("value", Json.int c.count) ]
+      | Gauge_state g -> [ ("value", Json.Num g.value) ]
       | Histogram_state h ->
         let acc = ref 0 in
         let buckets =
@@ -502,15 +473,24 @@ let to_json t =
             (Array.mapi
                (fun i b ->
                  acc := !acc + h.counts.(i);
-                 Printf.sprintf "{\"le\": \"%s\", \"count\": %d}"
-                   (render_bound b) !acc)
+                 bucket (render_bound b) !acc)
                h.bounds)
-          @ [ Printf.sprintf "{\"le\": \"+Inf\", \"count\": %d}" h.total ]
         in
-        Printf.bprintf buf "\"buckets\": [%s], \"sum\": %s, \"count\": %d}"
-          (String.concat ", " buckets)
-          (render_float h.sum) h.total))
-    series;
-  Buffer.add_string buf "\n]}\n";
+        [
+          ("buckets", Json.Arr (buckets @ [ bucket "+Inf" h.total ]));
+          ("sum", Json.Num h.sum);
+          ("count", Json.int h.total);
+        ]
+    in
+    Json.Obj
+      ([
+         ("name", Json.Str s.name);
+         ("type", Json.Str (kind_string s.state));
+         ("labels", labels s.labels);
+       ]
+      @ values)
+  in
+  Mutex.lock t.mutex;
+  let doc = Json.list series_to_json (List.rev t.rev_series) in
   Mutex.unlock t.mutex;
-  Buffer.contents buf
+  Json.to_document (Json.Obj [ ("metrics", doc) ])

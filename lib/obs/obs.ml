@@ -94,10 +94,10 @@ let gc_sample t ~phase =
 
 (* {2 Export} *)
 
+(** Write [contents] to [path] byte for byte, replacing the file — the
+    one file writer for the tool's JSON reports and exports. *)
 let write_file ~path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
 
 (** Write the Chrome trace-event JSON.  No-op on {!noop}. *)
 let save_trace t ~path =

@@ -118,66 +118,38 @@ let shift_events offset events =
 
 (* {2 Chrome trace-event JSON} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let arg_to_json = function
+  | String s -> Json.Str s
+  | Int i -> Json.int i
+  | Float f -> Json.Num f
+  | Bool b -> Json.Bool b
 
-let render_arg = function
-  | String s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Int i -> string_of_int i
-  | Float f -> if Float.is_nan f then "null" else Printf.sprintf "%.9g" f
-  | Bool b -> string_of_bool b
-
-let render_args = function
-  | [] -> ""
-  | args ->
-    Printf.sprintf ", \"args\": {%s}"
-      (String.concat ", "
-         (List.map
-            (fun (k, v) ->
-              Printf.sprintf "\"%s\": %s" (json_escape k) (render_arg v))
-            args))
-
-let render_event ~pid e =
-  let ts_us = Int64.to_float e.ts /. 1e3 in
-  match e.ph with
-  | Metadata ->
-    Printf.sprintf
-      "{\"name\": \"%s\", \"ph\": \"M\", \"pid\": %d, \"tid\": %d%s}"
-      (json_escape e.name) pid e.tid (render_args e.args)
-  | ph ->
-    let ph_str, extra =
-      match ph with
-      | Begin -> ("B", "")
-      | End -> ("E", "")
-      | Instant -> ("i", ", \"s\": \"t\"")
-      | Metadata -> assert false
-    in
-    Printf.sprintf
-      "{\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \"pid\": %d, \
-       \"tid\": %d%s%s}"
-      (json_escape e.name) ph_str ts_us pid e.tid extra (render_args e.args)
+let event_to_json ~pid e =
+  let ts = ("ts", Json.Num (Int64.to_float e.ts /. 1e3)) in
+  let phase, scope =
+    match e.ph with
+    | Metadata -> ([ ("ph", Json.Str "M") ], [])
+    | Begin -> ([ ("ph", Json.Str "B"); ts ], [])
+    | End -> ([ ("ph", Json.Str "E"); ts ], [])
+    | Instant -> ([ ("ph", Json.Str "i"); ts ], [ ("s", Json.Str "t") ])
+  in
+  let args =
+    if e.args = [] then []
+    else [ ("args", Json.Obj (List.map (fun (k, a) -> (k, arg_to_json a)) e.args)) ]
+  in
+  Json.Obj
+    ((("name", Json.Str e.name) :: phase)
+    @ (("pid", Json.int pid) :: ("tid", Json.int e.tid) :: scope)
+    @ args)
 
 let render_trace pid_events =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
-  List.iteri
-    (fun i (pid, e) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (render_event ~pid e))
-    pid_events;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  Json.to_document
+    (Json.Obj
+       [
+         ("displayTimeUnit", Json.Str "ms");
+         ( "traceEvents",
+           Json.list (fun (pid, e) -> event_to_json ~pid e) pid_events );
+       ])
 
 let to_chrome_json t =
   render_trace (List.map (fun e -> (1, e)) (events t))

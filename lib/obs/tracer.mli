@@ -70,8 +70,9 @@ val shift_events : int64 -> event list -> event list
     how the daemon aligns a worker's clock to its own. *)
 
 val to_chrome_json : t -> string
-(** The merged buffers as a Chrome trace-event JSON object
-    [{"traceEvents": [...]}], sorted by timestamp (microseconds). *)
+(** The merged buffers as a Chrome trace-event JSON document
+    ({!Json.to_document}) [{"traceEvents": [...]}], sorted by timestamp
+    (microseconds), one event per line. *)
 
 val chrome_json_of_processes : (int * string * event list) list -> string
 (** [chrome_json_of_processes [(pid, process_name, events); ...]] builds

@@ -2,12 +2,6 @@ type t = (int64, Word.t) Hashtbl.t
 
 let line_bytes = 64
 let create () : t = Hashtbl.create 4096
-let copy (t : t) : t = Hashtbl.copy t
-
-let restore_into (src : t) ~(into : t) =
-  Hashtbl.reset into;
-  Hashtbl.iter (fun g w -> Hashtbl.replace into g w) src
-
 (* Snapshot form: the written granules as a flat pair array, without
    the source table's bucket array (which dominates a [Hashtbl.copy] of
    a mostly-empty memory). *)

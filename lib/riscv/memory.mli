@@ -12,17 +12,12 @@ val line_bytes : int
 
 val create : unit -> t
 
-(** [copy t] is an independent copy of the backing store. *)
-val copy : t -> t
-
-(** [restore_into src ~into] overwrites [into] with [src]'s granules.
-    Nothing in the model iterates memory, so insertion order cannot
+(** Snapshot form holding only the written granules — unlike a
+    [Hashtbl.copy] it does not drag the backing table's bucket array
+    along, so it stays proportional to the words actually written.
+    [restore_capture] overwrites [into] with the captured granules;
+    nothing in the model iterates memory, so insertion order cannot
     affect behaviour. *)
-val restore_into : t -> into:t -> unit
-
-(** Snapshot form holding only the written granules — unlike [copy] it
-    does not drag the backing table's bucket array along, so it stays
-    proportional to the words actually written. *)
 type capture
 
 val capture : t -> capture

@@ -9,9 +9,11 @@
    [code_version] keys the content-addressed store: bump it whenever the
    execution semantics change (gadgets, checker, machine model), and
    every previously stored verdict silently becomes a miss instead of a
-   stale hit. *)
+   stale hit.  The stored payloads are report bytes, so a change to
+   their rendering (the JSON layout of fuzz shards, for one) is such a
+   change too. *)
 
 let protocol = 3
-let build = "1.3.0"
+let build = "1.4.0"
 let code_version = build
 let version_string = Printf.sprintf "teesec %s (protocol %d)" build protocol

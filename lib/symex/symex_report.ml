@@ -43,85 +43,78 @@ let pp fmt (r : Explore.t) =
 
 let to_text r = Format.asprintf "%a" pp r
 
-(* {2 JSON} — hand-rolled like the other report modules. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = Printf.sprintf "\"%s\"" (json_escape s)
-let json_bool b = if b then "true" else "false"
+(* {2 JSON} *)
 
 let json_witness (w : Explore.witness) =
-  Printf.sprintf "{\"args\": [%s], \"replay_ok\": %s, \"monitor_ok\": %s}"
-    (String.concat ", "
-       (Array.to_list (Array.map (fun a -> json_string (Word.to_hex a)) w.Explore.args)))
-    (json_bool w.Explore.replay_ok)
-    (json_bool w.Explore.monitor_ok)
+  Json.Obj
+    [
+      ( "args",
+        Json.list
+          (fun a -> Json.Str (Word.to_hex a))
+          (Array.to_list w.Explore.args) );
+      ("replay_ok", Bool w.Explore.replay_ok);
+      ("monitor_ok", Bool w.Explore.monitor_ok);
+    ]
 
 let json_leaf (l : Sbi_paths.leaf) =
-  Printf.sprintf
-    "{\"leaf_id\": %d, \"outcome\": %s, \"result\": %s, \"eid\": %s}"
-    l.Sbi_paths.leaf_id
-    (json_string (Sbi_paths.outcome_to_string l.Sbi_paths.outcome))
-    (match l.Sbi_paths.result with
-    | Some r -> json_string (Word.to_hex r)
-    | None -> "null")
-    (match l.Sbi_paths.eid with Some e -> string_of_int e | None -> "null")
+  Json.Obj
+    [
+      ("leaf_id", Json.int l.Sbi_paths.leaf_id);
+      ("outcome", Str (Sbi_paths.outcome_to_string l.Sbi_paths.outcome));
+      ( "result",
+        Json.option (fun r -> Json.Str (Word.to_hex r)) l.Sbi_paths.result );
+      ("eid", Json.option Json.int l.Sbi_paths.eid);
+    ]
 
 let json_path (p : Explore.path_report) =
-  Printf.sprintf
-    "{\"path_id\": %d, \"leaf\": %s, \"decisions\": [%s], \"constraints\": [%s], \
-     \"witness\": %s, \"findings\": [%s], \"baseline_reachable\": %s, \"steps\": %d}"
-    p.Explore.path_id
-    (match p.Explore.leaf with Some l -> json_leaf l | None -> "null")
-    (String.concat ", " (List.map json_bool p.Explore.decisions))
-    (String.concat ", " (List.map json_string p.Explore.constraints))
-    (match p.Explore.witness with Some w -> json_witness w | None -> "null")
-    (String.concat ", "
-       (List.map (fun f -> json_string (Explore.finding_to_string f)) p.Explore.findings))
-    (json_bool p.Explore.baseline_reachable)
-    p.Explore.steps
+  Json.Obj
+    [
+      ("path_id", Json.int p.Explore.path_id);
+      ("leaf", Json.option json_leaf p.Explore.leaf);
+      ("decisions", Json.list (fun b -> Json.Bool b) p.Explore.decisions);
+      ("constraints", Json.list (fun c -> Json.Str c) p.Explore.constraints);
+      ("witness", Json.option json_witness p.Explore.witness);
+      ( "findings",
+        Json.list
+          (fun f -> Json.Str (Explore.finding_to_string f))
+          p.Explore.findings );
+      ("baseline_reachable", Bool p.Explore.baseline_reachable);
+      ("steps", Json.int p.Explore.steps);
+    ]
 
 let json_unit (u : Explore.unit_report) =
-  Printf.sprintf
-    "{\"scenario\": %s, \"call\": %s, \"forks\": %d, \"pruned\": %d, \
-     \"truncated\": %s, \"paths\": [%s]}"
-    (json_string u.Explore.scenario)
-    (json_string (Sbi.to_string u.Explore.call))
-    u.Explore.forks u.Explore.pruned
-    (json_bool u.Explore.truncated)
-    (String.concat ", " (List.map json_path u.Explore.paths))
+  Json.Obj
+    [
+      ("scenario", Str u.Explore.scenario);
+      ("call", Str (Sbi.to_string u.Explore.call));
+      ("forks", Json.int u.Explore.forks);
+      ("pruned", Json.int u.Explore.pruned);
+      ("truncated", Bool u.Explore.truncated);
+      ("paths", Json.list json_path u.Explore.paths);
+    ]
 
 let to_json_string (r : Explore.t) =
   let t = r.Explore.totals in
-  Printf.sprintf
-    "{\n\
-    \  \"core\": %s,\n\
-    \  \"max_paths\": %d,\n\
-    \  \"truncated\": %s,\n\
-    \  \"totals\": {\"paths\": %d, \"witnesses\": %d, \"replay_ok\": %d, \
-     \"monitor_ok\": %d, \"symex_only\": %d, \"findings\": %d, \"unsat\": %d, \
-     \"gave_up\": %d, \"edges_covered\": %d},\n\
-    \  \"units\": [\n    %s\n  ]\n}\n"
-    (json_string r.Explore.core) r.Explore.max_paths
-    (json_bool r.Explore.truncated)
-    t.Explore.paths_total t.Explore.witnesses_total t.Explore.replay_ok_total
-    t.Explore.monitor_ok_total t.Explore.symex_only_total t.Explore.findings_total
-    t.Explore.unsat_total t.Explore.gave_up_total t.Explore.edges_covered
-    (String.concat ",\n    " (List.map json_unit r.Explore.units))
+  Json.to_document
+    (Obj
+       [
+         ("core", Str r.Explore.core);
+         ("max_paths", Json.int r.Explore.max_paths);
+         ("truncated", Bool r.Explore.truncated);
+         ( "totals",
+           Obj
+             [
+               ("paths", Json.int t.Explore.paths_total);
+               ("witnesses", Json.int t.Explore.witnesses_total);
+               ("replay_ok", Json.int t.Explore.replay_ok_total);
+               ("monitor_ok", Json.int t.Explore.monitor_ok_total);
+               ("symex_only", Json.int t.Explore.symex_only_total);
+               ("findings", Json.int t.Explore.findings_total);
+               ("unsat", Json.int t.Explore.unsat_total);
+               ("gave_up", Json.int t.Explore.gave_up_total);
+               ("edges_covered", Json.int t.Explore.edges_covered);
+             ] );
+         ("units", Json.list json_unit r.Explore.units);
+       ])
 
-let save_json ~path r =
-  let oc = open_out path in
-  output_string oc (to_json_string r);
-  close_out oc
+let save_json ~path r = Obs.write_file ~path (to_json_string r)

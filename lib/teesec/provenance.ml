@@ -200,54 +200,43 @@ let pp_chain fmt p =
   Format.fprintf fmt "  verdict: %s%s@." p.p_case
     (if p.p_note = "" || p.p_write = None then "" else " (" ^ p.p_note ^ ")")
 
-(* {2 JSON} — hand-rolled writer (byte-deterministic), {!Obs.Json}
-   reader. *)
+(* {2 JSON} — rendered and read through {!Obs.Json}. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let access_to_value a =
+  Obs.Json.Obj
+    [
+      ("gadget", Str a.a_gadget);
+      ("origin", Str a.a_origin);
+      ("cycle", Obs.Json.int a.a_cycle);
+      ("structure", Str a.a_structure);
+      ("slot", Obs.Json.int a.a_slot);
+    ]
 
-let json_string s = Printf.sprintf "\"%s\"" (json_escape s)
+let to_value p =
+  Obs.Json.Obj
+    [
+      ("id", Str p.p_id);
+      ("core", Str p.p_core);
+      ("case", Str p.p_case);
+      ("testcase", Str p.p_testcase);
+      ("testcase_id", Obs.Json.int p.p_testcase_id);
+      ("structure", Str p.p_structure);
+      ("detection", Str p.p_detection);
+      ("check", Str p.p_check);
+      ("cycle", Obs.Json.int p.p_cycle);
+      ("ctx", Str p.p_ctx);
+      ("write", Obs.Json.option access_to_value p.p_write);
+      ( "window",
+        Obs.Json.option
+          (fun (a, b) -> Obs.Json.Arr [ Obs.Json.int a; Obs.Json.int b ])
+          p.p_window );
+      ("secret", Str p.p_secret);
+      ("last_pc", Str p.p_last_pc);
+      ("note", Str p.p_note);
+    ]
 
-let access_to_json a =
-  Printf.sprintf
-    "{\"gadget\": %s, \"origin\": %s, \"cycle\": %d, \"structure\": %s, \
-     \"slot\": %d}"
-    (json_string a.a_gadget) (json_string a.a_origin) a.a_cycle
-    (json_string a.a_structure) a.a_slot
-
-let to_json p =
-  let window =
-    match p.p_window with
-    | Some (a, b) -> Printf.sprintf "[%d, %d]" a b
-    | None -> "null"
-  in
-  Printf.sprintf
-    "{\"id\": %s, \"core\": %s, \"case\": %s, \"testcase\": %s, \
-     \"testcase_id\": %d, \"structure\": %s, \"detection\": %s, \"check\": \
-     %s, \"cycle\": %d, \"ctx\": %s, \"write\": %s, \"window\": %s, \
-     \"secret\": %s, \"last_pc\": %s, \"note\": %s}"
-    (json_string p.p_id) (json_string p.p_core) (json_string p.p_case)
-    (json_string p.p_testcase) p.p_testcase_id
-    (json_string p.p_structure)
-    (json_string p.p_detection)
-    (json_string p.p_check) p.p_cycle (json_string p.p_ctx)
-    (match p.p_write with Some a -> access_to_json a | None -> "null")
-    window (json_string p.p_secret) (json_string p.p_last_pc)
-    (json_string p.p_note)
-
-let list_to_json ps =
-  "[" ^ String.concat ", " (List.map to_json ps) ^ "]"
+let to_json p = Obs.Json.to_line (to_value p)
+let list_to_json ps = Obs.Json.to_line (Obs.Json.list to_value ps)
 
 let str_field j key =
   match Obs.Json.string_field key j with

@@ -62,9 +62,14 @@ val parse_id : string -> (string * string * int * Structure.t, string) result
 (** Renders the causal chain as numbered prose — the [explain] output. *)
 val pp_chain : Format.formatter -> t -> unit
 
+(** The record as a JSON object; {!of_json} reads it back. *)
+val to_value : t -> Obs.Json.t
+
+(** [to_json p] is the one-line rendering of [to_value p]. *)
 val to_json : t -> string
 
-(** [list_to_json ps] is a JSON array of {!to_json} objects. *)
+(** [list_to_json ps] is the one-line rendering of a JSON array of
+    {!to_value} objects. *)
 val list_to_json : t list -> string
 
 (** [of_json s] inverts {!to_json} (via the {!Obs.Json} reader). *)

@@ -41,13 +41,6 @@ let create ?(tagged_by_owner = false) ~entries ~tag_bits ~ways () =
 
 let tagged_by_owner t = t.tagged_by_owner
 
-let copy t =
-  {
-    t with
-    slots = Array.map (Array.map (fun s -> { valid = s.valid; entry = s.entry })) t.slots;
-    next_way = Array.copy t.next_way;
-  }
-
 (* Live-slots-only snapshot form; see {!Cache.capture} for the
    rationale.  Entries are immutable, so a capture shares them. *)
 type capture = {
@@ -90,21 +83,6 @@ let restore_capture cap ~into =
       s.entry <- entry)
     cap.cap_slots;
   Array.blit cap.cap_next_way 0 into.next_way 0 cap.cap_sets
-
-let restore_into src ~into =
-  if
-    src.sets <> into.sets || src.ways <> into.ways || src.tag_bits <> into.tag_bits
-    || src.tagged_by_owner <> into.tagged_by_owner
-  then invalid_arg "Btb.restore_into: geometry mismatch";
-  for si = 0 to src.sets - 1 do
-    let a = src.slots.(si) and b = into.slots.(si) in
-    for wi = 0 to src.ways - 1 do
-      b.(wi).valid <- a.(wi).valid;
-      (* Entries are immutable records, so sharing them is safe. *)
-      b.(wi).entry <- a.(wi).entry
-    done
-  done;
-  Array.blit src.next_way 0 into.next_way 0 src.sets
 
 (* Instructions are 4-byte aligned in this model; bit 1 upward indexes. *)
 let index_of t ~pc = Int64.to_int (Word.extract pc ~pos:1 ~len:t.index_bits)

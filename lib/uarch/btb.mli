@@ -29,15 +29,9 @@ val create : ?tagged_by_owner:bool -> entries:int -> tag_bits:int -> ways:int ->
 
 val tagged_by_owner : t -> bool
 
-(** [copy t] is an independent copy (entries are immutable and shared). *)
-val copy : t -> t
-
-(** [restore_into src ~into] overwrites [into] with [src] without
-    allocating.  Raises [Invalid_argument] on a geometry mismatch. *)
-val restore_into : t -> into:t -> unit
-
 (** Valid-slots-only snapshot form (see {!Cache.capture}); prediction
-    entries are immutable and shared with the source. *)
+    entries are immutable and shared with the source.  [restore_capture]
+    raises [Invalid_argument] on a geometry mismatch. *)
 type capture
 
 val capture : t -> capture

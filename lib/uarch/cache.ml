@@ -31,29 +31,6 @@ let create ~sets ~ways =
 let sets t = t.sets
 let ways t = t.ways
 
-let copy t =
-  {
-    sets = t.sets;
-    ways = t.ways;
-    lines =
-      Array.map
-        (Array.map (fun l ->
-             (* Only a valid line's payload needs its own storage — an
-                invalid line's data can never be observed through either
-                cache (every reader checks [valid]; [insert] revalidates
-                with a whole-line blit).  Sharing it keeps a copy
-                proportional to the live lines, which is what makes
-                snapshot capture cheap. *)
-             {
-               valid = l.valid;
-               tag = l.tag;
-               dirty = l.dirty;
-               data = (if l.valid then Array.copy l.data else l.data);
-             }))
-        t.lines;
-    next_victim = Array.copy t.next_victim;
-  }
-
 (* A capture stores only the live lines, so a snapshot of a
    mostly-empty cache costs a few hundred words rather than one record
    per (set, way) of the geometry.  It is a restore source only — never
@@ -107,29 +84,6 @@ let restore_capture cap ~into =
       Array.blit cl.cl_data 0 l.data 0 line_words)
     cap.cap_lines;
   Array.blit cap.cap_next_victim 0 into.next_victim 0 cap.cap_sets
-
-let restore_into src ~into =
-  if src.sets <> into.sets || src.ways <> into.ways then
-    invalid_arg "Cache.restore_into: geometry mismatch";
-  for si = 0 to src.sets - 1 do
-    let ssrc = src.lines.(si) and sdst = into.lines.(si) in
-    for wi = 0 to src.ways - 1 do
-      let a = ssrc.(wi) and b = sdst.(wi) in
-      (* An invalid line's tag, dirty bit and payload are unobservable:
-         every lookup checks [valid] first, [insert] rewrites the whole
-         line on refill, and [corrupt_bit] selects among valid lines
-         only.  Skipping them makes a restore proportional to the number
-         of live lines rather than to the cache geometry. *)
-      if a.valid then begin
-        b.valid <- true;
-        b.tag <- a.tag;
-        b.dirty <- a.dirty;
-        Array.blit a.data 0 b.data 0 line_words
-      end
-      else b.valid <- false
-    done
-  done;
-  Array.blit src.next_victim 0 into.next_victim 0 src.sets
 
 (* Address arithmetic stays on unboxed primitives: a lookup allocates
    nothing. *)

@@ -15,20 +15,6 @@ val create : sets:int -> ways:int -> t
 val sets : t -> int
 val ways : t -> int
 
-(** [copy t] is an observationally deep copy: no sequence of operations
-    on either cache can affect what the other observes.  Valid lines get
-    their own payload storage; invalid lines share theirs with the
-    source (their contents are unreachable — every reader checks the
-    valid bit and a refill rewrites the whole line), so the cost is
-    proportional to the live lines, not the geometry. *)
-val copy : t -> t
-
-(** [restore_into src ~into] overwrites [into] with [src]'s contents
-    without allocating — line payloads are blitted into [into]'s
-    preallocated arrays.  Raises [Invalid_argument] on a geometry
-    mismatch.  This is the snapshot-restore hot path. *)
-val restore_into : t -> into:t -> unit
-
 (** A live-lines-only snapshot form: [capture] records just the valid
     lines (plus the round-robin victim pointers), so capturing and
     holding a snapshot of a mostly-empty cache costs a few hundred

@@ -1,11 +1,15 @@
 (* Tests for the deterministic observability layer (lib/obs).
 
-   Two families of contracts:
+   Three families of contracts:
 
    - the exporters themselves: Prometheus text output that survives a
      round trip through a minimal parser with monotone histogram
      buckets, and Chrome trace-event JSON in which every begin event
      has a matching end on the same track;
+
+   - the JSON printer every artifact goes through: both renderings read
+     back to the printed value, and the report layouts are pinned by
+     digest;
 
    - the determinism boundary: campaign CSV, inject JSON and fuzz JSON
      are byte-identical whether the sink is noop or active, at jobs 1
@@ -815,6 +819,188 @@ let obs_json_parse_total =
                   (min 5 (String.length s + 5)))
       && probe (s ^ s))
 
+(* {1 The printer}
+
+   Both renderings must read back to the printed value, through the
+   library's parser and through this file's independent one.  Strings
+   and keys range over all 256 byte values; numbers over arbitrary
+   finite bit patterns plus the integral edges of the number format
+   (1e15, 2^53, 2^62) and both zeros; containers nest up to five
+   levels. *)
+
+let gen_bytes =
+  QCheck.Gen.(string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 10))
+
+let gen_number =
+  let open QCheck.Gen in
+  let around x = map (fun d -> x +. float_of_int d) (int_range (-2) 2) in
+  frequency
+    [
+      ( 1,
+        oneofl
+          [ 0.; -0.; 0x1p62; -0x1p62; Float.pred 0x1p62; Float.succ 0x1p62 ] );
+      ( 1,
+        oneof
+          [ around 1e15; around (-1e15); around 0x1p53; around (-0x1p53) ] );
+      (2, map float_of_int int);
+      ( 2,
+        map2 (fun m e -> Float.ldexp m e) (float_range (-1.) 1.)
+          (int_range (-30) 70) );
+      ( 2,
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_finite f then f else 0.5)
+          ui64 );
+    ]
+
+let gen_json =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [
+        pure Ojson.Null;
+        map (fun b -> Ojson.Bool b) bool;
+        map (fun f -> Ojson.Num f) gen_number;
+        map (fun s -> Ojson.Str s) gen_bytes;
+      ]
+  in
+  let rec container depth =
+    let child =
+      if depth = 1 then scalar else oneof [ scalar; container (depth - 1) ]
+    in
+    oneof
+      [
+        map (fun l -> Ojson.Arr l) (list_size (int_bound 4) child);
+        map
+          (fun l -> Ojson.Obj l)
+          (list_size (int_bound 4) (pair gen_bytes child));
+      ]
+  in
+  int_range 1 5 >>= fun depth -> oneof [ scalar; container depth ]
+
+let rec independent = function
+  | Ojson.Null -> J_null
+  | Ojson.Bool b -> J_bool b
+  | Ojson.Num f -> J_num f
+  | Ojson.Str s -> J_str s
+  | Ojson.Arr l -> J_arr (List.map independent l)
+  | Ojson.Obj l -> J_obj (List.map (fun (k, v) -> (k, independent v)) l)
+
+(* RFC 8259 forbids raw control bytes inside strings; the only one a
+   rendering may contain is the document form's line break. *)
+let no_raw_control text =
+  String.for_all (fun c -> c = '\n' || Char.code c >= 0x20) text
+
+let obs_json_print_round_trip =
+  QCheck.Test.make ~count:1000 ~name:"both renderings read back to the value"
+    (QCheck.make ~print:Ojson.to_line gen_json)
+    (fun v ->
+      List.for_all
+        (fun text ->
+          no_raw_control text
+          && Ojson.parse text = Ok v
+          && parse_json text = independent v)
+        [ Ojson.to_line v; Ojson.to_document v ])
+
+let test_obs_json_printer () =
+  let check = Alcotest.(check string) in
+  check "one-line form"
+    {|{"a": 1, "b": [0.1, -2.5e-07, "q\"\\\n\u0001\u001f\u0009"], "c": {}}|}
+    (Ojson.to_line
+       (Obj
+          [
+            ("a", Num 1.);
+            ("b", Arr [ Num 0.1; Num (-2.5e-7); Str "q\"\\\n\001\031\t" ]);
+            ("c", Obj []);
+          ]));
+  check "bytes from 0x7f up are written raw" "\"\127\200\255\""
+    (Ojson.to_line (Str "\127\200\255"));
+  check "document form"
+    (String.concat "\n"
+       [
+         "{";
+         {|  "k": [|};
+         {|    {"x": [1, 2]},|};
+         "    []";
+         "  ],";
+         {|  "e": {},|};
+         {|  "o": {|};
+         {|    "n": null|};
+         "  }";
+         "}\n";
+       ])
+    (Ojson.to_document
+       (Obj
+          [
+            ("k", Arr [ Obj [ ("x", Arr [ Num 1.; Num 2. ]) ]; Arr [] ]);
+            ("e", Obj []);
+            ("o", Obj [ ("n", Null) ]);
+          ]));
+  check "a scalar document" "true\n" (Ojson.to_document (Bool true));
+  List.iter
+    (fun (f, text) ->
+      check (Printf.sprintf "number %h" f) text (Ojson.to_line (Num f)))
+    [
+      (1792217077586344192., "1792217077586344192");
+      (-0., "0");
+      (1e15, "1000000000000000");
+      (0x1p62, "4.6116860184273879e+18");
+      (Float.pred 0x1p62, "4611686018427387392");
+      (0.1, "0.1");
+      (1. /. 3., "0.33333333333333331");
+      (Float.nan, "null");
+      (Float.infinity, "null");
+      (Float.neg_infinity, "null");
+    ]
+
+(* {1 Report layout}
+
+   Digests of the document bytes of the three reports on both cores.
+   The pipeline suites check what the reports say; these pin how they
+   are laid out, so a change to the printer's rendering fails here
+   instead of drifting silently.  Such a change also needs a
+   [Protocol_version.build] bump: the service stores report bytes. *)
+
+let report_documents config =
+  let slice = Mitigation_eval.slice () in
+  [
+    ( "inject",
+      Inject.Robustness_report.to_json_string
+        (Inject.Inject_campaign.run ~seed:42L ~plans:3 config slice) );
+    ( "fuzz",
+      Fuzz.Fuzz_report.to_json_string
+        (Fuzz.Engine.run
+           { Fuzz.Engine.default with Fuzz.Engine.seed = 42L; budget = 40 }
+           config) );
+    ("symex", Symex.Symex_report.to_json_string (Symex.Explore.run config));
+  ]
+
+let test_report_layout_digests () =
+  List.iter
+    (fun (config, expected) ->
+      List.iter2
+        (fun (name, doc) digest ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s document digest" config.Config.name name)
+            digest
+            (Digest.to_hex (Digest.string doc)))
+        (report_documents config) expected)
+    [
+      ( Config.boom,
+        [
+          "3b8b8121abb935790e31d6203f90bee7";
+          "5ab5039ca7e00408746c26caccb26b27";
+          "56e6a2dbdc883c566594c23dc39cc93d";
+        ] );
+      ( Config.xiangshan,
+        [
+          "722a3a9aaa4748385b1ea2e982d27912";
+          "ec06b56d6aadf1ddabc560e07f8c5e8c";
+          "90db637e385bb0a5ce4efb6461690d0d";
+        ] );
+    ]
+
 (* {1 CLI acceptance}
 
    The ISSUE's acceptance criterion, end to end: `fuzz --trace --metrics`
@@ -954,6 +1140,11 @@ let () =
           Alcotest.test_case "deep nesting is a parse error, not a crash"
             `Quick test_obs_json_depth_limit;
           QCheck_alcotest.to_alcotest obs_json_parse_total;
+          Alcotest.test_case "printer renderings, escapes and numbers" `Quick
+            test_obs_json_printer;
+          QCheck_alcotest.to_alcotest obs_json_print_round_trip;
+          Alcotest.test_case "report document layouts are pinned" `Quick
+            test_report_layout_digests;
         ] );
       ( "determinism",
         [

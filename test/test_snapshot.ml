@@ -2,9 +2,12 @@
 
    Two layers of contracts:
 
-   - every stateful structure's [copy]/[restore_into] pair is a deep
-     capture: mutating the original after the copy never leaks into the
-     clone, and restoring brings the original back bit-for-bit;
+   - every stateful structure's snapshot form is a deep capture — the
+     [copy]/[restore_into] pair of the small structures, the sparse
+     [capture]/[restore_capture] pair of the cache, BTB and memory:
+     mutating the original afterwards never leaks into the snapshot,
+     restoring brings the original back bit-for-bit, and restoring into
+     a structure of another geometry is rejected;
 
    - the engine end to end: campaign CSV, inject JSON and fuzz JSON are
      byte-identical whether the setup prefix is replayed or restored
@@ -25,27 +28,6 @@ module Log = Simlog.Log
 module Exec_context = Simlog.Exec_context
 
 (* {1 Structure copies are deep} *)
-
-let test_cache_copy_isolated () =
-  let c = Cache.create ~sets:4 ~ways:2 in
-  let addr = 0x8000_0000L in
-  ignore (Cache.insert c ~addr (Array.make 8 0xAAL));
-  let clone = Cache.copy c in
-  Alcotest.(check bool) "write to original succeeds" true
-    (Cache.write_word c ~addr 0xBBL);
-  Alcotest.(check (option int64)) "clone keeps the pre-mutation word"
-    (Some 0xAAL)
-    (Cache.read_word clone ~addr);
-  Cache.restore_into clone ~into:c;
-  Alcotest.(check (option int64)) "restore brings the original back"
-    (Some 0xAAL)
-    (Cache.read_word c ~addr);
-  let mismatched = Cache.create ~sets:8 ~ways:2 in
-  Alcotest.(check bool) "geometry mismatch raises" true
-    (try
-       Cache.restore_into clone ~into:mismatched;
-       false
-     with Invalid_argument _ -> true)
 
 let test_tlb_copy_isolated () =
   let t = Tlb.create ~entries:4 in
@@ -102,20 +84,6 @@ let test_regfile_copy_isolated () =
   Alcotest.(check bool) "restore brings the value back" true
     (Regfile.holds_value rf 0x5EC4E7L)
 
-let test_btb_copy_isolated () =
-  let btb = Btb.create ~entries:8 ~tag_bits:6 ~ways:1 () in
-  ignore
-    (Btb.update btb ~pc:0x8000_0100L ~target:0x8000_0200L ~taken:true
-       ~owner:(Exec_context.Enclave 1));
-  let clone = Btb.copy btb in
-  Btb.flush btb;
-  Alcotest.(check int) "original flushed" 0 (Btb.occupancy btb);
-  Alcotest.(check bool) "clone keeps the entry" true
-    (Btb.lookup clone ~pc:0x8000_0100L <> None);
-  Btb.restore_into clone ~into:btb;
-  Alcotest.(check bool) "restored entry predicts" true
-    (Btb.lookup btb ~pc:0x8000_0100L <> None)
-
 let test_pmp_copy_isolated () =
   let pmp = Pmp.create () in
   let entry =
@@ -140,25 +108,6 @@ let test_csr_copy_isolated () =
   Csr.restore_into clone ~into:csr;
   Alcotest.(check int64) "restore brings the old value back" 0x1234L
     (Csr.raw_read csr Csr.Satp)
-
-let test_memory_copy_isolated () =
-  let mem = Memory.create () in
-  Memory.write mem ~addr:0x8000_0000L ~size:8 0xAAL;
-  let clone = Memory.copy mem in
-  Memory.write mem ~addr:0x8000_0000L ~size:8 0xBBL;
-  Alcotest.(check int64) "clone keeps the old value" 0xAAL
-    (Memory.read clone ~addr:0x8000_0000L ~size:8);
-  Memory.restore_into clone ~into:mem;
-  Alcotest.(check int64) "restore brings the old value back" 0xAAL
-    (Memory.read mem ~addr:0x8000_0000L ~size:8)
-
-(* {1 Sparse captures}
-
-   [Machine.snapshot] stores caches, BTBs and memory through their
-   sparse [capture] forms (live state only).  A capture is a pure value:
-   mutating the source afterwards must not leak into it, and restoring
-   must also erase state acquired {e since} the capture — an invalid
-   line at capture time comes back invalid. *)
 
 let test_cache_capture_roundtrip () =
   let c = Cache.create ~sets:4 ~ways:2 in
@@ -412,18 +361,14 @@ let () =
     [
       ( "structure-copies",
         [
-          Alcotest.test_case "cache copy is deep" `Quick test_cache_copy_isolated;
           Alcotest.test_case "tlb copy is deep" `Quick test_tlb_copy_isolated;
           Alcotest.test_case "lfb copy is deep" `Quick test_lfb_copy_isolated;
           Alcotest.test_case "store buffer copy is deep" `Quick
             test_store_buffer_copy_isolated;
           Alcotest.test_case "regfile copy is deep" `Quick
             test_regfile_copy_isolated;
-          Alcotest.test_case "btb copy is deep" `Quick test_btb_copy_isolated;
           Alcotest.test_case "pmp copy is deep" `Quick test_pmp_copy_isolated;
           Alcotest.test_case "csr copy is deep" `Quick test_csr_copy_isolated;
-          Alcotest.test_case "memory copy is deep" `Quick
-            test_memory_copy_isolated;
           Alcotest.test_case "cache capture round-trips" `Quick
             test_cache_capture_roundtrip;
           Alcotest.test_case "btb capture round-trips" `Quick
