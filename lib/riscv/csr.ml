@@ -24,13 +24,24 @@ type id =
 
 let equal (a : id) (b : id) = a = b
 
+(* Indexed names are formatted once: a residue snapshot names eight
+   counters per context switch. *)
+let indexed_name prefix =
+  let names = Array.init 32 (Printf.sprintf "%s%d" prefix) in
+  fun n -> if n >= 0 && n < 32 then names.(n) else Printf.sprintf "%s%d" prefix n
+
+let hpmcounter_name = indexed_name "hpmcounter"
+let mhpmcounter_name = indexed_name "mhpmcounter"
+let pmpcfg_name = indexed_name "pmpcfg"
+let pmpaddr_name = indexed_name "pmpaddr"
+
 let name = function
   | Cycle -> "cycle"
   | Instret -> "instret"
-  | Hpmcounter n -> Printf.sprintf "hpmcounter%d" n
+  | Hpmcounter n -> hpmcounter_name n
   | Mcycle -> "mcycle"
   | Minstret -> "minstret"
-  | Mhpmcounter n -> Printf.sprintf "mhpmcounter%d" n
+  | Mhpmcounter n -> mhpmcounter_name n
   | Mstatus -> "mstatus"
   | Mtvec -> "mtvec"
   | Mepc -> "mepc"
@@ -44,8 +55,8 @@ let name = function
   | Satp -> "satp"
   | Mcounteren -> "mcounteren"
   | Scounteren -> "scounteren"
-  | Pmpcfg n -> Printf.sprintf "pmpcfg%d" n
-  | Pmpaddr n -> Printf.sprintf "pmpaddr%d" n
+  | Pmpcfg n -> pmpcfg_name n
+  | Pmpaddr n -> pmpaddr_name n
   | Mhartid -> "mhartid"
 
 let pp_id fmt id = Format.pp_print_string fmt (name id)
@@ -153,6 +164,7 @@ let create () =
   Hashtbl.replace t.others Scounteren (Word.mask 32);
   t
 
+let counter_file t = t.counters
 let copy t = { counters = Bytes.copy t.counters; others = Hashtbl.copy t.others }
 
 let restore_into src ~into =

@@ -35,6 +35,9 @@ type id =
   | Mhartid
 
 val equal : id -> id -> bool
+
+(** [name id] is the assembler name ([mhpmcounter3]); indexed names up
+    to 31 are built once, so naming allocates nothing. *)
 val name : id -> string
 val pp_id : Format.formatter -> id -> unit
 
@@ -62,6 +65,12 @@ val counter_index : id -> int option
 type t
 
 val create : unit -> t
+
+(** [counter_file t] is the unboxed counter file itself: counter [n] of
+    {!modelled_counters} is the 64-bit word at byte [8 * n], in native
+    byte order.  It lets a reader copy counters without boxing them;
+    never write through it. *)
+val counter_file : t -> Bytes.t
 
 (** [copy t] is an independent copy of the register file. *)
 val copy : t -> t

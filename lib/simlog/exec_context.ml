@@ -13,8 +13,16 @@ let is_trusted_for t ~enclave_id =
   | Monitor -> true
   | Host _ -> false
 
+(* Every name is a constant or built once: the simulator names the
+   context on every store and register write, and a shared string makes
+   the log's interning a pointer test. *)
+let enclave_names = Array.init 64 (Printf.sprintf "enclave-%d")
+
 let to_string = function
-  | Host p -> Printf.sprintf "host-%s" (Riscv.Priv.to_string p)
+  | Host Riscv.Priv.User -> "host-U"
+  | Host Riscv.Priv.Supervisor -> "host-S"
+  | Host Riscv.Priv.Machine -> "host-M"
+  | Enclave i when i >= 0 && i < Array.length enclave_names -> enclave_names.(i)
   | Enclave i -> Printf.sprintf "enclave-%d" i
   | Monitor -> "monitor"
 

@@ -19,6 +19,10 @@ val equal : t -> t -> bool
 val is_trusted_for : t -> enclave_id:int -> bool
 
 val pp : Format.formatter -> t -> unit
+
+(** [to_string t] is ["host-S"], ["enclave-3"] or ["monitor"]: one
+    shared string per context (enclave ids below 64), so naming the
+    context allocates nothing. *)
 val to_string : t -> string
 
 (** [of_string s] parses the rendering of [to_string]. *)

@@ -291,34 +291,44 @@ let begin_snapshot t ~cycle ~ctx ~structure =
 
 let open_entries t = if t.open_at < 0 then 0 else get_i32 t.buf (t.open_at + 4)
 
-let add t ~slot ~has_addr ~addr ~note data =
+(* Appends an entry to the open record and returns its offset.  The
+   caller writes the address and data words (at +8 and +16), so a word
+   computed or copied in place is never boxed to pass it here. *)
+let add_raw t ~slot ~has_addr ~note =
   if t.open_at < 0 then invalid_arg "Log.add_entry: no open Write or Snapshot record";
   let note = intern t note in
   reserve t entry_bytes;
   let b = t.buf and e = t.len in
   set_int b e slot;
-  set64 b (e + 8) addr;
-  set64 b (e + 16) data;
   set_i32 b (e + 24) note;
   set_i32 b (e + 28) (if has_addr then 1 else 0);
   t.len <- e + entry_bytes;
-  set_i32 b (t.open_at + 4) (get_i32 b (t.open_at + 4) + 1)
+  set_i32 b (t.open_at + 4) (get_i32 b (t.open_at + 4) + 1);
+  e
+
+let add t ~slot ~has_addr ~addr ~note data =
+  let e = add_raw t ~slot ~has_addr ~note in
+  set64 t.buf (e + 8) addr;
+  set64 t.buf (e + 16) data
 
 let add_entry t ~slot ~note data = add t ~slot ~has_addr:false ~addr:0L ~note data
 let add_addr_entry t ~slot ~addr ~note data = add t ~slot ~has_addr:true ~addr ~note data
 
-(* One entry per word, at [addr + 8i]: slot [slot], or [i] when [None]. *)
+let add_entry_of_bytes t ~slot ~note src off =
+  let e = add_raw t ~slot ~has_addr:false ~note in
+  set64 t.buf (e + 8) 0L;
+  set64 t.buf (e + 16) (get64 src off)
+
+(* One entry per word, at [addr + 8i]: slot [slot], or [i] when [-1]. *)
 let add_run t ~slot ~addr words =
   for i = 0 to Array.length words - 1 do
-    add t
-      ~slot:(Option.value slot ~default:i)
-      ~has_addr:true
-      ~addr:(Int64.add addr (Int64.of_int (i * 8)))
-      ~note:"" words.(i)
+    let e = add_raw t ~slot:(if slot < 0 then i else slot) ~has_addr:true ~note:"" in
+    set64 t.buf (e + 8) (Int64.add addr (Int64.of_int (i * 8)));
+    set64 t.buf (e + 16) words.(i)
   done
 
-let add_line t ~slot ~addr words = add_run t ~slot:(Some slot) ~addr words
-let add_words t ~addr words = add_run t ~slot:None ~addr words
+let add_line t ~slot ~addr words = add_run t ~slot ~addr words
+let add_words t ~addr words = add_run t ~slot:(-1) ~addr words
 
 let add_entries t entries =
   List.iter

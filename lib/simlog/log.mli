@@ -114,6 +114,12 @@ val add_entry : t -> slot:int -> note:string -> Word.t -> unit
 (** [add_addr_entry] is {!add_entry} with an address. *)
 val add_addr_entry : t -> slot:int -> addr:Word.t -> note:string -> Word.t -> unit
 
+(** [add_entry_of_bytes t ~slot ~note src off] is {!add_entry} with the
+    data read from the 64-bit word at byte [off] of [src] (native byte
+    order): a caller that keeps its words unboxed logs them without
+    allocating. *)
+val add_entry_of_bytes : t -> slot:int -> note:string -> Bytes.t -> int -> unit
+
 (** [add_line t ~slot ~addr words] appends one entry per word of a cache
     line: slot [slot], address [addr + 8i], no note. *)
 val add_line : t -> slot:int -> addr:Word.t -> Word.t array -> unit

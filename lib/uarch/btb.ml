@@ -5,9 +5,12 @@ type entry = {
   target : Word.t;
   taken : bool;
   owner : Exec_context.t;
+  note : string;
 }
 
-type slot = { mutable valid : bool; mutable entry : entry }
+(* An installed entry with its residue-snapshot note, both built once by
+   [update].  A slot means something only while [live] marks it valid. *)
+type slot = { entry : entry; residue_note : string }
 
 type t = {
   sets : int;
@@ -15,11 +18,16 @@ type t = {
   tag_bits : int;
   index_bits : int;
   tagged_by_owner : bool;
-  slots : slot array array;
+  slots : slot array array;  (* [set].[way] *)
+  live : Occupancy.t;
   next_way : int array;
 }
 
-let dummy = { tag = 0L; target = 0L; taken = false; owner = Exec_context.Monitor }
+let empty =
+  {
+    entry = { tag = 0L; target = 0L; taken = false; owner = Exec_context.Monitor; note = "" };
+    residue_note = "";
+  }
 
 let create ?(tagged_by_owner = false) ~entries ~tag_bits ~ways () =
   assert (entries mod ways = 0);
@@ -35,37 +43,39 @@ let create ?(tagged_by_owner = false) ~entries ~tag_bits ~ways () =
     tag_bits;
     index_bits;
     tagged_by_owner;
-    slots = Array.init sets (fun _ -> Array.init ways (fun _ -> { valid = false; entry = dummy }));
+    slots = Array.init sets (fun _ -> Array.make ways empty);
+    live = Occupancy.create ~sets ~ways;
     next_way = Array.make sets 0;
   }
 
-let tagged_by_owner t = t.tagged_by_owner
-
 (* Live-slots-only snapshot form; see {!Cache.capture} for the
-   rationale.  Entries are immutable, so a capture shares them. *)
+   rationale.  Slots are immutable, so a capture shares them. *)
 type capture = {
   cap_sets : int;
   cap_ways : int;
   cap_tag_bits : int;
   cap_tagged_by_owner : bool;
-  cap_slots : (int * int * entry) array;  (* set, way, entry *)
+  cap_at : int array;  (* occupancy cursors *)
+  cap_slots : slot array;
   cap_next_way : int array;
 }
 
 let capture t =
-  let acc = ref [] in
-  for si = t.sets - 1 downto 0 do
-    let set = t.slots.(si) in
-    for wi = t.ways - 1 downto 0 do
-      if set.(wi).valid then acc := (si, wi, set.(wi).entry) :: !acc
-    done
-  done;
+  let n = t.live.Occupancy.count in
+  let at = Array.make n 0 and slots = Array.make n empty and i = ref 0 in
+  Occupancy.iter t.live t.slots
+    (fun () c s ->
+      at.(!i) <- c;
+      slots.(!i) <- s;
+      incr i)
+    ();
   {
     cap_sets = t.sets;
     cap_ways = t.ways;
     cap_tag_bits = t.tag_bits;
     cap_tagged_by_owner = t.tagged_by_owner;
-    cap_slots = Array.of_list !acc;
+    cap_at = at;
+    cap_slots = slots;
     cap_next_way = Array.copy t.next_way;
   }
 
@@ -75,13 +85,13 @@ let restore_capture cap ~into =
     || cap.cap_tag_bits <> into.tag_bits
     || cap.cap_tagged_by_owner <> into.tagged_by_owner
   then invalid_arg "Btb.restore_capture: geometry mismatch";
-  Array.iter (fun set -> Array.iter (fun s -> s.valid <- false) set) into.slots;
-  Array.iter
-    (fun (si, wi, entry) ->
-      let s = into.slots.(si).(wi) in
-      s.valid <- true;
-      s.entry <- entry)
-    cap.cap_slots;
+  Occupancy.clear into.live;
+  Array.iteri
+    (fun i c ->
+      let set = Occupancy.set_of c and way = Occupancy.way_of c in
+      into.slots.(set).(way) <- cap.cap_slots.(i);
+      Occupancy.add into.live ~set ~way)
+    cap.cap_at;
   Array.blit cap.cap_next_way 0 into.next_way 0 cap.cap_sets
 
 (* Instructions are 4-byte aligned in this model; bit 1 upward indexes. *)
@@ -89,14 +99,19 @@ let index_of t ~pc = Int64.to_int (Word.extract pc ~pos:1 ~len:t.index_bits)
 
 let tag_of t ~pc = Word.extract pc ~pos:(1 + t.index_bits) ~len:t.tag_bits
 
-let lookup t ~pc =
-  let set = t.slots.(index_of t ~pc) in
-  let tag = tag_of t ~pc in
-  let found = ref None in
-  Array.iter
-    (fun s -> if s.valid && Int64.equal s.entry.tag tag then found := Some s.entry)
-    set;
+(* The lowest valid way of set [si] whose entry carries [tag], or -1. *)
+let find_way t si tag =
+  let set = t.slots.(si) and live = t.live.Occupancy.masks.(si) in
+  let found = ref (-1) in
+  for w = t.ways - 1 downto 0 do
+    if live land (1 lsl w) <> 0 && Int64.equal set.(w).entry.tag tag then found := w
+  done;
   !found
+
+let lookup t ~pc =
+  let si = index_of t ~pc in
+  let way = find_way t si (tag_of t ~pc) in
+  if way < 0 then None else Some t.slots.(si).(way).entry
 
 let predict t ~pc ~ctx =
   match lookup t ~pc with
@@ -106,54 +121,40 @@ let predict t ~pc ~ctx =
 
 let update t ~pc ~target ~taken ~owner =
   let si = index_of t ~pc in
-  let set = t.slots.(si) in
   let tag = tag_of t ~pc in
-  let slot =
-    let exception Found of slot in
-    try
-      Array.iter (fun s -> if s.valid && Int64.equal s.entry.tag tag then raise (Found s)) set;
-      Array.iter (fun s -> if not s.valid then raise (Found s)) set;
-      let s = set.(t.next_way.(si)) in
-      t.next_way.(si) <- (t.next_way.(si) + 1) mod t.ways;
-      s
-    with Found s -> s
+  (* The slot already holding [tag], else an invalid one, else
+     round-robin. *)
+  let way =
+    let hit = find_way t si tag in
+    if hit >= 0 then hit
+    else
+      let free = Occupancy.free_way t.live si in
+      if free >= 0 then free
+      else begin
+        let w = t.next_way.(si) in
+        t.next_way.(si) <- (w + 1) mod t.ways;
+        w
+      end
   in
-  let entry = { tag; target; taken; owner } in
-  slot.valid <- true;
-  slot.entry <- entry;
+  let note =
+    Printf.sprintf "tag=%s taken=%b owner=%s" (Word.to_hex tag) taken
+      (Exec_context.to_string owner)
+  in
+  let entry = { tag; target; taken; owner; note } in
+  t.slots.(si).(way) <-
+    { entry; residue_note = (if t.tagged_by_owner then note ^ " id-tagged" else note) };
+  Occupancy.add t.live ~set:si ~way;
   (si, entry)
 
 let aliases t ~pc1 ~pc2 =
   index_of t ~pc:pc1 = index_of t ~pc:pc2
   && Int64.equal (tag_of t ~pc:pc1) (tag_of t ~pc:pc2)
 
-let residue t ~f =
-  let acc = ref [] in
-  Array.iteri
-    (fun si set ->
-      Array.iter (fun s -> if s.valid && f s.entry.owner then acc := (si, s.entry) :: !acc) set)
-    t.slots;
-  List.rev !acc
-
-let flush t = Array.iter (fun set -> Array.iter (fun s -> s.valid <- false) set) t.slots
-
-let occupancy t =
-  Array.fold_left
-    (fun n set -> Array.fold_left (fun n s -> if s.valid then n + 1 else n) n set)
-    0 t.slots
+let flush t = Occupancy.clear t.live
+let occupancy t = t.live.Occupancy.count
 
 let snapshot t log =
-  Array.iteri
-    (fun si set ->
-      Array.iter
-        (fun s ->
-          if s.valid then
-            Log.add_entry log ~slot:si
-              ~note:
-                (Printf.sprintf "tag=%s taken=%b owner=%s%s" (Word.to_hex s.entry.tag)
-                   s.entry.taken
-                   (Exec_context.to_string s.entry.owner)
-                   (if t.tagged_by_owner then " id-tagged" else ""))
-              s.entry.target)
-        set)
-    t.slots
+  Occupancy.iter t.live t.slots
+    (fun log c s ->
+      Log.add_entry log ~slot:(Occupancy.set_of c) ~note:s.residue_note s.entry.target)
+    log

@@ -15,6 +15,9 @@ type entry = {
   target : Word.t;
   taken : bool;
   owner : Exec_context.t;  (** Context that installed the entry. *)
+  note : string;
+      (** How the log describes the install: ["tag=… taken=… owner=…"],
+          formatted once by {!update}. *)
 }
 
 type t
@@ -27,11 +30,11 @@ type t
     same-owner entries. *)
 val create : ?tagged_by_owner:bool -> entries:int -> tag_bits:int -> ways:int -> unit -> t
 
-val tagged_by_owner : t -> bool
-
 (** Valid-slots-only snapshot form (see {!Cache.capture}); prediction
     entries are immutable and shared with the source.  [restore_capture]
-    raises [Invalid_argument] on a geometry mismatch. *)
+    invalidates the slots [into] holds and reinstalls the captured ones,
+    walking only valid slots; it raises [Invalid_argument] on a geometry
+    mismatch. *)
 type capture
 
 val capture : t -> capture
@@ -62,12 +65,15 @@ val update :
     and partial tag — i.e. they collide. *)
 val aliases : t -> pc1:Word.t -> pc2:Word.t -> bool
 
-(** [residue t ~f] lists entries whose owner satisfies [f], with their
-    set index. *)
-val residue : t -> f:(Exec_context.t -> bool) -> (int * entry) list
-
 val flush : t -> unit
+
+(** [occupancy t] is the number of valid entries, read from the
+    occupancy index ({!Occupancy}). *)
 val occupancy : t -> int
 
-(** [snapshot t log] appends the valid entries to the log's open record. *)
+(** [snapshot t log] appends the valid entries to the log's open record
+    in set then way order, slot = set index.  Each entry's note is its
+    install note, plus [" id-tagged"] under owner tagging, built once by
+    {!update}: a snapshot formats nothing, and snapshotting an empty BTB
+    allocates nothing. *)
 val snapshot : t -> Log.t -> unit

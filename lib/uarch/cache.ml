@@ -1,7 +1,8 @@
 open Import
 
+(* A line's fields mean something only while [live] marks its way
+   valid: the occupancy index is the one record of validity. *)
 type line = {
-  mutable valid : bool;
   mutable tag : Word.t;  (* line base address *)
   mutable dirty : bool;
   data : Word.t array;
@@ -11,6 +12,7 @@ type t = {
   sets : int;
   ways : int;
   lines : line array array;  (* [set].[way] *)
+  live : Occupancy.t;
   next_victim : int array;  (* round-robin pointer per set *)
 }
 
@@ -24,12 +26,12 @@ let create ~sets ~ways =
     lines =
       Array.init sets (fun _ ->
           Array.init ways (fun _ ->
-              { valid = false; tag = 0L; dirty = false; data = Array.make line_words 0L }));
+              { tag = 0L; dirty = false; data = Array.make line_words 0L }));
+    live = Occupancy.create ~sets ~ways;
     next_victim = Array.make sets 0;
   }
 
-let sets t = t.sets
-let ways t = t.ways
+let occupancy t = t.live.Occupancy.count
 
 (* A capture stores only the live lines, so a snapshot of a
    mostly-empty cache costs a few hundred words rather than one record
@@ -37,8 +39,7 @@ let ways t = t.ways
    a live cache — which is what lets it drop the invalid slots
    entirely. *)
 type captured_line = {
-  cl_set : int;
-  cl_way : int;
+  cl_at : int;  (* occupancy cursor *)
   cl_tag : Word.t;
   cl_dirty : bool;
   cl_data : Word.t array;
@@ -51,37 +52,35 @@ type capture = {
   cap_next_victim : int array;
 }
 
+let no_capture = { cl_at = -1; cl_tag = 0L; cl_dirty = false; cl_data = [||] }
+
 let capture t =
-  let acc = ref [] in
-  for si = t.sets - 1 downto 0 do
-    let set = t.lines.(si) in
-    for wi = t.ways - 1 downto 0 do
-      let l = set.(wi) in
-      if l.valid then
-        acc :=
-          { cl_set = si; cl_way = wi; cl_tag = l.tag; cl_dirty = l.dirty;
-            cl_data = Array.copy l.data }
-          :: !acc
-    done
-  done;
+  let lines = Array.make (occupancy t) no_capture and n = ref 0 in
+  Occupancy.iter t.live t.lines
+    (fun () c l ->
+      lines.(!n) <-
+        { cl_at = c; cl_tag = l.tag; cl_dirty = l.dirty; cl_data = Array.copy l.data };
+      incr n)
+    ();
   {
     cap_sets = t.sets;
     cap_ways = t.ways;
-    cap_lines = Array.of_list !acc;
+    cap_lines = lines;
     cap_next_victim = Array.copy t.next_victim;
   }
 
 let restore_capture cap ~into =
   if cap.cap_sets <> into.sets || cap.cap_ways <> into.ways then
     invalid_arg "Cache.restore_capture: geometry mismatch";
-  Array.iter (fun set -> Array.iter (fun l -> l.valid <- false) set) into.lines;
+  Occupancy.clear into.live;
   Array.iter
     (fun cl ->
-      let l = into.lines.(cl.cl_set).(cl.cl_way) in
-      l.valid <- true;
+      let set = Occupancy.set_of cl.cl_at and way = Occupancy.way_of cl.cl_at in
+      let l = into.lines.(set).(way) in
       l.tag <- cl.cl_tag;
       l.dirty <- cl.cl_dirty;
-      Array.blit cl.cl_data 0 l.data 0 line_words)
+      Array.blit cl.cl_data 0 l.data 0 line_words;
+      Occupancy.add into.live ~set ~way)
     cap.cap_lines;
   Array.blit cap.cap_next_victim 0 into.next_victim 0 cap.cap_sets
 
@@ -94,19 +93,23 @@ let set_index t addr =
   Int64.to_int (Int64.rem (Int64.shift_right_logical (line_base addr) 6)
                   (Int64.of_int t.sets))
 
-(* The valid line holding [addr], or [no_line]. *)
-let no_line = { valid = false; tag = 0L; dirty = false; data = [||] }
-
-let find t addr =
-  let base = line_base addr in
-  let set = t.lines.(set_index t addr) in
-  let way = ref 0 and found = ref no_line in
-  while !found == no_line && !way < t.ways do
-    let l = set.(!way) in
-    if l.valid && l.tag = base then found := l;
+(* The way of set [si] holding the valid line [base], or -1. *)
+let find_way t si base =
+  let set = t.lines.(si) and live = t.live.Occupancy.masks.(si) in
+  let way = ref 0 and found = ref (-1) in
+  while !found < 0 && !way < t.ways do
+    if live land (1 lsl !way) <> 0 && set.(!way).tag = base then found := !way;
     incr way
   done;
   !found
+
+(* The valid line holding [addr], or [no_line]. *)
+let no_line = { tag = 0L; dirty = false; data = [||] }
+
+let find t addr =
+  let si = set_index t addr in
+  let way = find_way t si (line_base addr) in
+  if way < 0 then no_line else t.lines.(si).(way)
 
 let lookup t ~addr =
   let l = find t addr in
@@ -129,7 +132,6 @@ let write_word t ~addr v =
 
 let insert t ~addr line_data =
   assert (Array.length line_data = line_words);
-  let base = line_base addr in
   let l = find t addr in
   if l != no_line then begin
     Array.blit line_data 0 l.data 0 line_words;
@@ -137,77 +139,68 @@ let insert t ~addr line_data =
   end
   else
     let si = set_index t addr in
-    let set = t.lines.(si) in
+    (* Prefer an invalid way; otherwise round-robin over valid ones. *)
+    let free = Occupancy.free_way t.live si in
     let way =
-      (* Prefer an invalid way; otherwise round-robin. *)
-      let rec free w = if w >= t.ways then None else if set.(w).valid then free (w + 1) else Some w in
-      match free 0 with
-      | Some w -> w
-      | None ->
+      if free >= 0 then free
+      else begin
         let w = t.next_victim.(si) in
         t.next_victim.(si) <- (w + 1) mod t.ways;
         w
+      end
     in
-    let victim = set.(way) in
+    let victim = t.lines.(si).(way) in
     let evicted =
-      if victim.valid then Some (victim.tag, Array.copy victim.data, victim.dirty)
-      else None
+      if free >= 0 then None else Some (victim.tag, Array.copy victim.data, victim.dirty)
     in
-    victim.valid <- true;
-    victim.tag <- base;
+    victim.tag <- line_base addr;
     victim.dirty <- false;
     Array.blit line_data 0 victim.data 0 line_words;
+    Occupancy.add t.live ~set:si ~way;
     evicted
 
 let evict t ~addr =
-  let l = find t addr in
-  if l == no_line then None
+  let si = set_index t addr in
+  let way = find_way t si (line_base addr) in
+  if way < 0 then None
   else begin
-    l.valid <- false;
+    Occupancy.remove t.live ~set:si ~way;
+    let l = t.lines.(si).(way) in
     Some (Array.copy l.data, l.dirty)
   end
 
 let flush t =
   let dirty = ref [] in
-  Array.iter
-    (fun set ->
-      Array.iter
-        (fun l ->
-          if l.valid then begin
-            if l.dirty then dirty := (l.tag, Array.copy l.data) :: !dirty;
-            l.valid <- false
-          end)
-        set)
-    t.lines;
+  Occupancy.iter t.live t.lines
+    (fun dirty _ l -> if l.dirty then dirty := (l.tag, Array.copy l.data) :: !dirty)
+    dirty;
+  Occupancy.clear t.live;
   !dirty
 
 let contains t ~addr = find t addr != no_line
 
 let valid_lines t =
   let acc = ref [] in
-  Array.iter
-    (fun set ->
-      Array.iter (fun l -> if l.valid then acc := (l.tag, Array.copy l.data) :: !acc) set)
-    t.lines;
+  Occupancy.iter t.live t.lines (fun acc _ l -> acc := (l.tag, Array.copy l.data) :: !acc) acc;
   List.rev !acc
 
 let snapshot t log =
-  Array.iter
-    (Array.iter (fun l -> if l.valid then Log.add_words log ~addr:l.tag l.data))
-    t.lines
+  Occupancy.iter t.live t.lines (fun log _ l -> Log.add_words log ~addr:l.tag l.data) log
 
 let corrupt_bit t ~select ~bit =
-  let valid = ref [] in
-  Array.iter
-    (fun set -> Array.iter (fun l -> if l.valid then valid := l :: !valid) set)
-    t.lines;
-  match List.rev !valid with
-  | [] -> None
-  | lines ->
-    let n = List.length lines in
-    let l = List.nth lines (select mod n) in
+  let n = occupancy t in
+  if n = 0 then None
+  else begin
+    let k = select mod n and i = ref 0 and chosen = ref no_line in
+    Occupancy.iter t.live t.lines
+      (fun () _ l ->
+        if !i = k then chosen := l;
+        incr i)
+      ();
+    let l = !chosen in
     let word = select / n mod line_words in
     let pos = bit mod 64 in
     l.data.(word) <- Int64.logxor l.data.(word) (Int64.shift_left 1L pos);
     l.dirty <- true;
     Some (Int64.add l.tag (Int64.of_int (word * 8)), l.data.(word))
+  end

@@ -12,16 +12,19 @@ type t
 
 val create : sets:int -> ways:int -> t
 
-val sets : t -> int
-val ways : t -> int
+(** [occupancy t] is the number of valid lines, read from the
+    occupancy index ({!Occupancy}). *)
+val occupancy : t -> int
 
 (** A live-lines-only snapshot form: [capture] records just the valid
     lines (plus the round-robin victim pointers), so capturing and
     holding a snapshot of a mostly-empty cache costs a few hundred
     words instead of one record per (set, way).  [restore_capture]
-    invalidates every line of [into] and rewrites the captured ones;
-    it raises [Invalid_argument] on geometry mismatch.  Captures are
-    restore sources only — they are not live caches. *)
+    invalidates the lines [into] holds and rewrites the captured ones;
+    both walk only valid lines, so a restore costs what the two states
+    hold, not the geometry.  It raises [Invalid_argument] on geometry
+    mismatch.  Captures are restore sources only — they are not live
+    caches. *)
 type capture
 
 val capture : t -> capture
@@ -49,19 +52,22 @@ val insert : t -> addr:Word.t -> Word.t array -> (Word.t * Word.t array * bool) 
 val evict : t -> addr:Word.t -> (Word.t array * bool) option
 
 (** [flush t] invalidates everything, returning the dirty lines as
-    [(addr, line)] pairs for write-back. *)
+    [(addr, line)] pairs for write-back, last valid line (in set then
+    way order) first. *)
 val flush : t -> (Word.t * Word.t array) list
 
 (** [contains t ~addr] is true when the line holding [addr] is valid.
     Allocates nothing. *)
 val contains : t -> addr:Word.t -> bool
 
-(** [valid_lines t] lists [(addr, line)] for every valid line. *)
+(** [valid_lines t] lists [(addr, line)] for every valid line, in set
+    then way order. *)
 val valid_lines : t -> (Word.t * Word.t array) list
 
 (** [snapshot t log] appends the valid lines, in set then way order, to
     the log's open record: one entry per word (slot = word index) so the
-    checker can match secrets directly. *)
+    checker can match secrets directly.  It visits only valid lines, so
+    snapshotting an empty cache allocates nothing. *)
 val snapshot : t -> Log.t -> unit
 
 (** [corrupt_bit t ~select ~bit] flips one bit of one valid line for

@@ -47,11 +47,19 @@ let counter_index = function
 let bump csr e = Csr.bump_counter csr (counter_index e) ~by:1
 let read csr e = Csr.raw_read csr (Csr.Mhpmcounter (counter_index e))
 
-let snapshot csr log =
-  List.iter
+(* The modelled counters' slots and names, fixed once: a residue
+   snapshot copies eight-byte words and formats nothing. *)
+let snapshot_slots = Array.of_list Csr.modelled_counters
+
+let snapshot_notes =
+  Array.map
     (fun n ->
-      let id =
-        match n with 0 -> Csr.Mcycle | 2 -> Csr.Minstret | n -> Csr.Mhpmcounter n
-      in
-      Log.add_entry log ~slot:n ~note:(Csr.name id) (Csr.raw_read csr id))
-    Csr.modelled_counters
+      Csr.name (match n with 0 -> Csr.Mcycle | 2 -> Csr.Minstret | n -> Csr.Mhpmcounter n))
+    snapshot_slots
+
+let snapshot csr log =
+  let file = Csr.counter_file csr in
+  for i = 0 to Array.length snapshot_slots - 1 do
+    let n = snapshot_slots.(i) in
+    Log.add_entry_of_bytes log ~slot:n ~note:snapshot_notes.(i) file (8 * n)
+  done

@@ -34,5 +34,6 @@ val bump : Csr.t -> event -> unit
 val read : Csr.t -> event -> int64
 
 (** [snapshot csr log] appends all modelled counters (including cycle
-    and instret) to the log's open record, slot = counter index. *)
+    and instret) to the log's open record, slot = counter index.  Once
+    the log has room it allocates nothing. *)
 val snapshot : Csr.t -> Log.t -> unit

@@ -726,7 +726,7 @@ let restore t s =
    traffic for dirty lines.  This is what makes the flush-based
    mitigations measurably slower in the overhead ablation. *)
 let flush_l1i t =
-  let valid = List.length (Cache.valid_lines t.l1i) in
+  let valid = Cache.occupancy t.l1i in
   ignore (Cache.flush t.l1i);
   tap t ~kind:Wave.Event.Flush ~structure:Structure.L1i_data ~slot:0 ~value:1;
   advance t (2 + valid)
@@ -751,10 +751,10 @@ let flush_l1d t =
       valid;
     if wave_enabled t then
       tap t ~kind:Wave.Event.Flush ~structure:Structure.L1d_data ~slot:0
-        ~value:(1 + List.length (Cache.valid_lines t.l1));
+        ~value:(1 + Cache.occupancy t.l1);
     advance t (2 + ((List.length valid + 1) / 2))
   | Flush_normal ->
-    let valid = List.length (Cache.valid_lines t.l1) in
+    let valid = Cache.occupancy t.l1 in
     let dirty = Cache.flush t.l1 in
     List.iter
       (fun (addr, line) ->
@@ -1093,11 +1093,7 @@ let execute_branch t ~pc ~taken ~target =
       tap t ~kind:Wave.Event.Fill ~structure ~slot:set_index
         ~value:(1 + Btb.occupancy btb);
     begin_write t ~structure ~origin:Log.Branch_exec;
-    Log.add_entry t.log ~slot:set_index
-      ~note:
-        (Printf.sprintf "tag=%s taken=%b owner=%s" (Word.to_hex entry.Btb.tag) taken
-           (Exec_context.to_string t.ctx))
-      target
+    Log.add_entry t.log ~slot:set_index ~note:entry.Btb.note target
   in
   update t.ubtb Structure.Ubtb;
   update t.ftb Structure.Ftb

@@ -35,9 +35,8 @@ let writeback t ~value ~ctx ~transient =
   let c = t.cells.(index) in
   c.in_use <- true;
   c.value <- value;
-  c.note <-
-    Printf.sprintf "%s%s" (Exec_context.to_string ctx)
-      (if transient then " transient" else "");
+  let name = Exec_context.to_string ctx in
+  c.note <- (if transient then name ^ " transient" else name);
   index
 
 let holds_value t v =
