@@ -13,20 +13,23 @@
 
 open Cmdliner
 
+(* --core parses to the name a spec carries and the configuration the
+   other subcommands run on. *)
 let core_conv =
   let parse s =
-    match Uarch.Config.of_core_name (String.lowercase_ascii s) with
-    | Some c -> Ok c
+    let name = String.lowercase_ascii s in
+    match Uarch.Config.of_core_name name with
+    | Some c -> Ok (name, c)
     | None -> Error (`Msg (Printf.sprintf "unknown core %S (use boom or xiangshan)" s))
   in
-  let print fmt (c : Uarch.Config.t) =
-    Format.fprintf fmt "%s" (String.lowercase_ascii (Uarch.Config.core_kind_to_string c.Uarch.Config.kind))
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun fmt (name, _) -> Format.pp_print_string fmt name)
 
-let core_arg =
-  Arg.(value & opt core_conv Uarch.Config.boom & info [ "core" ] ~docv:"CORE"
+let core_flag =
+  Arg.(value & opt core_conv ("boom", Uarch.Config.boom) & info [ "core" ] ~docv:"CORE"
          ~doc:"Core under test: boom or xiangshan.")
+
+let core_arg = Term.(const snd $ core_flag)
+let core_name_arg = Term.(const fst $ core_flag)
 
 let path_conv =
   let parse s =
@@ -157,8 +160,155 @@ let snapshot_arg =
                  against)." );
         ])
 
-let make_snapshots ?(wave = false) ~snapshot ~obs config =
-  if snapshot then Some (Teesec.Snapshot.create ~obs ~wave config) else None
+(* {2 Execution knobs}
+
+   --jobs, --snapshot, --trace, --metrics and --wave choose how a run
+   executes, never what it computes — every artifact is byte-identical
+   across them (test/test_equiv.ml) — so they stay out of the spec. *)
+type exec = {
+  jobs : int;
+  snapshot : bool;
+  trace : string option;
+  metrics : string option;
+  wave_out : string option;
+}
+
+let exec_term =
+  Term.(
+    const (fun jobs snapshot trace metrics wave_out ->
+        { jobs; snapshot; trace; metrics; wave_out })
+    $ jobs_arg $ snapshot_arg $ trace_arg $ metrics_arg $ wave_arg)
+
+(* [run_exec x config run] creates the sink and the snapshot engine the
+   knobs ask for, runs [run], then writes the trace, metrics and wave
+   files.  [run] returns its result and its per-case wave streams.  An
+   engine carries the wave setting itself, so [?wave] reaches [run] only
+   on the replay path. *)
+let run_exec x config
+    (run :
+      jobs:int ->
+      obs:Obs.t ->
+      ?snapshots:Teesec.Snapshot.t ->
+      ?wave:bool ->
+      unit ->
+      'a * (string * string) list) =
+  let tap = x.wave_out <> None in
+  let result, waves =
+    with_obs ~trace:x.trace ~metrics:x.metrics (fun obs ->
+        if x.snapshot then
+          run ~jobs:x.jobs ~obs
+            ~snapshots:(Teesec.Snapshot.create ~obs ~wave:tap config)
+            ()
+        else run ~jobs:x.jobs ~obs ~wave:tap ())
+  in
+  Option.iter (fun path -> write_wave_file ~path waves) x.wave_out;
+  result
+
+let progress_printer ~quiet ~width =
+  if quiet then fun _ _ _ -> ()
+  else fun i n line -> Format.printf "[%*d/%*d] %s@." width i width n line
+
+(* {2 Pipeline flags}
+
+   Every parameter a [Serve.Request.spec] carries comes from one flag
+   declared here, composed into one spec term per kind.  The one-shot
+   campaign, inject and fuzz subcommands and submit all build their
+   spec from these terms, and [Serve.Request.validate] is the only
+   check, so a bad value is the same usage error (exit 124, naming the
+   flag) on both transports.  The seed, budget and fault-count flags
+   also serve testcase and profile, with their own defaults. *)
+
+let mitigations_arg =
+  Arg.(value & opt_all string [] & info [ "mitigation"; "m" ] ~docv:"NAME"
+         ~doc:"(campaign) Enable a mitigation (repeatable): one of Table \
+               4's six, or the tagging countermeasure tag-bpu-hpc.")
+
+let full_arg =
+  Arg.(value & flag & info [ "full" ]
+         ~doc:"Run over all 585 grid test cases (default: the \
+               representative slice).")
+
+let random_arg =
+  Arg.(value & opt (some int) None & info [ "random" ] ~docv:"N"
+         ~doc:"(campaign) Long-fuzzing mode: $(docv) randomly drawn test \
+               cases instead of the grid corpus.")
+
+let fuzz_seed_arg =
+  Arg.(value & opt int64 0x5EEDL & info [ "fuzz-seed" ] ~docv:"SEED"
+         ~doc:"(campaign) Seed for the --random corpus.")
+
+let seed_info =
+  Arg.info [ "seed" ] ~docv:"SEED"
+    ~doc:"Seed the whole run replays from: the same seed always \
+          reproduces the same secrets, fault plans, mutations and report."
+
+let seed_arg = Arg.(value & opt int64 0x5EEDL seed_info)
+
+let faults_info =
+  Arg.info [ "faults" ] ~docv:"N"
+    ~doc:"Number of fault plans to sample and inject."
+
+let budget_info =
+  Arg.info [ "budget" ] ~docv:"N" ~doc:"Total fuzz test-case executions."
+
+let batch_arg =
+  Arg.(value & opt int 32 & info [ "batch" ] ~docv:"N"
+         ~doc:"(fuzz) Candidates generated per parallel batch (independent \
+               of --jobs, so reports are too).")
+
+let energy_arg =
+  Arg.(value & opt int 80 & info [ "energy" ] ~docv:"PCT"
+         ~doc:"(fuzz) Mutation energy: percentage of candidates derived by \
+               mutating corpus entries, in 0..100. 0 disables feedback \
+               entirely (the blind random baseline).")
+
+let stop_on_full_arg =
+  Arg.(value & flag & info [ "stop-on-full" ]
+         ~doc:"(fuzz) Stop once every Table 3 case expected on the core is \
+               found.")
+
+let grid full = if full then Serve.Request.Full else Serve.Request.Slice
+
+let campaign_spec =
+  Term.(
+    const (fun core mitigations full random fuzz_seed ->
+        let corpus =
+          match random with
+          | Some count -> Serve.Request.Random { count; seed = fuzz_seed }
+          | None -> grid full
+        in
+        Serve.Request.Campaign { core; mitigations; corpus })
+    $ core_name_arg $ mitigations_arg $ full_arg $ random_arg $ fuzz_seed_arg)
+
+let inject_spec =
+  Term.(
+    const (fun core faults seed full ->
+        Serve.Request.Inject { core; faults; seed; full })
+    $ core_name_arg
+    $ Arg.(value & opt int 25 faults_info)
+    $ seed_arg $ full_arg)
+
+let fuzz_spec =
+  Term.(
+    const (fun core seed budget batch energy stop_on_full ->
+        Serve.Request.Fuzz
+          {
+            core;
+            options = { Fuzz.Engine.seed; budget; batch; energy; stop_on_full };
+          })
+    $ core_name_arg $ seed_arg
+    $ Arg.(value & opt int 250 budget_info)
+    $ batch_arg $ energy_arg $ stop_on_full_arg)
+
+(* The spec paired with the configuration it resolves to. *)
+let validated spec =
+  Term.(
+    ret
+      (const (fun spec ->
+           match Serve.Request.validate spec with
+           | Ok config -> `Ok (spec, config)
+           | Error msg -> `Error (false, msg))
+      $ spec))
 
 (* --width: reject anything the gadgets cannot emit, with the valid set
    in the error message (Params.make would also raise, but this fails at
@@ -175,18 +325,6 @@ let width_conv =
              (String.concat ", " (List.map string_of_int Teesec.Params.valid_widths))))
   in
   Arg.conv (parse, Format.pp_print_int)
-
-let mitigation_conv =
-  let parse s =
-    match
-      List.find_opt
-        (fun m -> Uarch.Mitigation.to_string m = String.lowercase_ascii s)
-        Uarch.Mitigation.all
-    with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "unknown mitigation %S" s))
-  in
-  Arg.conv (parse, (fun fmt m -> Format.fprintf fmt "%s" (Uarch.Mitigation.to_string m)))
 
 (* plan *)
 let plan_cmd =
@@ -244,7 +382,7 @@ let testcase_cmd =
   let offset = Arg.(value & opt int 0 & info [ "offset" ] ~doc:"Byte offset in the secret line.") in
   let width = Arg.(value & opt width_conv 8 & info [ "width" ] ~doc:"Access width (1/2/4/8).") in
   let variant = Arg.(value & opt int 0 & info [ "variant" ] ~doc:"Gadget variant selector.") in
-  let seed = Arg.(value & opt int64 0xDEADBEEFL & info [ "seed" ] ~doc:"Secret seed.") in
+  let seed = Arg.(value & opt int64 0xDEADBEEFL & seed_info) in
   let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Dump the full simulation log.") in
   let save_log =
     Arg.(value & opt (some string) None & info [ "save-log" ] ~docv:"FILE"
@@ -337,29 +475,18 @@ let check_cmd =
 
 (* campaign *)
 let campaign_cmd =
-  let run config full quiet mitigations random fuzz_seed csv jobs snapshot
-      trace metrics wave_out provenance_out =
-    let config = Uarch.Config.with_mitigations config mitigations in
-    let testcases =
-      match random with
-      | Some count -> Teesec.Fuzzer.random_corpus ~seed:fuzz_seed ~count
-      | None -> if full then Teesec.Fuzzer.corpus () else Teesec.Mitigation_eval.slice ()
-    in
-    let progress =
-      if quiet then fun _ _ _ -> ()
-      else fun i n line -> Format.printf "[%3d/%3d] %s@." i n line
-    in
-    let wave = wave_out <> None in
+  let run (spec, config) x quiet csv provenance_out =
     let result =
-      with_obs ~trace ~metrics (fun obs ->
-          let snapshots = make_snapshots ~wave ~snapshot ~obs config in
-          Teesec.Campaign.run ~progress ~jobs ~obs ?snapshots ~wave config
-            testcases)
+      run_exec x config (fun ~jobs ~obs ?snapshots ?wave () ->
+          let r =
+            Teesec.Campaign.run
+              ~progress:(progress_printer ~quiet ~width:3)
+              ~jobs ~obs ?snapshots ?wave config
+              (Serve.Request.corpus_of spec)
+          in
+          (r, r.Teesec.Campaign.waves))
     in
     Format.printf "@.%a@." Teesec.Campaign.pp_result result;
-    (match wave_out with
-    | Some path -> write_wave_file ~path result.Teesec.Campaign.waves
-    | None -> ());
     (match provenance_out with
     | Some path ->
       Obs.write_file ~path
@@ -375,20 +502,7 @@ let campaign_cmd =
       Format.printf "CSV written to %s@." path
     | None -> ()
   in
-  let full = Arg.(value & flag & info [ "full" ] ~doc:"Run all 585 test cases (default: representative slice).") in
   let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-test progress lines.") in
-  let mitigations =
-    Arg.(value & opt_all mitigation_conv [] & info [ "mitigation"; "m" ]
-           ~doc:"Enable a mitigation (repeatable).")
-  in
-  let random =
-    Arg.(value & opt (some int) None & info [ "random" ] ~docv:"N"
-           ~doc:"Long-fuzzing mode: N randomly drawn test cases instead of the grid corpus.")
-  in
-  let fuzz_seed =
-    Arg.(value & opt int64 0x5EEDL & info [ "fuzz-seed" ] ~docv:"SEED"
-           ~doc:"Seed for the random corpus.")
-  in
   let csv =
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE"
            ~doc:"Also write the per-case verdicts as CSV.")
@@ -400,50 +514,34 @@ let campaign_cmd =
                  id from it to $(b,teesec explain).")
   in
   Cmd.v (Cmd.info "campaign" ~doc:"Run a leakage-discovery campaign (Table 3).")
-    Term.(const run $ core_arg $ full $ quiet $ mitigations $ random $ fuzz_seed $ csv $ jobs_arg
-          $ snapshot_arg $ trace_arg $ metrics_arg $ wave_arg $ provenance_out)
+    Term.(const run $ validated campaign_spec $ exec_term $ quiet $ csv
+          $ provenance_out)
 
 (* inject: checker-robustness campaign under sampled fault plans. *)
 let inject_cmd =
-  let run config faults seed full quiet json jobs snapshot trace metrics
-      wave_out =
-    let testcases =
-      if full then Teesec.Fuzzer.corpus () else Teesec.Mitigation_eval.slice ()
+  let run (spec, config) x quiet json =
+    let faults, seed =
+      match spec with
+      | Serve.Request.Inject { faults; seed; _ } -> (faults, seed)
+      | Serve.Request.Campaign _ | Serve.Request.Fuzz _ ->
+        assert false (* [inject_spec] builds only Inject specs *)
     in
-    let progress =
-      if quiet then fun _ _ _ -> ()
-      else fun i n line -> Format.printf "[%4d/%4d] %s@." i n line
-    in
-    let wave = wave_out <> None in
     let result =
-      with_obs ~trace ~metrics (fun obs ->
-          let snapshots = make_snapshots ~wave ~snapshot ~obs config in
-          Inject.Inject_campaign.run ~progress ~jobs ~obs ?snapshots ~wave
-            ~seed ~plans:faults config testcases)
+      run_exec x config (fun ~jobs ~obs ?snapshots ?wave () ->
+          let r =
+            Inject.Inject_campaign.run
+              ~progress:(progress_printer ~quiet ~width:4)
+              ~jobs ~obs ?snapshots ?wave ~seed ~plans:faults config
+              (Serve.Request.corpus_of spec)
+          in
+          (r, r.Inject.Inject_campaign.waves))
     in
     Format.printf "@.%a@." Inject.Robustness_report.pp result;
-    (match wave_out with
-    | Some path ->
-      write_wave_file ~path result.Inject.Inject_campaign.waves
-    | None -> ());
     match json with
     | Some path ->
       Inject.Robustness_report.save_json ~path result;
       Format.printf "JSON report written to %s@." path
     | None -> ()
-  in
-  let faults =
-    Arg.(value & opt int 25 & info [ "faults" ] ~docv:"N"
-           ~doc:"Number of fault plans to sample and inject.")
-  in
-  let seed =
-    Arg.(value & opt int64 0x5EEDL & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Campaign seed; the same seed always reproduces the same \
-                 plans and the same report.")
-  in
-  let full =
-    Arg.(value & flag & info [ "full" ]
-           ~doc:"Inject over all 585 test cases (default: representative slice).")
   in
   let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-run progress lines.") in
   let json =
@@ -455,15 +553,18 @@ let inject_cmd =
        ~doc:
          "Rerun the corpus under deterministic fault injection and report \
           whether the checker's verdicts are masked, spurious or stable.")
-    Term.(const run $ core_arg $ faults $ seed $ full $ quiet $ json $ jobs_arg
-          $ snapshot_arg $ trace_arg $ metrics_arg $ wave_arg)
+    Term.(const run $ validated inject_spec $ exec_term $ quiet $ json)
 
-(* fuzz: the coverage-guided mutational engine (lib/fuzz). *)
+(* fuzz: the coverage-guided mutational engine (lib/fuzz).  --corpus
+   seeds change the report but have no spec field, so they are
+   one-shot only. *)
 let fuzz_cmd =
-  let run config seed budget batch energy stop_on_full quiet json save_corpus
-      corpus jobs snapshot trace metrics wave_out =
+  let run (spec, config) x quiet json save_corpus corpus =
     let options =
-      { Fuzz.Engine.seed; budget; batch; energy; stop_on_full }
+      match spec with
+      | Serve.Request.Fuzz { options; _ } -> options
+      | Serve.Request.Campaign _ | Serve.Request.Inject _ ->
+        assert false (* [fuzz_spec] builds only Fuzz specs *)
     in
     let seeds =
       match corpus with
@@ -479,21 +580,16 @@ let fuzz_cmd =
               (List.length testcases);
           Some testcases)
     in
-    let progress =
-      if quiet then fun _ _ _ -> ()
-      else fun i n line -> Format.printf "[%4d/%4d] %s@." i n line
-    in
-    let wave = wave_out <> None in
     let report =
-      with_obs ~trace ~metrics (fun obs ->
-          let snapshots = make_snapshots ~wave ~snapshot ~obs config in
-          Fuzz.Engine.run ~progress ~jobs ~obs ?snapshots ~wave ?seeds options
-            config)
+      run_exec x config (fun ~jobs ~obs ?snapshots ?wave () ->
+          let r =
+            Fuzz.Engine.run
+              ~progress:(progress_printer ~quiet ~width:4)
+              ~jobs ~obs ?snapshots ?wave ?seeds options config
+          in
+          (r, r.Fuzz.Engine.waves))
     in
     Format.printf "@.%a@." Fuzz.Fuzz_report.pp report;
-    (match wave_out with
-    | Some path -> write_wave_file ~path report.Fuzz.Engine.waves
-    | None -> ());
     (match save_corpus with
     | Some path ->
       Fuzz.Corpus_io.save ~path report.Fuzz.Engine.corpus_cases;
@@ -506,41 +602,6 @@ let fuzz_cmd =
       Fuzz.Fuzz_report.save_json ~path report;
       Format.printf "JSON report written to %s@." path
     | None -> ()
-  in
-  let seed =
-    Arg.(value & opt int64 0x5EEDL & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Campaign seed; the whole run (mutations included) replays \
-                 from it.")
-  in
-  let budget =
-    Arg.(value & opt int 250 & info [ "budget" ] ~docv:"N"
-           ~doc:"Total test-case executions.")
-  in
-  let batch =
-    Arg.(value & opt int 32 & info [ "batch" ] ~docv:"N"
-           ~doc:"Candidates generated per parallel batch (independent of \
-                 --jobs, so reports are too).")
-  in
-  let energy =
-    let parse e =
-      if e < 0 || e > 100 then
-        `Error (false, Printf.sprintf "--energy must be in 0..100, got %d" e)
-      else `Ok e
-    in
-    Term.(
-      ret
-        (const parse
-        $ Arg.(
-            value & opt int 80
-            & info [ "energy" ] ~docv:"PCT"
-                ~doc:
-                  "Mutation energy: percentage of candidates derived by \
-                   mutating corpus entries. 0 disables feedback entirely \
-                   (the blind random baseline).")))
-  in
-  let stop_on_full =
-    Arg.(value & flag & info [ "stop-on-full" ]
-           ~doc:"Stop once every Table 3 case expected on the core is found.")
   in
   let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-test progress lines.") in
   let json =
@@ -564,9 +625,8 @@ let fuzz_cmd =
        ~doc:
          "Run the coverage-guided mutational fuzzing engine against a core \
           and report discovery times per leakage case.")
-    Term.(const run $ core_arg $ seed $ budget $ batch $ energy $ stop_on_full
-          $ quiet $ json $ save_corpus $ corpus $ jobs_arg $ snapshot_arg
-          $ trace_arg $ metrics_arg $ wave_arg)
+    Term.(const run $ validated fuzz_spec $ exec_term $ quiet $ json
+          $ save_corpus $ corpus)
 
 (* corpus-min: standalone corpus distillation. *)
 let corpus_min_cmd =
@@ -687,17 +747,19 @@ let scenario_cmd =
 
 (* coverage *)
 let coverage_cmd =
-  let run config full jobs =
-    let testcases =
-      if full then Teesec.Fuzzer.corpus () else Teesec.Mitigation_eval.slice ()
-    in
+  let run (spec, config) jobs =
     Format.printf "%a@." Teesec.Coverage.pp
-      (Teesec.Coverage.measure ~jobs config testcases)
+      (Teesec.Coverage.measure ~jobs config (Serve.Request.corpus_of spec))
   in
-  let full = Arg.(value & flag & info [ "full" ] ~doc:"Measure over the whole 585-case corpus.") in
+  let spec =
+    Term.(
+      const (fun core full ->
+          Serve.Request.Campaign { core; mitigations = []; corpus = grid full })
+      $ core_name_arg $ full_arg)
+  in
   Cmd.v
     (Cmd.info "coverage" ~doc:"Report verification-plan coverage of a corpus on a core.")
-    Term.(const run $ core_arg $ full $ jobs_arg)
+    Term.(const run $ validated spec $ jobs_arg)
 
 (* netlist *)
 let netlist_cmd =
@@ -730,7 +792,9 @@ let netlist_cmd =
 let report_cmd =
   let run cores out full =
     let configs =
-      match cores with [] -> [ Uarch.Config.boom; Uarch.Config.xiangshan ] | l -> l
+      match cores with
+      | [] -> [ Uarch.Config.boom; Uarch.Config.xiangshan ]
+      | l -> List.map snd l
     in
     let options =
       { Teesec.Verification_report.default_options with full_corpus = full }
@@ -747,11 +811,10 @@ let report_cmd =
     Arg.(value & opt string "VERIFICATION_REPORT.md" & info [ "out"; "o" ]
            ~docv:"FILE" ~doc:"Output markdown file.")
   in
-  let full = Arg.(value & flag & info [ "full" ] ~doc:"Use the full 585-case corpus.") in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Generate the complete markdown verification report for one or more cores.")
-    Term.(const run $ cores $ out $ full)
+    Term.(const run $ cores $ out $ full_arg)
 
 (* profile: per-phase wall-time and allocation breakdown over small
    slices of every pipeline.  Unlike the other subcommands this always
@@ -898,14 +961,8 @@ let profile_cmd =
       families;
     save_obs_outputs obs ~trace ~metrics
   in
-  let budget =
-    Arg.(value & opt int 96 & info [ "budget" ] ~docv:"N"
-           ~doc:"Fuzz executions in the fuzz phase.")
-  in
-  let faults =
-    Arg.(value & opt int 5 & info [ "faults" ] ~docv:"N"
-           ~doc:"Fault plans in the inject phase.")
-  in
+  let budget = Arg.(value & opt int 96 budget_info) in
+  let faults = Arg.(value & opt int 5 faults_info) in
   let repeat =
     Arg.(value & opt int 5 & info [ "repeat" ] ~docv:"N"
            ~doc:"Checker passes per prepared log, per implementation.")
@@ -933,10 +990,6 @@ let tables_cmd =
 let socket_arg =
   Arg.(value & opt string "teesec.sock" & info [ "socket" ] ~docv:"PATH"
          ~doc:"Unix-domain socket of the daemon.")
-
-let core_name_of config =
-  String.lowercase_ascii
-    (Uarch.Config.core_kind_to_string config.Uarch.Config.kind)
 
 (* Poll briefly before failing: scripts background `teesec serve` and
    immediately submit, racing the daemon's bind. *)
@@ -1049,127 +1102,79 @@ let serve_cmd =
     Term.(const run $ socket_arg $ store $ workers $ http_port
           $ max_shard_cases $ max_retries $ quiet $ log_file $ log_level)
 
-(* submit: build a Request.spec from the same flags the one-shot
-   subcommands take, and hand it to the daemon. *)
+(* submit: the spec comes from the same terms the one-shot subcommands
+   use, selected by --kind; flags of the other kinds are ignored, and
+   only the selected spec is validated. *)
 let write_file_report ~what path contents =
   Obs.write_file ~path contents;
   Format.printf "%s written to %s (%d bytes)@." what path
     (String.length contents)
 
+(* Fetch a job's artifact and write what was asked for: the trace and
+   waveforms the job collected, and the artifact itself unless [data] is
+   off. *)
+let fetch_job client ?(wait = true) ?(data = true) ~out ~trace_out ~wave_out
+    job =
+  match Serve.Client.results ~wait client job with
+  | Error e ->
+    Format.printf "error: %s@." e;
+    exit 1
+  | Ok (Error js) ->
+    pp_job_status js;
+    exit 1
+  | Ok (Ok { Serve.Client.data = artifact; trace; wave }) -> (
+    (match (trace_out, trace) with
+    | Some path, Some json -> write_file_report ~what:"trace" path json
+    | Some path, None ->
+      Format.printf
+        "warning: the job has no trace (submit it with --trace; a job \
+         already complete collects none); %s not written@."
+        path
+    | None, _ -> ());
+    (match (wave_out, wave) with
+    | Some path, Some blob when blob <> "" -> save_wave_blob ~path blob
+    | Some path, _ ->
+      Format.printf
+        "warning: the job has no waveforms (submit it with --wave; shards \
+         served from the store contribute none); %s not written@."
+        path
+    | None, _ -> ());
+    if data then
+      match out with
+      | Some path -> write_file_report ~what:"artifact" path artifact
+      | None -> print_string artifact)
+
 let submit_cmd =
-  let run socket_path config kind mitigations full random fuzz_seed faults
-      seed budget batch energy stop_on_full wait out trace_out wave_out =
-    let core = core_name_of config in
-    let spec =
-      match kind with
-      | "campaign" ->
-        let corpus =
-          match random with
-          | Some count -> Serve.Request.Random { count; seed = fuzz_seed }
-          | None -> if full then Serve.Request.Full else Serve.Request.Slice
-        in
-        let mitigations = List.map Uarch.Mitigation.to_string mitigations in
-        Ok (Serve.Request.Campaign { core; mitigations; corpus })
-      | "inject" -> Ok (Serve.Request.Inject { core; faults; seed; full })
-      | "fuzz" ->
-        Ok
-          (Serve.Request.Fuzz
-             {
-               core;
-               options = { Fuzz.Engine.seed; budget; batch; energy; stop_on_full };
-             })
-      | k -> Error (Printf.sprintf "unknown kind %S (use campaign, inject or fuzz)" k)
+  let run socket_path (spec, _config) wait out trace_out wave_out =
+    with_client ~socket_path (fun client ->
+        match
+          Serve.Client.submit ~trace:(trace_out <> None)
+            ~wave:(wave_out <> None) client spec
+        with
+        | Error e ->
+          Format.printf "error: %s@." e;
+          exit 1
+        | Ok js ->
+          pp_job_status js;
+          if wait || trace_out <> None || wave_out <> None then
+            fetch_job client ~data:wait ~out ~trace_out ~wave_out
+              js.Serve.Protocol.js_job)
+  in
+  let spec =
+    let kind =
+      Arg.(value
+           & opt (enum [ ("campaign", `Campaign); ("inject", `Inject); ("fuzz", `Fuzz) ])
+               `Campaign
+           & info [ "kind" ] ~docv:"KIND"
+               ~doc:"Request kind: campaign, inject or fuzz.")
     in
-    match spec with
-    | Error e ->
-      Format.printf "error: %s@." e;
-      exit 1
-    | Ok spec ->
-      with_client ~socket_path (fun client ->
-          match
-            Serve.Client.submit ~trace:(trace_out <> None)
-              ~wave:(wave_out <> None) client spec
-          with
-          | Error e ->
-            Format.printf "error: %s@." e;
-            exit 1
-          | Ok js ->
-            pp_job_status js;
-            if wait || trace_out <> None || wave_out <> None then (
-              match Serve.Client.results client js.Serve.Protocol.js_job with
-              | Error e ->
-                Format.printf "error: %s@." e;
-                exit 1
-              | Ok (Error js) ->
-                pp_job_status js;
-                exit 1
-              | Ok (Ok { Serve.Client.data; trace; wave }) ->
-                (match (trace_out, trace) with
-                | Some path, Some json ->
-                  write_file_report ~what:"trace" path json
-                | Some path, None ->
-                  Format.printf
-                    "warning: no trace collected (job already complete?); \
-                     %s not written@."
-                    path
-                | None, _ -> ());
-                (match (wave_out, wave) with
-                | Some path, Some blob when blob <> "" ->
-                  save_wave_blob ~path blob
-                | Some path, _ ->
-                  Format.printf
-                    "warning: no waveforms collected (job satisfied from \
-                     the store?); %s not written@."
-                    path
-                | None, _ -> ());
-                if wait then (
-                  match out with
-                  | Some path -> write_file_report ~what:"artifact" path data
-                  | None -> print_string data)))
-  in
-  let kind =
-    Arg.(value & opt string "campaign" & info [ "kind" ] ~docv:"KIND"
-           ~doc:"Request kind: campaign, inject or fuzz.")
-  in
-  let mitigations =
-    Arg.(value & opt_all mitigation_conv [] & info [ "mitigation"; "m" ]
-           ~doc:"(campaign) Enable a mitigation (repeatable).")
-  in
-  let full =
-    Arg.(value & flag & info [ "full" ]
-           ~doc:"(campaign/inject) All 585 grid cases instead of the slice.")
-  in
-  let random =
-    Arg.(value & opt (some int) None & info [ "random" ] ~docv:"N"
-           ~doc:"(campaign) N randomly drawn test cases instead of the grid.")
-  in
-  let fuzz_seed =
-    Arg.(value & opt int64 0x5EEDL & info [ "fuzz-seed" ] ~docv:"SEED"
-           ~doc:"(campaign) Seed for the random corpus.")
-  in
-  let faults =
-    Arg.(value & opt int 25 & info [ "faults" ] ~docv:"N"
-           ~doc:"(inject) Fault plans to sample.")
-  in
-  let seed =
-    Arg.(value & opt int64 0x5EEDL & info [ "seed" ] ~docv:"SEED"
-           ~doc:"(inject/fuzz) Campaign seed.")
-  in
-  let budget =
-    Arg.(value & opt int 250 & info [ "budget" ] ~docv:"N"
-           ~doc:"(fuzz) Total test-case executions.")
-  in
-  let batch =
-    Arg.(value & opt int 32 & info [ "batch" ] ~docv:"N"
-           ~doc:"(fuzz) Candidates per batch.")
-  in
-  let energy =
-    Arg.(value & opt int 80 & info [ "energy" ] ~docv:"PCT"
-           ~doc:"(fuzz) Mutation energy in 0..100.")
-  in
-  let stop_on_full =
-    Arg.(value & flag & info [ "stop-on-full" ]
-           ~doc:"(fuzz) Stop once every expected case is found.")
+    Term.(
+      const (fun kind campaign inject fuzz ->
+          match kind with
+          | `Campaign -> campaign
+          | `Inject -> inject
+          | `Fuzz -> fuzz)
+      $ kind $ campaign_spec $ inject_spec $ fuzz_spec)
   in
   let wait =
     Arg.(
@@ -1207,9 +1212,8 @@ let submit_cmd =
          "Submit a campaign/inject/fuzz request to a running daemon.  \
           Shards already in the store are never re-executed; artifacts \
           are byte-identical to the one-shot subcommands.")
-    Term.(const run $ socket_arg $ core_arg $ kind $ mitigations $ full
-          $ random $ fuzz_seed $ faults $ seed $ budget $ batch $ energy
-          $ stop_on_full $ wait $ out $ trace_out $ wave_out)
+    Term.(const run $ socket_arg $ validated spec $ wait $ out $ trace_out
+          $ wave_out)
 
 (* status *)
 let status_cmd =
@@ -1239,33 +1243,7 @@ let status_cmd =
 let results_cmd =
   let run socket_path job out no_wait trace_out wave_out =
     with_client ~socket_path (fun client ->
-        match Serve.Client.results ~wait:(not no_wait) client job with
-        | Error e ->
-          Format.printf "error: %s@." e;
-          exit 1
-        | Ok (Error js) ->
-          pp_job_status js;
-          exit 1
-        | Ok (Ok { Serve.Client.data; trace; wave }) ->
-          (match (trace_out, trace) with
-          | Some path, Some json -> write_file_report ~what:"trace" path json
-          | Some path, None ->
-            Format.printf
-              "warning: job has no trace (submit it with --trace); %s not \
-               written@."
-              path
-          | None, _ -> ());
-          (match (wave_out, wave) with
-          | Some path, Some blob when blob <> "" -> save_wave_blob ~path blob
-          | Some path, _ ->
-            Format.printf
-              "warning: job has no waveforms (submit it with --wave); %s \
-               not written@."
-              path
-          | None, _ -> ());
-          (match out with
-          | Some path -> write_file_report ~what:"artifact" path data
-          | None -> print_string data))
+        fetch_job client ~wait:(not no_wait) ~out ~trace_out ~wave_out job)
   in
   let job =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"JOB"
@@ -1509,9 +1487,8 @@ let explain_cmd =
             (fun (tc : Teesec.Testcase.t) -> tc.Teesec.Testcase.id = tcid)
             (Teesec.Mitigation_eval.slice () @ Teesec.Fuzzer.corpus ())
         in
-        let wave = emit_vcd <> None in
-        let matching ?snapshots ~wave (tc : Teesec.Testcase.t) =
-          let outcome = Teesec.Runner.run ?snapshots ~wave config tc in
+        let matching ?snapshots ?wave (tc : Teesec.Testcase.t) =
+          let outcome = Teesec.Runner.run ?snapshots ?wave config tc in
           let findings =
             List.filter
               (fun (f : Teesec.Checker.finding) -> f.Teesec.Checker.case <> None)
@@ -1527,7 +1504,7 @@ let explain_cmd =
           (outcome, matches)
         in
         let explain_one tc =
-          match matching ~wave tc with
+          match matching ~wave:(emit_vcd <> None) tc with
           | _, [] -> None
           | outcome, matches -> Some (tc, outcome, matches)
         in
@@ -1578,7 +1555,7 @@ let explain_cmd =
             (* Replay through the snapshot engine (the other prefix
                path) and assert the causal chain reproduces exactly. *)
             let snapshots = Teesec.Snapshot.create config in
-            let _, replayed = matching ~snapshots ~wave:false tc in
+            let _, replayed = matching ~snapshots tc in
             if
               List.length replayed = List.length matches
               && List.for_all2 Teesec.Provenance.equal matches replayed

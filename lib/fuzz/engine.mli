@@ -58,7 +58,7 @@ type report = {
           (what [fuzz --save-corpus] writes). *)
   waves : (string * string) list;
       (** Per-candidate (name, encoded wave stream) pairs in executed
-          order; empty unless run with [~wave:true].  Not part of the
+          order; empty unless the run was tapped.  Not part of the
           JSON report — the CLI writes them to a separate [--wave]
           file. *)
   provenance : Provenance.t list;
@@ -83,9 +83,10 @@ type report = {
     through the snapshot engine (see {!Teesec.Snapshot}); the report
     stays byte-identical either way.
 
-    [wave] (default false) attaches a wave tap to every candidate's
-    machine and collects the streams into [report.waves]; every other
-    report field is unaffected.
+    [wave] (default false) attaches a wave tap to every replayed
+    candidate's machine and collects the streams into [report.waves];
+    an engine carries its own setting ({!Teesec.Snapshot.wave}) and
+    [wave] is then ignored.  Every other report field is unaffected.
 
     [seeds] appends external seed test cases (e.g. a symex-synthesised
     corpus loaded through {!Corpus_io}) after the built-in

@@ -24,6 +24,6 @@ type t = {
 (** [snapshots], if given, establishes the candidate's setup prefix
     through the snapshot engine instead of replaying it (see
     {!Teesec.Snapshot}); the observation is identical either way.
-    [wave] (default false) attaches a wave tap — verdict fields are
-    unaffected. *)
+    [wave] (default false) attaches a wave tap on the replay path (an
+    engine carries its own setting) — verdict fields are unaffected. *)
 val run : ?snapshots:Snapshot.t -> ?wave:bool -> Config.t -> Testcase.t -> t

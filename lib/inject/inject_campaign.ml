@@ -97,12 +97,9 @@ let plan_never_fires (plan : Fault_plan.t) ~span =
     (fun (f : Fault_plan.fault) -> f.Fault_plan.window_start > span)
     plan.Fault_plan.faults
 
-(* The faulted rerun's wave stream is discarded (see [b_wave]); [wave]
-   still threads through because a snapshot engine created with taps on
-   refuses runs that ask for taps off. *)
-let eval_unit ?snapshots ?wave config (plan, tc, (base : baseline)) =
+let eval_unit ?snapshots config (plan, tc, (base : baseline)) =
   let outcome =
-    Runner.run ?snapshots ?wave
+    Runner.run ?snapshots
       ~prepare:(fun env -> Injector.arm env.Env.machine plan)
       config tc
   in
@@ -138,7 +135,7 @@ let eval_case ?snapshots ?wave config plan_list tc =
       (fun plan ->
         if prune && plan_never_fires plan ~span:base.b_span then
           ({ testcase = base.b_name; masked_cases = []; spurious_cases = [] }, 0)
-        else eval_unit ?snapshots ?wave config (plan, tc, base))
+        else eval_unit ?snapshots config (plan, tc, base))
       plan_list
   in
   { ce_base = base; ce_units = Array.of_list units }

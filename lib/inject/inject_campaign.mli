@@ -59,7 +59,7 @@ type result = {
   waves : (string * string) list;
       (** Per-test-case (name, encoded wave stream) pairs for the {e
           clean baselines}, in corpus order; empty unless the run was
-          started with [~wave:true].  Faulted reruns are not collected —
+          tapped.  Faulted reruns are not collected —
           they would multiply the volume by the plan count.  No rendered
           verdict artifact includes them. *)
   provenance : Provenance.t list;
@@ -96,8 +96,8 @@ type case_eval = {
 
 (** [eval_case ?snapshots config plan_list tc] evaluates the clean
     baseline and every faulted rerun of one test case.  [wave] (default
-    false) attaches a wave tap; the baseline's stream lands in
-    [b_wave]. *)
+    false) attaches a wave tap on the replay path (an engine carries its
+    own setting); the baseline's stream lands in [b_wave]. *)
 val eval_case :
   ?snapshots:Snapshot.t ->
   ?wave:bool ->
@@ -140,9 +140,10 @@ val aggregate :
     and unit/outcome/fault counters.  The sink only reads campaign
     state — the result is identical with or without it.
 
-    [wave] (default false) attaches a wave tap to every run's machine
-    and collects the clean baselines' streams into [result.waves];
-    verdict fields are unaffected. *)
+    [wave] (default false) attaches a wave tap to every replayed
+    baseline and collects the streams into [result.waves]; an engine
+    carries its own setting ({!Snapshot.wave}) and [wave] is then
+    ignored.  Verdict fields are unaffected. *)
 val run :
   ?progress:(int -> int -> string -> unit) ->
   ?jobs:int ->

@@ -5,7 +5,7 @@ let extension = function
   | Request.Inject _ | Request.Fuzz _ -> "json"
 
 let assemble spec payloads =
-  match Request.config_of spec with
+  match Request.validate spec with
   | Error e -> Error e
   | Ok config -> (
     try

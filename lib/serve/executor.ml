@@ -20,15 +20,6 @@ let engine_for engines ~wave config =
     Hashtbl.add engines.eng_tbl key snap;
     snap
 
-let config_exn ~core ~mitigations =
-  match
-    Request.config_of
-      (Request.Campaign
-         { core; mitigations; corpus = Request.Slice })
-  with
-  | Ok config -> config
-  | Error msg -> invalid_arg ("Executor: " ^ msg)
-
 (* {2 Payload codecs} *)
 
 let case_of_string s =
@@ -155,53 +146,44 @@ let decode_inject_evals s =
    The payload is byte-identical for every [wave] setting — waves never
    enter it (or the content-addressed store keyed on it); the blob is a
    [Wave.Event.frame_streams] framing of the shard's per-case streams,
-   [""] with taps off, and rides back to the daemon in [shard_obs]. *)
-let execute ~engines ~wave work =
+   [""] with taps off, and rides back to the daemon in [shard_obs].  The
+   engine carries the wave setting, so the pipelines are never told it
+   separately. *)
+let execute ~engines ~wave { Request.spec; cases } =
+  let config =
+    match Request.validate spec with
+    | Ok config -> config
+    | Error msg -> invalid_arg ("Executor: " ^ msg)
+  in
   let obs = engines.eng_obs in
-  match work with
-  | Request.W_campaign { core; mitigations; cases } ->
-    let config = config_exn ~core ~mitigations in
-    let snapshots = engine_for engines ~wave config in
+  let snapshots = engine_for engines ~wave config in
+  let testcases = List.map Request.testcase_of_case_desc cases in
+  let framed streams =
+    Wave.Event.frame_streams (List.filter (fun (_, w) -> w <> "") streams)
+  in
+  match spec with
+  | Request.Campaign _ ->
     let outcomes =
-      List.map
-        (fun cd ->
-          Campaign.eval_case ~obs ~snapshots ~wave config
-            (Request.testcase_of_case_desc cd))
-        cases
+      List.map (Campaign.eval_case ~obs ~snapshots config) testcases
     in
-    let waves =
-      List.filter_map
-        (fun (co : Campaign.case_outcome) ->
-          if co.Campaign.co_wave <> "" then
-            Some (co.Campaign.co_name, co.Campaign.co_wave)
-          else None)
-        outcomes
-    in
-    (encode_campaign_outcomes outcomes, Wave.Event.frame_streams waves)
-  | Request.W_inject { core; faults; seed; cases } ->
-    let config = config_exn ~core ~mitigations:[] in
-    let snapshots = engine_for engines ~wave config in
+    ( encode_campaign_outcomes outcomes,
+      framed
+        (List.map
+           (fun (co : Campaign.case_outcome) ->
+             (co.Campaign.co_name, co.Campaign.co_wave))
+           outcomes) )
+  | Request.Inject { faults; seed; _ } ->
     let plan_list = Fault_plan.sample ~seed ~count:faults in
     let evals =
-      List.map
-        (fun cd ->
-          Inject_campaign.eval_case ~snapshots ~wave config plan_list
-            (Request.testcase_of_case_desc cd))
-        cases
+      List.map (Inject_campaign.eval_case ~snapshots config plan_list) testcases
     in
-    let waves =
-      List.filter_map
-        (fun (e : Inject_campaign.case_eval) ->
-          let b = e.Inject_campaign.ce_base in
-          if b.Inject_campaign.b_wave <> "" then
-            Some (b.Inject_campaign.b_name, b.Inject_campaign.b_wave)
-          else None)
-        evals
-    in
-    (encode_inject_evals evals, Wave.Event.frame_streams waves)
-  | Request.W_fuzz { core; options } ->
-    let config = config_exn ~core ~mitigations:[] in
-    let snapshots = engine_for engines ~wave config in
-    let report = Engine.run ~obs ~snapshots ~wave options config in
-    (Fuzz_report.to_json_string report,
-     Wave.Event.frame_streams report.Engine.waves)
+    ( encode_inject_evals evals,
+      framed
+        (List.map
+           (fun (e : Inject_campaign.case_eval) ->
+             let b = e.Inject_campaign.ce_base in
+             (b.Inject_campaign.b_name, b.Inject_campaign.b_wave))
+           evals) )
+  | Request.Fuzz { options; _ } ->
+    let report = Engine.run ~obs ~snapshots options config in
+    (Fuzz_report.to_json_string report, framed report.Engine.waves)

@@ -25,8 +25,9 @@ val create_engines : ?obs:Obs.t -> unit -> engines
     plus its wave blob: a {!Wave.Event.frame_streams} framing of the
     shard's per-case streams when [wave] is true, [""] otherwise.  The
     payload is byte-identical for every [wave] setting — waves never
-    enter the content-addressed store.  Raises on invalid work items
-    (unknown core — excluded by submit-time validation). *)
+    enter the content-addressed store.  Raises [Invalid_argument] on a
+    spec {!Request.validate} rejects — excluded by submit-time
+    validation. *)
 val execute : engines:engines -> wave:bool -> Request.work -> string * string
 
 val encode_campaign_outcomes : Campaign.case_outcome list -> string

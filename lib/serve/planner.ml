@@ -64,72 +64,51 @@ let shard_digest ~config ~kind_fields ~corpus_digest =
      ]
     @ kind_fields)
 
+(* What a shard digest folds in besides config and cases: the kind and
+   every option that changes a shard's output. *)
+let kind_fields spec =
+  match spec with
+  | Request.Campaign _ -> [ ("kind", "campaign") ]
+  | Request.Inject { faults; seed; _ } ->
+    [ ("kind", "inject"); ("faults", string_of_int faults); ("seed", Word.to_hex seed) ]
+  | Request.Fuzz _ ->
+    ("kind", "fuzz")
+    :: List.filter
+         (fun (k, _) -> k <> "version" && k <> "kind" && k <> "core")
+         (Request.digest_fields spec)
+
 let plan ?(max_shard_cases = default_max_shard_cases) spec =
   if max_shard_cases < 1 then Error "max_shard_cases must be >= 1"
   else
-    match Request.config_of spec with
-    | Error e -> Error e
-    | Ok config -> (
-      let mk_shards ~by_family ~kind_fields ~mk_work cases =
-        let descs = List.map Request.case_desc_of_testcase cases in
-        let chunks = chunk ~by_family ~cap:max_shard_cases descs in
-        List.mapi
-          (fun index cases ->
-            let corpus_digest = cases_digest cases in
-            {
-              index;
-              digest = shard_digest ~config ~kind_fields ~corpus_digest;
-              corpus_digest;
-              family = family_of ~by_family cases;
-              work = mk_work cases;
-            })
-          chunks
-      in
-      match spec with
-      | Request.Campaign { core; mitigations; corpus } -> (
-        let by_family = match corpus with Request.Random _ -> false | _ -> true in
-        match Request.corpus_of spec with
-        | [] -> Error "campaign request has an empty corpus"
-        | cases ->
-          Ok
-            (mk_shards ~by_family
-               ~kind_fields:[ ("kind", "campaign") ]
-               ~mk_work:(fun cases ->
-                 Request.W_campaign { core; mitigations; cases })
-               cases))
-      | Request.Inject { core; faults; seed; _ } -> (
-        match Request.corpus_of spec with
-        | [] -> Error "inject request has an empty corpus"
-        | cases ->
-          Ok
-            (mk_shards ~by_family:true
-               ~kind_fields:
-                 [
-                   ("kind", "inject");
-                   ("faults", string_of_int faults);
-                   ("seed", Word.to_hex seed);
-                 ]
-               ~mk_work:(fun cases ->
-                 Request.W_inject { core; faults; seed; cases })
-               cases))
-      | Request.Fuzz { core; options } ->
-        let kind_fields =
-          ("kind", "fuzz")
-          :: List.filter (fun (k, _) -> k <> "version" && k <> "kind" && k <> "core")
-               (Request.digest_fields spec)
-        in
-        Ok
-          [
-            {
-              index = 0;
-              digest = shard_digest ~config ~kind_fields ~corpus_digest:"";
-              corpus_digest = "";
-              family = "fuzz";
-              work = Request.W_fuzz { core; options };
-            };
-          ])
+    Request.validate spec
+    |> Result.map (fun config ->
+           let kind_fields = kind_fields spec in
+           let shard index ~family ~corpus_digest cases =
+             {
+               index;
+               digest = shard_digest ~config ~kind_fields ~corpus_digest;
+               corpus_digest;
+               family;
+               work = { Request.spec; cases };
+             }
+           in
+           match spec with
+           | Request.Fuzz _ -> [ shard 0 ~family:"fuzz" ~corpus_digest:"" [] ]
+           | Request.Campaign _ | Request.Inject _ ->
+             let by_family =
+               match spec with
+               | Request.Campaign { corpus = Request.Random _; _ } -> false
+               | _ -> true
+             in
+             Request.corpus_of spec
+             |> List.map Request.case_desc_of_testcase
+             |> chunk ~by_family ~cap:max_shard_cases
+             |> List.mapi (fun index cases ->
+                    shard index
+                      ~family:(family_of ~by_family cases)
+                      ~corpus_digest:(cases_digest cases) cases))
 
-let corpus_text work =
+let corpus_text (work : Request.work) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "# teesec shard corpus v1\n";
   Buffer.add_string buf "# id path offset width variant seed\n";
@@ -138,5 +117,5 @@ let corpus_text work =
       Printf.bprintf buf "%d %s %d %d %d 0x%Lx\n" cd.Request.cd_id
         cd.Request.cd_path cd.Request.cd_offset cd.Request.cd_width
         cd.Request.cd_variant cd.Request.cd_seed)
-    (Request.work_cases work);
+    work.Request.cases;
   Buffer.contents buf

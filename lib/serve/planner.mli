@@ -27,8 +27,10 @@ type shard = {
   work : Request.work;
 }
 
-(** [plan ?max_shard_cases spec] validates the request and splits it.
-    [Error] reports an unknown core or mitigation, or an empty corpus. *)
+(** [plan ?max_shard_cases spec] validates the request
+    ({!Request.validate}) and splits it.  [Error] is the validator's
+    message: a bad spec is rejected here, at submit time, before any
+    worker sees it. *)
 val plan :
   ?max_shard_cases:int -> Request.spec -> (shard list, string) result
 

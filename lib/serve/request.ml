@@ -61,32 +61,51 @@ let kind = function
 let mitigation_of_name name =
   List.find_opt
     (fun m -> Mitigation.to_string m = String.lowercase_ascii name)
-    Mitigation.all
+    (Mitigation.all @ Mitigation.extensions)
+
+(* The ranges the engines assert ([Engine.run], [Fault_plan.sample]),
+   checked up front so a bad value is a usage error on either transport
+   instead of an exception inside a worker.  Messages name the flag the
+   parameter comes from: both front ends take the same flags. *)
+let check_ranges = function
+  | Campaign { corpus = Random { count; _ }; _ } when count < 1 ->
+    Error (Printf.sprintf "--random must be >= 1, got %d" count)
+  | Inject { faults; _ } when faults < 0 ->
+    Error (Printf.sprintf "--faults must be >= 0, got %d" faults)
+  | Fuzz { options = { Engine.budget; _ }; _ } when budget < 0 ->
+    Error (Printf.sprintf "--budget must be >= 0, got %d" budget)
+  | Fuzz { options = { Engine.batch; _ }; _ } when batch < 1 ->
+    Error (Printf.sprintf "--batch must be >= 1, got %d" batch)
+  | Fuzz { options = { Engine.energy; _ }; _ } when energy < 0 || energy > 100 ->
+    Error (Printf.sprintf "--energy must be in 0..100, got %d" energy)
+  | Campaign _ | Inject _ | Fuzz _ -> Ok ()
 
 let resolve_config ~core ~mitigations =
   match Config.of_core_name (String.lowercase_ascii core) with
-  | None -> Error (Printf.sprintf "unknown core %S (use boom or xiangshan)" core)
+  | None ->
+    Error (Printf.sprintf "--core: unknown core %S (use boom or xiangshan)" core)
   | Some config -> (
     let resolved = List.map (fun n -> (n, mitigation_of_name n)) mitigations in
     match List.find_opt (fun (_, m) -> m = None) resolved with
-    | Some (n, _) -> Error (Printf.sprintf "unknown mitigation %S" n)
+    | Some (n, _) -> Error (Printf.sprintf "--mitigation: unknown mitigation %S" n)
     | None ->
       Ok
         (Config.with_mitigations config
            (List.filter_map (fun (_, m) -> m) resolved)))
 
-let config_of = function
-  | Campaign { core; mitigations; _ } -> resolve_config ~core ~mitigations
-  | Inject { core; _ } | Fuzz { core; _ } ->
-    resolve_config ~core ~mitigations:[]
+let validate spec =
+  Result.bind (check_ranges spec) (fun () ->
+      match spec with
+      | Campaign { core; mitigations; _ } -> resolve_config ~core ~mitigations
+      | Inject { core; _ } | Fuzz { core; _ } ->
+        resolve_config ~core ~mitigations:[])
 
 let corpus_of = function
-  | Campaign { corpus = Slice; _ } -> Mitigation_eval.slice ()
-  | Campaign { corpus = Full; _ } -> Fuzzer.corpus ()
+  | Campaign { corpus = Slice; _ } | Inject { full = false; _ } ->
+    Mitigation_eval.slice ()
+  | Campaign { corpus = Full; _ } | Inject { full = true; _ } -> Fuzzer.corpus ()
   | Campaign { corpus = Random { count; seed }; _ } ->
     Fuzzer.random_corpus ~seed ~count
-  | Inject { full; _ } ->
-    if full then Fuzzer.corpus () else Mitigation_eval.slice ()
   | Fuzz _ -> []
 
 let corpus_kind_string = function
@@ -218,47 +237,13 @@ let pp_spec fmt spec =
     (fun (k, v) -> if k <> "version" then Format.fprintf fmt "%s=%s " k v)
     (digest_fields spec)
 
-type work =
-  | W_campaign of { core : string; mitigations : string list; cases : case_desc list }
-  | W_inject of { core : string; faults : int; seed : Word.t; cases : case_desc list }
-  | W_fuzz of { core : string; options : Engine.options }
+type work = { spec : spec; cases : case_desc list }
 
-let work_cases = function
-  | W_campaign { cases; _ } | W_inject { cases; _ } -> cases
-  | W_fuzz _ -> []
-
-let encode_work b = function
-  | W_campaign { core; mitigations; cases } ->
-    Codec.u8 b 0;
-    Codec.str b core;
-    Codec.list b Codec.str mitigations;
-    Codec.list b encode_case_desc cases
-  | W_inject { core; faults; seed; cases } ->
-    Codec.u8 b 1;
-    Codec.str b core;
-    Codec.int b faults;
-    Codec.i64 b seed;
-    Codec.list b encode_case_desc cases
-  | W_fuzz { core; options } ->
-    Codec.u8 b 2;
-    Codec.str b core;
-    encode_options b options
+let encode_work b { spec; cases } =
+  encode_spec b spec;
+  Codec.list b encode_case_desc cases
 
 let decode_work d =
-  match Codec.u8' d with
-  | 0 ->
-    let core = Codec.str' d in
-    let mitigations = Codec.list' d Codec.str' in
-    let cases = Codec.list' d decode_case_desc in
-    W_campaign { core; mitigations; cases }
-  | 1 ->
-    let core = Codec.str' d in
-    let faults = Codec.int' d in
-    let seed = Codec.i64' d in
-    let cases = Codec.list' d decode_case_desc in
-    W_inject { core; faults; seed; cases }
-  | 2 ->
-    let core = Codec.str' d in
-    let options = decode_options d in
-    W_fuzz { core; options }
-  | t -> raise (Codec.Decode_error (Printf.sprintf "unknown work tag %d" t))
+  let spec = decode_spec d in
+  let cases = Codec.list' d decode_case_desc in
+  { spec; cases }

@@ -2,12 +2,14 @@ open! Import
 
 (** Campaign-service request vocabulary.
 
-    A {!spec} is what a client submits: one of the three one-shot
-    pipelines (campaign / inject / fuzz) with exactly the parameters the
-    CLI subcommand takes, cores and mitigations carried by name so the
-    wire format never embeds a machine configuration.  A {!work} item is
-    what a worker process executes: the kind-specific options plus the
-    explicit test-case slice of one shard. *)
+    A {!spec} is the one description of a campaign, inject or fuzz run,
+    whichever front end starts it: the one-shot subcommands and [submit]
+    build it from the same flags, and {!validate}, {!corpus_of} and
+    {!digest_fields} are the only places that interpret it.  Cores and
+    mitigations travel by name, so the wire format never embeds a
+    machine configuration.  A {!work} item is what a worker process
+    executes: the spec plus the explicit test-case slice of one
+    shard. *)
 
 type case_desc = {
   cd_id : int;  (** Global corpus id — preserved so report lines match. *)
@@ -44,13 +46,21 @@ type spec =
 (** "campaign", "inject" or "fuzz". *)
 val kind : spec -> string
 
-(** Resolve the core name (and, for campaigns, the mitigation names)
-    into a machine configuration.  [Error] names the unknown core or
-    mitigation. *)
-val config_of : spec -> (Config.t, string) result
+(** [validate spec] is the one gate a spec passes before anything runs
+    it, on either transport: every parameter is checked against the
+    range its engine asserts (random count >= 1, faults >= 0,
+    budget >= 0, batch >= 1, energy in 0..100), and the core and
+    mitigation names are resolved — mitigations over Table 4's six plus
+    the §8 extensions ({!Mitigation.extensions}), case-insensitively.  [Ok config] is the machine
+    configuration the spec runs on; [Error] names the offending flag.
+    The CLI's spec terms call it at parse time, {!Planner.plan} at
+    submit time. *)
+val validate : spec -> (Config.t, string) result
 
 (** The test-case corpus the request covers, in execution order.  Empty
-    for fuzz requests (the engine generates its own candidate stream). *)
+    for fuzz requests (the engine generates its own candidate stream).
+    Never empty for a campaign or inject spec that {!validate}
+    accepts. *)
 val corpus_of : spec -> Testcase.t list
 
 (** Canonical (field, value) pairs identifying the request — the input
@@ -62,22 +72,9 @@ val encode_spec : Codec.enc -> spec -> unit
 val decode_spec : Codec.dec -> spec
 val pp_spec : Format.formatter -> spec -> unit
 
-type work =
-  | W_campaign of {
-      core : string;
-      mitigations : string list;
-      cases : case_desc list;
-    }
-  | W_inject of {
-      core : string;
-      faults : int;
-      seed : Word.t;
-      cases : case_desc list;
-    }
-  | W_fuzz of { core : string; options : Engine.options }
-
-(** The work item's test-case slice ([] for fuzz). *)
-val work_cases : work -> case_desc list
+(** One shard's work: the request's spec and the slice of its corpus
+    the shard covers ([] for fuzz, which runs the whole spec). *)
+type work = { spec : spec; cases : case_desc list }
 
 val encode_work : Codec.enc -> work -> unit
 val decode_work : Codec.dec -> work

@@ -1,8 +1,3 @@
-let kind_of_work = function
-  | Request.W_campaign _ -> "campaign"
-  | Request.W_inject _ -> "inject"
-  | Request.W_fuzz _ -> "fuzz"
-
 (* The worker runs one always-active sink for its whole life: engines
    are bound to it at creation, so snapshot capture, campaign and fuzz
    spans all land in the same tracer.  This is safe for verdicts — the
@@ -36,7 +31,7 @@ let loop fd =
                 [
                   ("job", Obs.Tracer.String job);
                   ("digest", Obs.Tracer.String digest);
-                  ("kind", Obs.Tracer.String (kind_of_work work));
+                  ("kind", Obs.Tracer.String (Request.kind work.Request.spec));
                 ]
               (fun () -> Executor.execute ~engines ~wave work)
           with exn ->

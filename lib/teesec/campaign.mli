@@ -21,7 +21,7 @@ type result = {
   total_log_records : int;
   waves : (string * string) list;
       (** Per-case (name, encoded wave stream) pairs in corpus order;
-          empty unless the run was started with [~wave:true].  No
+          empty unless the run was tapped.  No
           rendered verdict artifact includes them — the CLI writes them
           to a separate [--wave] file. *)
   provenance : Provenance.t list;
@@ -96,9 +96,10 @@ val aggregate :
     through the snapshot engine instead of replaying it (see
     {!Snapshot}); the result stays byte-identical either way.
 
-    [wave] (default false) attaches a wave tap to every case's machine
-    and collects the per-case streams into [result.waves]; verdict
-    fields are unaffected. *)
+    [wave] (default false) attaches a wave tap to every replayed case's
+    machine and collects the per-case streams into [result.waves]; an
+    engine carries its own setting ({!Snapshot.wave}) and [wave] is then
+    ignored.  Verdict fields are unaffected. *)
 val run :
   ?progress:(int -> int -> string -> unit) ->
   ?jobs:int ->

@@ -26,8 +26,6 @@ let run ?snapshots ?prepare ?(wave = false) config (testcase : Testcase.t) =
     | Some engine ->
       if Snapshot.config_hash engine <> Config.hash config then
         invalid_arg "Runner.run: snapshot engine built for a different config";
-      if Snapshot.wave engine <> wave then
-        invalid_arg "Runner.run: snapshot engine wave setting differs";
       Snapshot.establish engine testcase
     | None ->
       let env = Env.create ~wave config testcase.Testcase.params in

@@ -44,11 +44,10 @@ type outcome = {
     at the fork point keeps faulted runs identical across the two prefix
     paths.
 
-    [wave] (default false) attaches a wave tap to the machine; the
-    encoded stream comes back in [outcome.wave].  When [snapshots] is
-    given the engine must have been created with the same [wave]
-    setting ([Invalid_argument] otherwise), since the tap lives on the
-    pooled machine. *)
+    [wave] (default false) attaches a wave tap to the replayed
+    machine; the encoded stream comes back in [outcome.wave].  With
+    [snapshots] the engine's own setting ({!Snapshot.wave}) decides and
+    [wave] is ignored, since the tap lives on the pooled machine. *)
 val run :
   ?snapshots:Snapshot.t ->
   ?prepare:(Env.t -> unit) ->

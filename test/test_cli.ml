@@ -76,6 +76,77 @@ let test_fuzz_rejects_bad_energy () =
   Alcotest.(check bool) "message explains the range" true
     (contains ~needle:"0" out)
 
+(* Every bad spec value is a usage error naming its flag, and the same
+   one on the one-shot subcommand and on submit — which therefore never
+   reaches a daemon with it. *)
+let test_bad_spec_values () =
+  List.iter
+    (fun (kind, args, flag) ->
+      List.iter
+        (fun argv ->
+          let code, out =
+            Cmds.eval_captured ~argv:(Array.of_list ("teesec_cli" :: argv))
+          in
+          let line = String.concat " " argv in
+          Alcotest.(check int) (line ^ " is a usage error") 124 code;
+          Alcotest.(check bool) (line ^ " names " ^ flag) true
+            (contains ~needle:flag out))
+        [ kind :: args; "submit" :: "--kind" :: kind :: args ])
+    [
+      ("fuzz", [ "--energy"; "150" ], "--energy");
+      ("fuzz", [ "--batch"; "0" ], "--batch");
+      ("fuzz", [ "--budget=-1" ], "--budget");
+      ("inject", [ "--faults=-1" ], "--faults");
+      ("campaign", [ "--random"; "0" ], "--random");
+    ]
+
+(* The long options a plain --help page lists: option lines are the ones
+   indented by exactly seven spaces. *)
+let options_of help =
+  String.split_on_char '\n' help
+  |> List.concat_map (fun line ->
+         if String.length line > 8 && String.sub line 0 8 = "       -" then
+           String.split_on_char ' ' line
+           |> List.concat_map (String.split_on_char ',')
+           |> List.filter_map (fun tok ->
+                  match String.split_on_char '=' tok with
+                  | name :: _ when String.length name > 2 && String.sub name 0 2 = "--" ->
+                    Some name
+                  | _ -> None)
+         else [])
+
+(* The flags only the one-shot subcommands take: execution knobs that
+   never change an artifact, and their own outputs. *)
+let one_shot_only =
+  [
+    "--jobs"; "--snapshot"; "--no-snapshot"; "--metrics"; "--quiet"; "--csv";
+    "--provenance"; "--json"; "--save-corpus"; "--corpus";
+  ]
+
+let test_submit_takes_every_spec_flag () =
+  let help name =
+    snd (Cmds.eval_captured ~argv:[| "teesec_cli"; name; "--help" |])
+  in
+  let submit = options_of (help "submit") in
+  List.iter
+    (fun flag ->
+      Alcotest.(check bool) ("submit --help lists " ^ flag) true
+        (List.mem flag submit))
+    [
+      "--mitigation"; "--full"; "--random"; "--fuzz-seed"; "--faults"; "--seed";
+      "--budget"; "--batch"; "--energy"; "--stop-on-full";
+    ];
+  List.iter
+    (fun name ->
+      List.iter
+        (fun flag ->
+          if not (List.mem flag one_shot_only) then
+            Alcotest.(check bool)
+              (Printf.sprintf "submit takes %s's %s" name flag)
+              true (List.mem flag submit))
+        (options_of (help name)))
+    [ "campaign"; "inject"; "fuzz" ]
+
 (* The `version` subcommand prints Serve.Protocol.version_string, and
    scripts parse it to pick a matching client — pin the format here. *)
 let test_version_string () =
@@ -101,6 +172,10 @@ let () =
           Alcotest.test_case "unknown subcommand" `Quick test_unknown_subcommand;
           Alcotest.test_case "fuzz validates --energy" `Quick
             test_fuzz_rejects_bad_energy;
+          Alcotest.test_case "bad spec values are usage errors" `Quick
+            test_bad_spec_values;
+          Alcotest.test_case "submit takes every spec flag" `Quick
+            test_submit_takes_every_spec_flag;
           Alcotest.test_case "version string format" `Quick
             test_version_string;
         ] );

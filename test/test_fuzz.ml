@@ -190,35 +190,22 @@ let test_corpus_io_errors () =
   | Ok _ -> Alcotest.fail "blank corpus should be empty"
   | Error e -> Alcotest.failf "blank lines rejected: %s" e
 
-(* {1 Engine determinism} *)
+(* {1 Engine determinism}
+
+   The jobs projection of the byte-identity harness (test/equiv.ml):
+   report, saved corpus and progress stream. *)
 
 let test_jobs_identical () =
-  let options =
-    { Engine.default with Engine.seed = 42L; budget = 64; energy = 80 }
-  in
-  let seq = Engine.run ~jobs:1 options Config.boom in
-  let par = Engine.run ~jobs:4 options Config.boom in
-  Alcotest.(check string) "jobs=1 == jobs=4, byte-identical JSON"
-    (Fuzz_report.to_json_string seq)
-    (Fuzz_report.to_json_string par);
-  Alcotest.(check string) "corpus files byte-identical"
-    (Corpus_io.to_string seq.Engine.corpus_cases)
-    (Corpus_io.to_string par.Engine.corpus_cases)
+  Equiv.row
+    ~variants:(Equiv.across ~jobs:[ 1; 4 ] ())
+    (Equiv.fuzz { Engine.default with Engine.seed = 42L; budget = 64; energy = 80 })
+    Config.boom ()
 
 let test_progress_stream_identical () =
-  let collect jobs =
-    let lines = ref [] in
-    let progress at budget line =
-      lines := Printf.sprintf "%d/%d %s" at budget line :: !lines
-    in
-    ignore
-      (Engine.run ~progress ~jobs
-         { Engine.default with Engine.seed = 7L; budget = 48 }
-         Config.xiangshan);
-    List.rev !lines
-  in
-  Alcotest.(check (list string)) "progress stream identical across jobs"
-    (collect 1) (collect 3)
+  Equiv.row
+    ~variants:(Equiv.across ~jobs:[ 1; 3 ] ())
+    (Equiv.fuzz { Engine.default with Engine.seed = 7L; budget = 48 })
+    Config.xiangshan ()
 
 (* The satellite differential: with the mutation energy forced to zero
    the engine performs no seeding and no mutation, so its executed

@@ -93,7 +93,10 @@ let test_plan_shape () =
         (List.sort compare starts) starts)
     (Fault_plan.sample ~seed:0x5EEDL ~count:50)
 
-(* {1 Campaign determinism across job counts} *)
+(* {1 Campaign determinism across job counts}
+
+   The jobs projection of the byte-identity harness (test/equiv.ml):
+   result, report, provenance and one progress line per faulted unit. *)
 
 let small_slice () =
   (* A handful of slice test cases keeps the jobs=1/jobs=4 comparison
@@ -101,34 +104,16 @@ let small_slice () =
   List.filteri (fun i _ -> i < 6) (Mitigation_eval.slice ())
 
 let test_campaign_jobs_identical () =
-  let testcases = small_slice () in
-  let run jobs =
-    Inject_campaign.run ~jobs ~seed:42L ~plans:6 Config.boom testcases
-  in
-  let seq = run 1 and par = run 4 in
-  Alcotest.(check bool) "identical results" true (seq = par);
-  Alcotest.(check string) "byte-identical JSON reports"
-    (Robustness_report.to_json_string seq)
-    (Robustness_report.to_json_string par)
+  Equiv.row
+    ~variants:(Equiv.across ~jobs:[ 1; 4 ] ())
+    (Equiv.inject ~seed:42L ~plans:6 (small_slice ()))
+    Config.boom ()
 
 let test_campaign_progress_stream () =
-  let testcases = small_slice () in
-  let lines_of jobs =
-    let lines = ref [] in
-    let progress i n line = lines := Printf.sprintf "[%d/%d] %s" i n line :: !lines in
-    let result =
-      Inject_campaign.run ~progress ~jobs ~seed:7L ~plans:3 Config.xiangshan
-        testcases
-    in
-    (result, List.rev !lines)
-  in
-  let seq, seq_lines = lines_of 1 in
-  let par, par_lines = lines_of 3 in
-  Alcotest.(check bool) "identical results" true (seq = par);
-  Alcotest.(check (list string)) "identical progress stream" seq_lines par_lines;
-  Alcotest.(check int) "one progress line per faulted unit"
-    (3 * List.length testcases)
-    (List.length seq_lines)
+  Equiv.row
+    ~variants:(Equiv.across ~jobs:[ 1; 3 ] ())
+    (Equiv.inject ~seed:7L ~plans:3 (small_slice ()))
+    Config.xiangshan ()
 
 (* {1 Clean baseline reproduces Table 3} *)
 

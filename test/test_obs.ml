@@ -11,10 +11,11 @@
      back to the printed value, and the report layouts are pinned by
      digest;
 
-   - the determinism boundary: campaign CSV, inject JSON and fuzz JSON
-     are byte-identical whether the sink is noop or active, at jobs 1
-     and jobs 4 — wall-clock readings must never reach a verdict
-     report. *)
+   - the determinism boundary: campaign, inject and fuzz artifacts are
+     byte-identical whether the sink is noop or active, at jobs 1 and
+     jobs 4, and fuzz --trace/--metrics write well-formed exports and
+     leave the JSON report byte-identical — wall-clock readings must
+     never reach a verdict report. *)
 
 open Teesec
 module Config = Uarch.Config
@@ -551,46 +552,27 @@ let test_pool_task_counters () =
 
 (* {1 The determinism boundary}
 
-   The tentpole guarantee: verdict artifacts are byte-identical across
-   {noop, active} x {jobs 1, jobs 4}.  Campaign results are compared
-   through the Table 3 CSV, inject and fuzz through their JSON
-   reports — exactly the artifacts the CLI writes. *)
+   Verdict artifacts are byte-identical across {noop, active} x {jobs 1,
+   jobs 4}: the sink x jobs projection of the byte-identity harness
+   (test/equiv.ml). *)
 
-let small_slice () = List.filteri (fun i _ -> i < 6) (Mitigation_eval.slice ())
-
-let all_equal label = function
-  | [] | [ _ ] -> ()
-  | reference :: rest ->
-    List.iteri
-      (fun i other -> Alcotest.(check string) (Printf.sprintf "%s (variant %d)" label (i + 1)) reference other)
-      rest
-
-let variants f =
-  List.concat_map
-    (fun jobs -> List.map (fun obs -> f ~jobs ~obs) [ Obs.noop; Obs.create () ])
-    [ 1; 4 ]
+let sink_and_jobs = Equiv.across ~jobs:[ 1; 4 ] ~active:[ false; true ] ()
 
 let test_campaign_determinism () =
-  let testcases = small_slice () in
-  variants (fun ~jobs ~obs ->
-      Tables.table3_csv [ Campaign.run ~jobs ~obs Config.boom testcases ])
-  |> all_equal "campaign CSV"
+  Equiv.row ~variants:sink_and_jobs
+    (Equiv.campaign (Equiv.slice_prefix 6))
+    Config.boom ()
 
 let test_inject_determinism () =
-  let testcases = small_slice () in
-  variants (fun ~jobs ~obs ->
-      Inject.Robustness_report.to_json_string
-        (Inject.Inject_campaign.run ~jobs ~obs ~seed:42L ~plans:3 Config.boom
-           testcases))
-  |> all_equal "inject JSON"
+  Equiv.row ~variants:sink_and_jobs
+    (Equiv.inject ~seed:42L ~plans:3 (Equiv.slice_prefix 6))
+    Config.boom ()
 
 let test_fuzz_determinism () =
-  let options =
-    { Fuzz.Engine.default with Fuzz.Engine.seed = 42L; budget = 48; batch = 16 }
-  in
-  variants (fun ~jobs ~obs ->
-      Fuzz.Fuzz_report.to_json_string (Fuzz.Engine.run ~jobs ~obs options Config.xiangshan))
-  |> all_equal "fuzz JSON"
+  Equiv.row ~variants:sink_and_jobs
+    (Equiv.fuzz
+       { Fuzz.Engine.default with Fuzz.Engine.seed = 42L; budget = 48; batch = 16 })
+    Config.xiangshan ()
 
 (* {1 Structured log} *)
 
@@ -1006,6 +988,13 @@ let test_report_layout_digests () =
    The ISSUE's acceptance criterion, end to end: `fuzz --trace --metrics`
    writes a loadable trace and a parseable metrics file while the JSON
    report stays byte-identical to a flagless run, at jobs 1 and 4. *)
+
+let all_equal label = function
+  | [] | [ _ ] -> ()
+  | reference :: rest ->
+    List.iteri
+      (fun i other -> Alcotest.(check string) (Printf.sprintf "%s (variant %d)" label (i + 1)) reference other)
+      rest
 
 let read_file path =
   let ic = open_in_bin path in

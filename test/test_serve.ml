@@ -12,9 +12,15 @@
      qcheck property) — and shard digests are independent of shard
      position;
 
-   - the determinism contract, locally: executing every planned shard
-     in-process and assembling the payloads reproduces the one-shot
-     artifact byte for byte, for all three request kinds;
+   - validation: every bad spec the CLI rejects as a usage error is
+     rejected by the planner too, so a daemon answers it with an error
+     and never hands it to a worker;
+
+   - the shard payloads: real campaign outcomes and inject evaluations
+     survive the codec (waves aside) and assemble to the one-shot
+     artifact's bytes over random contiguous splits.  The whole
+     in-process path, plan to assemble, is the transport column of
+     test/test_equiv.ml;
 
    - the daemon, end to end: a forked daemon with real worker processes
      serves artifacts identical to the one-shot path, a daemon restart
@@ -414,7 +420,7 @@ let test_planner_partitions =
       | Ok shards ->
         let recovered =
           List.concat_map
-            (fun (s : Planner.shard) -> Request.work_cases s.Planner.work)
+            (fun (s : Planner.shard) -> s.Planner.work.Request.cases)
             shards
         in
         let expected = List.map Request.case_desc_of_testcase corpus in
@@ -434,7 +440,7 @@ let test_planner_respects_cap =
       | Ok shards ->
         List.for_all
           (fun (s : Planner.shard) ->
-            List.length (Request.work_cases s.Planner.work) <= 10)
+            List.length (s.Planner.work.Request.cases) <= 10)
           shards)
 
 let test_planner_family_boundaries () =
@@ -447,7 +453,7 @@ let test_planner_family_boundaries () =
   | Ok shards ->
     List.iter
       (fun (s : Planner.shard) ->
-        let cases = Request.work_cases s.Planner.work in
+        let cases = s.Planner.work.Request.cases in
         List.iter
           (fun (cd : Request.case_desc) ->
             Alcotest.(check string)
@@ -506,71 +512,106 @@ let test_planner_rejects_unknown () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown mitigation accepted"
 
-(* {1 Local differential: plan + execute + assemble = one-shot} *)
+(* {1 Validation} *)
 
-let assemble_locally spec =
-  match Planner.plan spec with
-  | Error e -> Alcotest.fail e
-  | Ok shards ->
-    let engines = Serve.Executor.create_engines () in
-    let payloads =
-      List.map
-        (fun (s : Planner.shard) ->
-          fst (Serve.Executor.execute ~engines ~wave:false s.Planner.work))
-        shards
-    in
-    (match Serve.Artifact.assemble spec payloads with
-    | Ok artifact -> artifact
-    | Error e -> Alcotest.fail e)
+(* The out-of-range specs the engines would otherwise assert on inside a
+   worker, each with the flag its message must name. *)
+let bad_specs =
+  let fuzz tweak =
+    Request.Fuzz { core = "boom"; options = tweak Fuzz.Engine.default }
+  in
+  [
+    ("--energy", fuzz (fun o -> { o with Fuzz.Engine.energy = 150 }));
+    ("--batch", fuzz (fun o -> { o with Fuzz.Engine.batch = 0 }));
+    ("--budget", fuzz (fun o -> { o with Fuzz.Engine.budget = -1 }));
+    ( "--faults",
+      Request.Inject { core = "boom"; faults = -1; seed = 1L; full = false } );
+    ( "--random",
+      Request.Campaign
+        {
+          core = "boom";
+          mitigations = [];
+          corpus = Request.Random { count = 0; seed = 1L };
+        } );
+  ]
 
-let test_local_campaign_matches_oneshot () =
-  let config = Config.boom in
-  let result =
-    Teesec.Campaign.run ~jobs:1 config (Teesec.Mitigation_eval.slice ())
-  in
-  let expected = Teesec.Tables.table3_csv [ result ] in
-  let got =
-    assemble_locally
-      (Request.Campaign
-         { core = "boom"; mitigations = []; corpus = Request.Slice })
-  in
-  Alcotest.(check string) "campaign CSV byte-identical" expected got
+let test_planner_rejects_bad_ranges () =
+  List.iter
+    (fun (flag, spec) ->
+      match Planner.plan spec with
+      | Ok _ -> Alcotest.failf "%s out of range accepted" flag
+      | Error e ->
+        Alcotest.(check bool) (e ^ " names " ^ flag) true (contains e flag))
+    bad_specs
 
-let test_local_random_campaign_matches_oneshot () =
-  let config = Config.xiangshan in
-  let corpus = Teesec.Fuzzer.random_corpus ~seed:0x77L ~count:30 in
-  let result = Teesec.Campaign.run ~jobs:1 config corpus in
-  let expected = Teesec.Tables.table3_csv [ result ] in
-  let got =
-    assemble_locally
-      (Request.Campaign
-         {
-           core = "xiangshan";
-           mitigations = [];
-           corpus = Request.Random { count = 30; seed = 0x77L };
-         })
-  in
-  Alcotest.(check string) "random campaign CSV byte-identical" expected got
+(* {1 Shard payloads} *)
 
-let test_local_inject_matches_oneshot () =
-  let config = Config.boom in
-  let result =
-    Inject.Inject_campaign.run ~jobs:1 ~seed:0x5EEDL ~plans:3 config
-      (Teesec.Mitigation_eval.slice ())
-  in
-  let expected = Inject.Robustness_report.to_json_string result in
-  let got =
-    assemble_locally
-      (Request.Inject { core = "boom"; faults = 3; seed = 0x5EEDL; full = false })
-  in
-  Alcotest.(check string) "inject JSON byte-identical" expected got
+(* Per core: the spec whose artifact the payloads assemble into, the
+   real per-case results, and the one-shot artifact.  Taps are on, so
+   the codec's wave stripping is exercised. *)
+let payload_fixtures =
+  lazy
+    (let cases = List.filteri (fun i _ -> i < 6) (Teesec.Mitigation_eval.slice ()) in
+     List.map
+       (fun (core, config) ->
+         let tapped () = Teesec.Snapshot.create ~wave:true config in
+         let plan_list = Inject.Fault_plan.sample ~seed:0x5EEDL ~count:3 in
+         let campaign =
+           List.map (Teesec.Campaign.eval_case ~snapshots:(tapped ()) config) cases
+         in
+         let evals =
+           List.map
+             (Inject.Inject_campaign.eval_case ~snapshots:(tapped ()) config plan_list)
+             cases
+         in
+         ( ( Request.Campaign { core; mitigations = []; corpus = Request.Slice },
+             campaign,
+             Teesec.Tables.table3_csv [ Teesec.Campaign.run config cases ] ),
+           ( Request.Inject { core; faults = 3; seed = 0x5EEDL; full = false },
+             evals,
+             Inject.Robustness_report.to_json_string
+               (Inject.Inject_campaign.run ~seed:0x5EEDL ~plans:3 config cases) ) ))
+       [ ("boom", Config.boom); ("xiangshan", Config.xiangshan) ])
 
-let test_local_fuzz_matches_oneshot () =
-  let options = { Fuzz.Engine.default with Fuzz.Engine.budget = 60 } in
-  let report = Fuzz.Engine.run ~jobs:1 options Config.boom in
-  let expected = Fuzz.Fuzz_report.to_json_string report in
-  let got = assemble_locally (Request.Fuzz { core = "boom"; options }) in
-  Alcotest.(check string) "fuzz JSON byte-identical" expected got
+(* [items] cut into contiguous chunks at the positions in [cuts]. *)
+let split cuts items =
+  let cuts = List.sort_uniq compare cuts in
+  let chunk i = List.length (List.filter (fun c -> c <= i) cuts) in
+  List.init (List.length cuts + 1) (fun k ->
+      List.filteri (fun i _ -> chunk i = k) items)
+
+let payloads_roundtrip =
+  QCheck.Test.make ~count:30
+    ~name:"shard payloads round-trip and assemble to the one-shot bytes"
+    QCheck.(
+      triple bool bool (list_of_size (Gen.int_bound 5) (int_bound 6)))
+    (fun (xiangshan, inject, cuts) ->
+      let campaign, injection =
+        List.nth (Lazy.force payload_fixtures) (if xiangshan then 1 else 0)
+      in
+      let check spec items ~encode ~decode ~strip expected =
+        let chunks = split cuts items in
+        List.for_all (fun chunk -> decode (encode chunk) = List.map strip chunk) chunks
+        && Serve.Artifact.assemble spec (List.map encode chunks) = Ok expected
+      in
+      if inject then
+        let spec, evals, expected = injection in
+        check spec evals expected
+          ~encode:Serve.Executor.encode_inject_evals
+          ~decode:Serve.Executor.decode_inject_evals
+          ~strip:(fun (e : Inject.Inject_campaign.case_eval) ->
+            {
+              e with
+              Inject.Inject_campaign.ce_base =
+                { e.Inject.Inject_campaign.ce_base with Inject.Inject_campaign.b_wave = "" };
+            })
+      else
+        let spec, outcomes, expected = campaign in
+        check spec outcomes expected
+          ~encode:Serve.Executor.encode_campaign_outcomes
+          ~decode:Serve.Executor.decode_campaign_outcomes
+          ~strip:(fun (co : Teesec.Campaign.case_outcome) ->
+            { co with Teesec.Campaign.co_wave = "" }))
 
 (* {1 The daemon, end to end} *)
 
@@ -802,6 +843,77 @@ let test_daemon_poisons_doomed_shards () =
             | Error reason ->
               Alcotest.(check bool) "failure names poisoning" true
                 (contains reason "poisoned"))))
+
+(* A bad spec is answered at submit time: the planner rejects it, so no
+   worker is ever handed one (and none crashes on it). *)
+let test_daemon_rejects_bad_specs () =
+  with_temp_dir "serve_bad" (fun dir ->
+      let cfg = { (daemon_config dir) with Daemon.workers = 1 } in
+      with_daemon cfg (fun client ->
+          List.iter
+            (fun (flag, spec) ->
+              match Client.submit client spec with
+              | Ok _ -> Alcotest.failf "daemon accepted %s out of range" flag
+              | Error e ->
+                Alcotest.(check bool) (e ^ " names " ^ flag) true (contains e flag))
+            bad_specs;
+          match Client.status client with
+          | Error e -> Alcotest.fail e
+          | Ok st ->
+            Alcotest.(check int) "no worker restarted" 0
+              st.Protocol.st_worker_restarts;
+            Alcotest.(check int) "no shard executed" 0
+              st.Protocol.st_shards_executed))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let found_cases csv =
+  String.split_on_char '\n' csv
+  |> List.filter_map (fun line ->
+         match String.split_on_char ',' line with
+         | [ case; _; "true"; _ ] -> Some case
+         | _ -> None)
+
+(* The paper's §8 tagging countermeasure resolves through the one
+   mitigation table on both transports: on the BOOM slice it removes
+   exactly the cases the mitigations table credits it with, M1 and M2,
+   and the service serves the one-shot CSV byte for byte. *)
+let test_tag_bpu_hpc_both_transports () =
+  with_temp_dir "serve_tag" (fun dir ->
+      let cfg = daemon_config dir in
+      let eval argv =
+        let code, err = Cli.Teesec_cmds.eval_captured ~argv in
+        Alcotest.(check int)
+          (Printf.sprintf "%s exits 0 (%s)" argv.(1) err)
+          0 code
+      in
+      let oneshot = Filename.concat dir "oneshot.csv" in
+      let served = Filename.concat dir "served.csv" in
+      eval
+        [| "teesec"; "campaign"; "-m"; "tag-bpu-hpc"; "--quiet"; "--csv"; oneshot |];
+      with_daemon cfg (fun _ ->
+          eval
+            [|
+              "teesec"; "submit"; "--socket"; cfg.Daemon.socket_path; "-m";
+              "tag-bpu-hpc"; "--wait"; "--out"; served;
+            |]);
+      let csv = read_file oneshot in
+      Alcotest.(check string) "submit artifact = one-shot CSV" csv
+        (read_file served);
+      let clean = found_cases (expected_slice_csv ()) in
+      let lost = List.filter (fun c -> not (List.mem c (found_cases csv))) clean in
+      Alcotest.(check (list string)) "loses exactly M1 and M2" [ "M1"; "M2" ] lost;
+      let row = Teesec.Mitigation_eval.evaluate Config.boom in
+      Alcotest.(check (list string)) "as the mitigations table's row shows" lost
+        (List.filter_map
+           (fun case ->
+             match
+               Teesec.Mitigation_eval.effective row ~case
+                 ~mitigation:Uarch.Mitigation.Tag_bpu_hpc
+             with
+             | Some true -> Some (Teesec.Case.to_string case)
+             | Some false | None -> None)
+           Teesec.Case.all))
 
 (* {1 Merged traces} *)
 
@@ -1041,15 +1153,10 @@ let () =
             test_planner_digest_excludes_position;
           quick "unknown cores and mitigations rejected"
             test_planner_rejects_unknown;
+          quick "out-of-range parameters rejected, naming the flag"
+            test_planner_rejects_bad_ranges;
         ] );
-      ( "differential",
-        [
-          quick "campaign slice = one-shot CSV" test_local_campaign_matches_oneshot;
-          quick "random campaign = one-shot CSV"
-            test_local_random_campaign_matches_oneshot;
-          quick "inject = one-shot JSON" test_local_inject_matches_oneshot;
-          quick "fuzz = one-shot JSON" test_local_fuzz_matches_oneshot;
-        ] );
+      ("differential", [ qcheck payloads_roundtrip ]);
       ( "daemon",
         [
           quick "end to end, cold then warm store" test_daemon_end_to_end;
@@ -1058,6 +1165,10 @@ let () =
             test_daemon_wave_artifact;
           quick "worker crash recovery" test_daemon_worker_crash_recovery;
           quick "doomed shards poison the job" test_daemon_poisons_doomed_shards;
+          quick "bad specs rejected at submit, no worker restarted"
+            test_daemon_rejects_bad_specs;
+          quick "campaign -m tag-bpu-hpc: one-shot CSV = submit artifact"
+            test_tag_bpu_hpc_both_transports;
           quick "protocol mismatch rejected at handshake"
             test_daemon_rejects_protocol_mismatch;
         ] );

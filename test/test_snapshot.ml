@@ -9,9 +9,11 @@
      restoring brings the original back bit-for-bit, and restoring into
      a structure of another geometry is rejected;
 
-   - the engine end to end: campaign CSV, inject JSON and fuzz JSON are
-     byte-identical whether the setup prefix is replayed or restored
-     from snapshots, on both cores and at jobs 1 and 4 — the replay
+   - the engine end to end: cuts hit across cases, foreign configs are
+     refused, campaign CSV, inject JSON and fuzz JSON are byte-identical
+     whether the setup prefix is replayed or restored from snapshots, on
+     both cores and at jobs 1 and 4, and the inject report is
+     snapshot-invariant for arbitrary seeds and plan counts — the replay
      path is the oracle the snapshot path is diffed against. *)
 
 open Teesec
@@ -282,53 +284,22 @@ let test_dropped_engines_are_freed () =
 
 (* {1 The differential suite: snapshot == replay}
 
-   The engine's whole value rests on byte-identical artifacts.  Each
-   artifact is rendered exactly as the CLI writes it and compared across
-   {replay, snapshot} x {jobs 1, 4} on both cores. *)
+   The engine's whole value rests on byte-identical artifacts: the
+   {replay, snapshot} x {jobs 1, 4} projection of the byte-identity
+   harness (test/equiv.ml), on both cores. *)
 
-let small_slice () = List.filteri (fun i _ -> i < 6) (Mitigation_eval.slice ())
+let replay_and_snapshot =
+  Equiv.across ~jobs:[ 1; 4 ] ~snapshot:[ false; true ] ()
 
-let all_equal label = function
-  | [] | [ _ ] -> ()
-  | reference :: rest ->
-    List.iteri
-      (fun i other ->
-        Alcotest.(check string)
-          (Printf.sprintf "%s (variant %d)" label (i + 1))
-          reference other)
-      rest
+let differential pipeline config () =
+  Equiv.row ~variants:replay_and_snapshot (pipeline ()) config ()
 
-let variants config f =
-  List.concat_map
-    (fun jobs ->
-      List.map
-        (fun snapshot ->
-          let snapshots = if snapshot then Some (Snapshot.create config) else None in
-          f ~jobs ?snapshots ())
-        [ false; true ])
-    [ 1; 4 ]
+let campaign () = Equiv.campaign (Equiv.slice_prefix 6)
+let inject () = Equiv.inject ~seed:42L ~plans:3 (Equiv.slice_prefix 6)
 
-let campaign_differential config () =
-  let testcases = small_slice () in
-  variants config (fun ~jobs ?snapshots () ->
-      Tables.table3_csv [ Campaign.run ~jobs ?snapshots config testcases ])
-  |> all_equal "campaign CSV"
-
-let inject_differential config () =
-  let testcases = small_slice () in
-  variants config (fun ~jobs ?snapshots () ->
-      Inject.Robustness_report.to_json_string
-        (Inject.Inject_campaign.run ~jobs ?snapshots ~seed:42L ~plans:3 config
-           testcases))
-  |> all_equal "inject JSON"
-
-let fuzz_differential config () =
-  let options =
+let fuzz () =
+  Equiv.fuzz
     { Fuzz.Engine.default with Fuzz.Engine.seed = 42L; budget = 48; batch = 16 }
-  in
-  variants config (fun ~jobs ?snapshots () ->
-      Fuzz.Fuzz_report.to_json_string (Fuzz.Engine.run ~jobs ?snapshots options config))
-  |> all_equal "fuzz JSON"
 
 (* qcheck: the inject report is snapshot-invariant for arbitrary seeds
    and plan counts — fault plans interact with the fork point (arming
@@ -397,17 +368,17 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "campaign CSV snapshot == replay (BOOM)" `Slow
-            (campaign_differential Config.boom);
+            (differential campaign Config.boom);
           Alcotest.test_case "campaign CSV snapshot == replay (XiangShan)" `Slow
-            (campaign_differential Config.xiangshan);
+            (differential campaign Config.xiangshan);
           Alcotest.test_case "inject JSON snapshot == replay (BOOM)" `Slow
-            (inject_differential Config.boom);
+            (differential inject Config.boom);
           Alcotest.test_case "inject JSON snapshot == replay (XiangShan)" `Slow
-            (inject_differential Config.xiangshan);
+            (differential inject Config.xiangshan);
           Alcotest.test_case "fuzz JSON snapshot == replay (BOOM)" `Slow
-            (fuzz_differential Config.boom);
+            (differential fuzz Config.boom);
           Alcotest.test_case "fuzz JSON snapshot == replay (XiangShan)" `Slow
-            (fuzz_differential Config.xiangshan);
+            (differential fuzz Config.xiangshan);
           QCheck_alcotest.to_alcotest inject_snapshot_invariant;
         ] );
     ]

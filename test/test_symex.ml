@@ -5,11 +5,12 @@
    meet and the ALU transfer function never lose members), the
    expression simplifier preserves the machine's own semantics, every
    solver witness concretely replays to the path that produced it
-   through the shared lib/riscv semantics, path enumeration and the
-   whole report are deterministic across runs and job counts, and a
-   fuzzing campaign seeded from the synthesised corpus reaches full
-   Table 3 in no more cases than the guided baseline at equal seed and
-   budget. *)
+   through the shared lib/riscv semantics, path enumeration is
+   deterministic across runs, and a fuzzing campaign seeded from the
+   synthesised corpus reaches full Table 3 in no more cases than the
+   guided baseline at equal seed and budget.  That the whole report is
+   byte-identical across job counts and sinks is checked in
+   test/test_equiv.ml. *)
 
 open Riscv
 module Domain = Symex.Domain
@@ -209,16 +210,6 @@ let test_enumeration_deterministic () =
         Sbi.all)
     Sbi_paths.scenarios
 
-let test_report_identical_across_jobs_and_obs () =
-  let json ~jobs ~obs =
-    Symex_report.to_json_string (Explore.run ~jobs ~obs Config.boom)
-  in
-  let reference = json ~jobs:1 ~obs:Obs.noop in
-  Alcotest.(check string) "jobs=4 byte-identical" reference
-    (json ~jobs:4 ~obs:Obs.noop);
-  Alcotest.(check string) "active sink byte-identical" reference
-    (json ~jobs:2 ~obs:(Obs.create ()))
-
 (* {1 The full exploration: acceptance-criteria level checks} *)
 
 let full_report = lazy (Explore.run Config.boom)
@@ -326,8 +317,6 @@ let () =
         ] );
       ( "explore",
         [
-          Alcotest.test_case "byte-identical across jobs and obs" `Slow
-            test_report_identical_across_jobs_and_obs;
           Alcotest.test_case "every call witnessed" `Slow
             test_every_call_witnessed;
           Alcotest.test_case "witnesses validate both ways" `Slow

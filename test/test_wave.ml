@@ -2,7 +2,8 @@
    exporter — plus the cross-layer invariants the tap is sold on:
    verdicts and provenance byte-identical with taps on or off, across
    job counts, and across the snapshot engine (whose restore path must
-   splice stream prefixes rather than replay them). *)
+   splice stream prefixes rather than replay them, and which alone
+   decides whether a run is tapped). *)
 
 module Event = Wave.Event
 module Query = Wave.Query
@@ -254,48 +255,36 @@ let test_runner_snapshot_wave_splice () =
     (List.for_all (fun s -> s <> "") fresh)
 
 (* Verdicts and provenance must not move when the tap, the job count or
-   the snapshot engine changes: 8-way differential on a slice prefix. *)
+   the snapshot engine changes: the wave x jobs x snapshot projection of
+   the byte-identity harness (test/equiv.ml) on a 12-case slice prefix. *)
 let test_campaign_differential () =
+  Equiv.row
+    ~variants:
+      (Equiv.across ~jobs:[ 1; 4 ] ~snapshot:[ false; true ]
+         ~taps:[ false; true ] ())
+    (Equiv.campaign (slice_prefix 12))
+    Config.boom ()
+
+(* The snapshot engine alone decides whether a run is tapped: created
+   with taps on it yields the streams a tapped replay does without being
+   told [~wave], and created with taps off it yields none even when
+   asked. *)
+let test_engine_decides_wave () =
   let config = Config.boom in
-  let cases = slice_prefix 12 in
-  let run ~wave ~jobs ~snapshot =
-    let snapshots =
-      if snapshot then Some (Teesec.Snapshot.create ~wave config) else None
-    in
-    let r = Teesec.Campaign.run ~jobs ?snapshots ~wave config cases in
-    ( Teesec.Tables.table3_csv [ r ],
-      Provenance.list_to_json r.Teesec.Campaign.provenance,
-      r.Teesec.Campaign.waves )
+  let cases = slice_prefix 6 in
+  let waves ?snapshots ?wave () =
+    (Teesec.Campaign.run ?snapshots ?wave config cases).Teesec.Campaign.waves
   in
-  let base_csv, base_prov, _ = run ~wave:false ~jobs:1 ~snapshot:false in
-  Alcotest.(check bool) "baseline finds provenance" true
-    (base_prov <> "[]");
-  let base_waves = ref None in
-  List.iter
-    (fun (wave, jobs, snapshot) ->
-      let csv, prov, waves = run ~wave ~jobs ~snapshot in
-      let label =
-        Printf.sprintf "wave=%b jobs=%d snapshot=%b" wave jobs snapshot
-      in
-      Alcotest.(check string) (label ^ ": verdicts identical") base_csv csv;
-      Alcotest.(check string) (label ^ ": provenance identical") base_prov prov;
-      if wave then begin
-        (* Wave streams themselves are identical across jobs/snapshot. *)
-        match !base_waves with
-        | None ->
-          Alcotest.(check int) (label ^ ": one stream per case")
-            (List.length cases) (List.length waves);
-          base_waves := Some waves
-        | Some w ->
-          Alcotest.(check bool) (label ^ ": streams identical") true (w = waves)
-      end
-      else
-        Alcotest.(check bool) (label ^ ": no streams without the tap") true
-          (waves = []))
-    [
-      (false, 4, false); (false, 1, true); (false, 4, true);
-      (true, 1, false); (true, 4, false); (true, 1, true); (true, 4, true);
-    ]
+  let engine wave = Teesec.Snapshot.create ~wave config in
+  let replayed = waves ~wave:true () in
+  Alcotest.(check int) "one stream per case" (List.length cases)
+    (List.length replayed);
+  Alcotest.(check bool) "tapped engine, no ~wave: the replayed streams" true
+    (waves ~snapshots:(engine true) () = replayed);
+  Alcotest.(check bool) "tapped engine, ~wave:true: the same streams" true
+    (waves ~snapshots:(engine true) ~wave:true () = replayed);
+  Alcotest.(check bool) "untapped engine ignores ~wave:true" true
+    (waves ~snapshots:(engine false) ~wave:true () = [])
 
 (* Table 3 findings must come with non-empty causal chains on both
    cores, and the records must survive their JSON round trip and replay
@@ -421,5 +410,7 @@ let () =
             test_provenance_list_json;
           Alcotest.test_case "campaign waves render to valid VCD" `Quick
             test_campaign_wave_vcd;
+          Alcotest.test_case "the engine decides whether a run is tapped"
+            `Quick test_engine_decides_wave;
         ] );
     ]
