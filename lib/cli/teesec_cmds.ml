@@ -663,10 +663,6 @@ let corpus_min_cmd =
 (* symex: symbolic exploration of the SBI surface. *)
 let symex_cmd =
   let run config max_paths emit_corpus json quiet jobs trace metrics =
-    if max_paths <= 0 then begin
-      Format.printf "--max-paths must be positive, got %d@." max_paths;
-      exit 1
-    end;
     let report =
       with_obs ~trace ~metrics (fun obs ->
           Symex.Explore.run ~jobs ~max_paths ~obs config)
@@ -686,10 +682,18 @@ let symex_cmd =
     | None -> ()
   in
   let max_paths =
-    Arg.(value & opt int Symex.Explore.default_max_paths
-         & info [ "max-paths" ] ~docv:"N"
-             ~doc:"Path budget per (scenario, call) model program; the DFS \
-                   stops and the report is marked truncated once reached.")
+    let parse n =
+      if n < 1 then `Error (false, Printf.sprintf "--max-paths must be >= 1, got %d" n)
+      else `Ok n
+    in
+    Term.(
+      ret
+        (const parse
+        $ Arg.(
+            value & opt int Symex.Explore.default_max_paths
+            & info [ "max-paths" ] ~docv:"N"
+                ~doc:"Path budget per (scenario, call) model program; the DFS \
+                      stops and the report is marked truncated once reached.")))
   in
   let emit_corpus =
     Arg.(value & opt (some string) None & info [ "emit-corpus" ] ~docv:"FILE"

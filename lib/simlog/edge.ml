@@ -74,13 +74,20 @@ let of_index i =
     to_class = List.nth all_ctx_classes to_c;
   }
 
-let of_log log =
-  let counts = Array.make count 0 in
-  let order = ref [] in
-  (* The transition state starts as a self-loop on the first record's
-     context (a log with no mode switch yet has performed none). *)
-  let from_class = ref None in
-  Log.iter log (fun c ->
+(* The walk's state after a prefix of a log.  [counts] is never written
+   once the walk is returned, so a base walk can be continued any number
+   of times. *)
+type walk = { counts : int array; order : int list; from_class : ctx_class option }
+
+(* The transition state starts as a self-loop on the writing context (a
+   log with no mode switch yet has performed none). *)
+let start = { counts = Array.make count 0; order = []; from_class = None }
+
+(* The one classifier: continues [w] over the records [iter] visits. *)
+let advance w iter =
+  let counts = Array.copy w.counts in
+  let order = ref w.order and from_class = ref w.from_class in
+  iter (fun c ->
       match Log.Cursor.kind c with
       | Log.Mode_switch_kind -> from_class := Some (ctx_class (Log.Cursor.from_ctx c))
       | Log.Write_kind ->
@@ -95,4 +102,9 @@ let of_log log =
         if counts.(i) = 0 then order := i :: !order;
         counts.(i) <- counts.(i) + 1
       | Log.Snapshot_kind | Log.Commit_kind | Log.Exception_kind | Log.Fault_kind -> ());
-  List.rev_map (fun i -> (of_index i, counts.(i))) !order
+  { counts; order = !order; from_class = !from_class }
+
+let walk log = advance start (Log.iter log)
+let continue w log ~since = advance w (Log.iter_since log since)
+let edges w = List.rev_map (fun i -> (of_index i, w.counts.(i))) w.order
+let of_log log = edges (walk log)

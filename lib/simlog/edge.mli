@@ -50,5 +50,29 @@ val of_index : int -> t
 (** [of_log log] walks the log once and returns every edge exercised by
     a [Write] event together with its hit count, in first-observed
     order.  [Snapshot]/[Commit]/... records contribute no edges; they
-    only advance the privilege-transition state via [Mode_switch]. *)
+    only advance the privilege-transition state via [Mode_switch].  It
+    is [edges (walk log)]. *)
 val of_log : Log.t -> (t * int) list
+
+(** {1 Walks}
+
+    The state of {!of_log}'s walk after a prefix of a log: the hit count
+    per index, the first-seen order and the class of the last mode
+    switch's source.  A log that extends a marked prefix is classified
+    by continuing the prefix's walk over only the records appended
+    since the mark, with the same result as walking the whole log. *)
+
+type walk
+
+(** [walk log] is the walk over every record of [log]. *)
+val walk : Log.t -> walk
+
+(** [continue w log ~since] continues [w], the walk of [log] up to the
+    mark [since], over the records appended after it
+    ({!Log.iter_since}).  [w] itself is unchanged, so one walk can be
+    continued over many logs that extend the same mark. *)
+val continue : walk -> Log.t -> since:Log.mark -> walk
+
+(** The edges a walk has seen and their hit counts, in first-observed
+    order. *)
+val edges : walk -> (t * int) list

@@ -601,6 +601,25 @@ let iter t f =
   walk t.base.m_buf (Bytes.length t.base.m_buf);
   walk t.buf t.len
 
+(* The prefix [m] holds is the first [m.m_count] records of [t]'s own
+   prefix, so the walk starts [Bytes.length m.m_buf] bytes into it. *)
+let iter_since t m f =
+  let from = Bytes.length m.m_buf in
+  if m.m_count > t.base.m_count || from > Bytes.length t.base.m_buf then
+    invalid_arg "Log.iter_since: the log does not extend the mark";
+  let c = { Cursor.log = t; seg = t.base.m_buf; at = 0; index = m.m_count } in
+  let walk seg at len =
+    c.Cursor.seg <- seg;
+    c.Cursor.at <- at;
+    while c.Cursor.at < len do
+      f c;
+      c.Cursor.at <- c.Cursor.at + Cursor.size c;
+      c.Cursor.index <- c.Cursor.index + 1
+    done
+  in
+  walk t.base.m_buf from (Bytes.length t.base.m_buf);
+  walk t.buf 0 t.len
+
 let to_list t =
   let acc = ref [] in
   iter t (fun c -> acc := Cursor.record c :: !acc);

@@ -212,6 +212,13 @@ end
     must not append to [t]. *)
 val iter : t -> (Cursor.t -> unit) -> unit
 
+(** [iter_since t m f] is {!iter} over only the records appended after
+    mark [m]; cursor indices continue from [m]'s length.  [m] must be
+    a mark of [t] that [t] still extends — taken by {!mark} or restored
+    by {!reset_to}, with no reset to another mark since.  Raises
+    [Invalid_argument] when [t] is shorter than [m]. *)
+val iter_since : t -> mark -> (Cursor.t -> unit) -> unit
+
 (** Records in chronological order — for printers, the reference checker
     and tests; readers on the simulation paths use {!iter}. *)
 val to_list : t -> record list

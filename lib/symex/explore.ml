@@ -91,28 +91,24 @@ let replay_program (model : Sbi_paths.model) (leaf : Sbi_paths.leaf) args =
      | Some r -> Int64.equal a0 r
      | None -> true)
 
-(* Monitor-level replay: issue the real ECALL under the established
-   scenario and compare the monitor's a0 with the leaf's prediction. *)
-let replay_monitor config scenario (leaf : Sbi_paths.leaf) args =
-  let sm = Sbi_paths.establish config scenario in
-  let machine = Security_monitor.machine sm in
-  let _stop = Security_monitor.run_host sm (Sbi_paths.ecall_program args) in
-  let a0 = Machine.get_reg machine Instr.a0 in
-  let ok =
-    match leaf.Sbi_paths.outcome with
-    | Sbi_paths.Accepted -> (
-      match leaf.Sbi_paths.result with
-      | Some r -> Int64.equal a0 r
-      | None -> not (Int64.equal a0 Sbi.error_code))
-    | Sbi_paths.Rejected_wrong_code | Sbi_paths.Rejected_invalid_id
-    | Sbi_paths.Rejected_state _ | Sbi_paths.Rejected_slots
-    | Sbi_paths.Rejected_context ->
-      Int64.equal a0 Sbi.error_code
-  in
-  let edges =
-    List.map (fun (e, c) -> (Edge.index e, c)) (Edge.of_log (Machine.log machine))
-  in
-  (ok, edges)
+(* Monitor-level replay: issue the real ECALL on the scenario's restored
+   base and compare the monitor's a0 with the leaf's prediction. *)
+let replay_monitor ~obs base (leaf : Sbi_paths.leaf) args =
+  Obs.span obs "symex/replay" (fun () ->
+      let _stop = Sbi_paths.replay base args in
+      let a0 = Machine.get_reg (Security_monitor.machine (Sbi_paths.monitor base)) Instr.a0 in
+      let ok =
+        match leaf.Sbi_paths.outcome with
+        | Sbi_paths.Accepted -> (
+          match leaf.Sbi_paths.result with
+          | Some r -> Int64.equal a0 r
+          | None -> not (Int64.equal a0 Sbi.error_code))
+        | Sbi_paths.Rejected_wrong_code | Sbi_paths.Rejected_invalid_id
+        | Sbi_paths.Rejected_state _ | Sbi_paths.Rejected_slots
+        | Sbi_paths.Rejected_context ->
+          Int64.equal a0 Sbi.error_code
+      in
+      (ok, List.map (fun (e, c) -> (Edge.index e, c)) (Sbi_paths.edges base)))
 
 type unit_result = {
   u_report : unit_report;
@@ -121,7 +117,7 @@ type unit_result = {
   u_gave_up : int;
 }
 
-let explore_unit config ~max_paths (scenario : Sbi_paths.scenario) call =
+let explore_unit ~obs ~max_paths base (scenario : Sbi_paths.scenario) call =
   let model = Sbi_paths.model scenario call in
   let res = Eval.run ~max_paths model.Sbi_paths.program in
   let stats = Solver.stats () in
@@ -143,7 +139,7 @@ let explore_unit config ~max_paths (scenario : Sbi_paths.scenario) call =
           match (leaf, Solver.concretize ~stats p.Eval.constraints) with
           | Some leaf, Some args ->
             let replay_ok = replay_program model leaf args in
-            let monitor_ok, wedges = replay_monitor config scenario leaf args in
+            let monitor_ok, wedges = replay_monitor ~obs base leaf args in
             edges := wedges :: !edges;
             Some { args; replay_ok; monitor_ok }
           | _, _ -> None
@@ -186,18 +182,29 @@ let explore_unit config ~max_paths (scenario : Sbi_paths.scenario) call =
     u_gave_up = stats.Solver.gave_up;
   }
 
+(* One scenario's units in {!Sbi.all} order, all replayed from one
+   base: the scenario is established once, not once per witness. *)
+let explore_scenario ~obs ~max_paths config (scenario : Sbi_paths.scenario) =
+  let base =
+    Obs.span obs
+      ~args:[ ("scenario", Obs.Tracer.String scenario.Sbi_paths.name) ]
+      "symex/establish"
+      (fun () -> Sbi_paths.base config scenario)
+  in
+  List.map (explore_unit ~obs ~max_paths base scenario) Sbi.all
+
 let run ?(jobs = 1) ?(max_paths = default_max_paths) ?(obs = Obs.noop)
     ?(scenarios = Sbi_paths.scenarios) config =
-  let units =
-    List.concat_map
-      (fun scenario -> List.map (fun call -> (scenario, call)) Sbi.all)
-      scenarios
-  in
+  if max_paths < 1 then
+    invalid_arg (Printf.sprintf "Explore.run: max_paths must be >= 1, got %d" max_paths);
+  (* The scenario is the parallel unit, so each domain holds at most one
+     base at a time; concatenating keeps the scenario-major order. *)
   let results =
     Obs.span obs "symex/explore" (fun () ->
-        Parallel.Pool.parmap ~obs ~jobs
-          (fun (scenario, call) -> explore_unit config ~max_paths scenario call)
-          units)
+        List.concat
+          (Parallel.Pool.parmap ~obs ~jobs
+             (explore_scenario ~obs ~max_paths config)
+             scenarios))
   in
   (* Deterministic merge on the calling domain; the coverage bitmap is
      the same Edge encoding the fuzzer populates. *)

@@ -8,15 +8,19 @@ open Import
     {!Solver}, and validates the witness twice: a program-level replay
     through the shared {!Instr} semantics (the predicted leaf must match
     the concretely reached one byte-for-byte on the final [(a0, a1)]
-    pair), and a monitor-level replay issuing the real [ECALL] against
-    an {!Sbi_paths.establish}ed monitor, whose {!Simlog} log feeds the
-    same {!Edge} coverage map the fuzzer uses.
+    pair), and a monitor-level replay issuing the real [ECALL] on the
+    scenario's {!Sbi_paths.base}: the scenario is established once per
+    run and captured, and every witness restores that capture before
+    its ECALL.  The replay's {!Simlog} log feeds the same {!Edge}
+    coverage map the fuzzer uses, walked over only the records the
+    witness appended to the base's.
 
-    Everything is deterministic: work units are processed (or fanned out
+    Everything is deterministic: scenarios are processed (or fanned out
     over {!Parallel.Pool} and merged back) in a fixed order, no wall
-    time enters any report, and observability is accounted on the
-    calling domain only — reports are byte-identical across [jobs]
-    values and with the sink on or off. *)
+    time enters any report, and metrics are accounted on the calling
+    domain only — reports are byte-identical across [jobs] values and
+    with the sink on or off.  The trace shows one [symex/establish]
+    span per scenario and one [symex/replay] span per witness. *)
 
 type finding_kind =
   | Unconstrained
@@ -82,8 +86,9 @@ type t = {
 val default_max_paths : int
 
 (** [run config] explores every scenario × call unit.  [max_paths]
-    bounds the DFS per model program (default
-    {!default_max_paths}). [scenarios] defaults to
+    bounds the DFS per model program (default {!default_max_paths}); a
+    unit that reaches it is marked truncated.  Raises
+    [Invalid_argument] when [max_paths < 1].  [scenarios] defaults to
     {!Sbi_paths.scenarios}. *)
 val run :
   ?jobs:int ->

@@ -8,6 +8,7 @@ module Instr = Riscv.Instr
 module Program = Riscv.Program
 module Page_table = Riscv.Page_table
 module Log = Simlog.Log
+module Edge = Simlog.Edge
 module Structure = Simlog.Structure
 module Exec_context = Simlog.Exec_context
 module Machine = Uarch.Machine

@@ -223,6 +223,38 @@ let establish config scenario =
     scenario.states;
   sm
 
+(* {2 Replay from an established scenario}
+
+   The scenario is established once and captured; every replay restores
+   the capture into the same machine and monitor, so the lifecycle (and
+   the destroy memset's ten thousand log records) is driven once per
+   scenario rather than once per witness. *)
+
+type base = {
+  sm : Security_monitor.t;
+  machine_capture : Machine.snapshot;
+  monitor_capture : Security_monitor.snapshot;
+  mark : Log.mark;
+  walk : Edge.walk;  (* Of the establishment log, up to [mark]. *)
+}
+
+let base config scenario =
+  let sm = establish config scenario in
+  let machine = Security_monitor.machine sm in
+  let machine_capture = Machine.snapshot machine in
+  let log = Machine.log machine in
+  {
+    sm;
+    machine_capture;
+    monitor_capture = Security_monitor.snapshot sm;
+    (* The snapshot has just marked the log, so this is the prefix every
+       restore returns it to; marking again copies nothing. *)
+    mark = Log.mark log;
+    walk = Edge.walk log;
+  }
+
+let monitor b = b.sm
+
 let ecall_program args =
   if Array.length args <> 8 then invalid_arg "Sbi_paths.ecall_program";
   let materialise =
@@ -230,3 +262,12 @@ let ecall_program args =
   in
   Program.of_instrs ~base:Memory_layout.host_code_base
     (materialise @ [ Instr.Ecall; Instr.Halt ])
+
+let replay b args =
+  Machine.restore (Security_monitor.machine b.sm) b.machine_capture;
+  Security_monitor.restore b.sm b.monitor_capture;
+  Security_monitor.run_host b.sm (ecall_program args)
+
+let edges b =
+  Edge.edges
+    (Edge.continue b.walk (Machine.log (Security_monitor.machine b.sm)) ~since:b.mark)

@@ -19,7 +19,8 @@ open Import
     [a0] before halting, so a symbolic path can be validated
     byte-for-byte by concretely executing the same program and comparing
     [(a0, a1)] — and validated against the real monitor by issuing the
-    concretised ecall in an {!establish}ed scenario. *)
+    concretised ecall in an {!establish}ed scenario, restored from its
+    {!base}. *)
 
 (** A concrete monitor state: the enclaves that exist (in id order,
     ids are allocated sequentially from 0) and their lifecycle states. *)
@@ -82,3 +83,34 @@ val establish : Config.t -> scenario -> Security_monitor.t
     running it under an established scenario replays the path against
     the real monitor. *)
 val ecall_program : Word.t array -> Program.t
+
+(** {1 Replay from an established scenario}
+
+    A base is a scenario {!establish}ed once and captured: the machine
+    with {!Machine.snapshot}, the monitor with
+    {!Security_monitor.snapshot}, and the {!Edge.walk} of the
+    establishment log at the capture's mark.  Each {!replay} restores
+    both captures into the machine and monitor that established the
+    scenario and issues one witness's ECALL there.  A replay yields the
+    same [a0], stop reason, cycle count and log, byte for byte, as
+    {!establish} followed by [Security_monitor.run_host] on a fresh
+    machine, without driving the lifecycle again; [test/test_symex.ml]
+    checks this for every witness of the exploration on both cores. *)
+
+type base
+
+(** [base config scenario] establishes [scenario] and captures it. *)
+val base : Config.t -> scenario -> base
+
+(** The monitor that established the scenario, and that every {!replay}
+    runs on; its machine holds the last replay's state and log. *)
+val monitor : base -> Security_monitor.t
+
+(** [replay base args] restores [base]'s captures and runs
+    [ecall_program args] on its monitor. *)
+val replay : base -> Word.t array -> Machine.stop_reason
+
+(** [edges base] is {!Edge.of_log} of the monitor's current log,
+    computed by continuing the base's walk over only the records
+    appended since the capture (a replay's own records). *)
+val edges : base -> (Edge.t * int) list

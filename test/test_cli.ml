@@ -100,6 +100,18 @@ let test_bad_spec_values () =
       ("campaign", [ "--random"; "0" ], "--random");
     ]
 
+(* symex's path budget is range-checked like every spec value: a usage
+   error naming the flag, not an in-process exit. *)
+let test_symex_rejects_bad_max_paths () =
+  List.iter
+    (fun args ->
+      let code, out = Cmds.eval_captured ~argv:(Array.of_list ("teesec_cli" :: "symex" :: args)) in
+      let line = String.concat " " ("symex" :: args) in
+      Alcotest.(check int) (line ^ " is a usage error") 124 code;
+      Alcotest.(check bool) (line ^ " names --max-paths") true
+        (contains ~needle:"--max-paths" out))
+    [ [ "--max-paths"; "0" ]; [ "--max-paths=-1" ] ]
+
 (* The long options a plain --help page lists: option lines are the ones
    indented by exactly seven spaces. *)
 let options_of help =
@@ -174,6 +186,8 @@ let () =
             test_fuzz_rejects_bad_energy;
           Alcotest.test_case "bad spec values are usage errors" `Quick
             test_bad_spec_values;
+          Alcotest.test_case "symex validates --max-paths" `Quick
+            test_symex_rejects_bad_max_paths;
           Alcotest.test_case "submit takes every spec flag" `Quick
             test_submit_takes_every_spec_flag;
           Alcotest.test_case "version string format" `Quick

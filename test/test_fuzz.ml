@@ -10,6 +10,7 @@
 open Teesec
 module Config = Uarch.Config
 module Edge = Simlog.Edge
+module Exec_context = Simlog.Exec_context
 module Bitmap = Fuzz.Bitmap
 module Distill = Fuzz.Distill
 module Engine = Fuzz.Engine
@@ -44,6 +45,71 @@ let test_edge_of_log_nonempty () =
       Alcotest.(check bool) "index in range" true (i >= 0 && i < Edge.count);
       Alcotest.(check bool) "positive hit count" true (count >= 1))
     edges
+
+(* {1 Continued walks (qcheck)}
+
+   A log of writes, mode switches and snapshots, marked at a random
+   record (and optionally marked again later, so the walk's mark is a
+   strict prefix of the log's): continuing the prefix's walk over the
+   records after the mark must give exactly [of_log] of the whole log. *)
+
+let ctx_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            Exec_context.Host Riscv.Priv.User; Exec_context.Host Riscv.Priv.Supervisor;
+            Exec_context.Host Riscv.Priv.Machine; Exec_context.Monitor;
+          ];
+        map (fun i -> Exec_context.Enclave i) (int_range 0 3);
+      ])
+
+let event_gen =
+  QCheck.Gen.(
+    let entries = list_size (int_range 0 3) (map Simlog.Log.entry int64) in
+    frequency
+      [
+        ( 4,
+          triple (oneofl Simlog.Structure.all) (oneofl Simlog.Log.all_origins) entries
+          >|= fun (structure, origin, entries) ->
+          Simlog.Log.Write { structure; origin; entries } );
+        ( 2,
+          pair ctx_gen ctx_gen >|= fun (from_ctx, to_ctx) ->
+          Simlog.Log.Mode_switch { from_ctx; to_ctx } );
+        ( 1,
+          pair (oneofl Simlog.Structure.all) entries >|= fun (structure, entries) ->
+          Simlog.Log.Snapshot { structure; entries } );
+      ])
+
+let marked_log_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 40) (pair ctx_gen event_gen) >>= fun records ->
+    let n = List.length records in
+    triple (return records) (int_range 0 n) (opt (int_range 0 n)))
+
+let continued_walk_equals_of_log =
+  QCheck.Test.make ~name:"continued walk == of_log of the whole log" ~count:300
+    (QCheck.make
+       ~print:(fun (records, at, again) ->
+         Printf.sprintf "%d records, marked at %d%s" (List.length records) at
+           (match again with Some k -> Printf.sprintf ", again at %d" k | None -> ""))
+       marked_log_gen)
+    (fun (records, at, again) ->
+      let log = Simlog.Log.create () in
+      let prefix = ref None in
+      List.iteri
+        (fun i (ctx, event) ->
+          if i = at then prefix := Some (Simlog.Log.mark log, Edge.walk log);
+          if Some i = again && i > at then ignore (Simlog.Log.mark log);
+          Simlog.Log.record log ~cycle:i ~ctx event)
+        records;
+      let mark, walk =
+        match !prefix with
+        | Some p -> p
+        | None -> (Simlog.Log.mark log, Edge.walk log)
+      in
+      Edge.edges (Edge.continue walk log ~since:mark) = Edge.of_log log)
 
 (* {1 Bitmap buckets} *)
 
@@ -277,6 +343,7 @@ let () =
             test_edge_index_roundtrip;
           Alcotest.test_case "of_log on a real execution" `Quick
             test_edge_of_log_nonempty;
+          QCheck_alcotest.to_alcotest continued_walk_equals_of_log;
         ] );
       ( "bitmap",
         [

@@ -10,7 +10,12 @@
    byte for byte across changes to the log's representation.
 
    The same digests must come out of the snapshot engine and of the
-   replay path ([Runner.run] without an engine). *)
+   replay path ([Runner.run] without an engine).
+
+   The symex report is pinned the same way: one digest per core of the
+   JSON document [symex --json] writes at the default [--max-paths],
+   recorded before the explorer forked its monitor replays from an
+   established scenario base. *)
 
 open Teesec
 module Config = Uarch.Config
@@ -54,6 +59,19 @@ let check_core ~snapshot (config, expected) () =
     expected
     (core_digest ~snapshot config)
 
+let symex_golden =
+  [
+    (Config.boom, "56e6a2dbdc883c566594c23dc39cc93d");
+    (Config.xiangshan, "90db637e385bb0a5ce4efb6461690d0d");
+  ]
+
+let check_symex (config, expected) () =
+  Alcotest.(check string)
+    (Config.core_kind_to_string config.Config.kind ^ " symex report digest")
+    expected
+    (Digest.to_hex
+       (Digest.string (Symex.Symex_report.to_json_string (Symex.Explore.run config))))
+
 let () =
   Alcotest.run "golden"
     [
@@ -68,4 +86,11 @@ let () =
                 (check_core ~snapshot:false g);
             ])
           golden );
+      ( "symex",
+        List.map
+          (fun ((config, _) as g) ->
+            Alcotest.test_case
+              (Config.core_kind_to_string config.Config.kind ^ " report")
+              `Slow (check_symex g))
+          symex_golden );
     ]

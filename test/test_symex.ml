@@ -8,8 +8,10 @@
    through the shared lib/riscv semantics, path enumeration is
    deterministic across runs, and a fuzzing campaign seeded from the
    synthesised corpus reaches full Table 3 in no more cases than the
-   guided baseline at equal seed and budget.  That the whole report is
-   byte-identical across job counts and sinks is checked in
+   guided baseline at equal seed and budget.  Replaying a witness from
+   its scenario's captured base is checked against establishing the
+   scenario on a fresh machine, witness by witness.  That the whole
+   report is byte-identical across job counts and sinks is checked in
    test/test_equiv.ml. *)
 
 open Riscv
@@ -22,7 +24,10 @@ module Synthesize = Symex.Synthesize
 module Symex_report = Symex.Symex_report
 module Sbi = Tee.Sbi
 module Sbi_paths = Tee.Sbi_paths
+module Security_monitor = Tee.Security_monitor
 module Config = Uarch.Config
+module Machine = Uarch.Machine
+module Edge = Simlog.Edge
 module Engine = Fuzz.Engine
 module Corpus_io = Fuzz.Corpus_io
 
@@ -249,6 +254,88 @@ let test_witnesses_validate () =
   Alcotest.(check bool) "monitor replays feed the coverage map" true
     (t.Explore.edges_covered > 0)
 
+(* {1 Forked replay against the fresh-machine oracle}
+
+   Every witness of the full exploration, on both cores, is replayed
+   through one base per scenario in the explorer's order, and each
+   result must equal [establish] plus [run_host] on a fresh machine: the
+   monitor's a0, the stop reason, the cycle count, the whole serialised
+   log and the coverage edges. *)
+
+let test_forked_replay_equals_fresh config () =
+  let report = Explore.run config in
+  let replayed = ref 0 in
+  List.iter
+    (fun (scenario : Sbi_paths.scenario) ->
+      let base = Sbi_paths.base config scenario in
+      let machine = Security_monitor.machine (Sbi_paths.monitor base) in
+      List.iter
+        (fun (u : Explore.unit_report) ->
+          if u.Explore.scenario = scenario.Sbi_paths.name then
+            List.iter
+              (fun (p : Explore.path_report) ->
+                match p.Explore.witness with
+                | None -> ()
+                | Some w ->
+                  let label =
+                    Printf.sprintf "%s/%s path %d" scenario.Sbi_paths.name
+                      (Sbi.to_string u.Explore.call) p.Explore.path_id
+                  in
+                  let fork_stop = Sbi_paths.replay base w.Explore.args in
+                  let sm = Sbi_paths.establish config scenario in
+                  let fresh = Security_monitor.machine sm in
+                  let fresh_stop =
+                    Security_monitor.run_host sm (Sbi_paths.ecall_program w.Explore.args)
+                  in
+                  incr replayed;
+                  Alcotest.(check int64) (label ^ ": a0")
+                    (Machine.get_reg fresh Instr.a0) (Machine.get_reg machine Instr.a0);
+                  Alcotest.(check string) (label ^ ": stop")
+                    (Machine.stop_reason_to_string fresh_stop)
+                    (Machine.stop_reason_to_string fork_stop);
+                  Alcotest.(check int) (label ^ ": cycle") (Machine.cycle fresh)
+                    (Machine.cycle machine);
+                  Alcotest.(check bool) (label ^ ": log") true
+                    (String.equal
+                       (Simlog.Serialize.to_string (Machine.log fresh))
+                       (Simlog.Serialize.to_string (Machine.log machine)));
+                  let named = List.map (fun (e, c) -> (Edge.to_string e, c)) in
+                  Alcotest.(check (list (pair string int))) (label ^ ": edges")
+                    (named (Edge.of_log (Machine.log fresh)))
+                    (named (Sbi_paths.edges base)))
+              u.Explore.paths)
+        report.Explore.units)
+    Sbi_paths.scenarios;
+  Alcotest.(check int) "every witness replayed"
+    report.Explore.totals.Explore.witnesses_total !replayed
+
+let test_max_paths_range () =
+  List.iter
+    (fun max_paths ->
+      match Explore.run ~max_paths Config.boom with
+      | _ -> Alcotest.failf "max_paths %d accepted" max_paths
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
+
+(* The trace splits the run into one establishment per scenario and one
+   replay per witness. *)
+let test_trace_spans () =
+  let obs = Obs.create ~clock:(Obs.Clock.fake ()) () in
+  let (_ : Explore.t) = Explore.run ~obs Config.boom in
+  let events =
+    match Obs.tracer obs with
+    | Some t -> Obs.Tracer.events t
+    | None -> Alcotest.fail "active sink without a tracer"
+  in
+  let begun name =
+    List.length
+      (List.filter
+         (fun (e : Obs.Tracer.event) -> e.Obs.Tracer.ph = Obs.Tracer.Begin && e.Obs.Tracer.name = name)
+         events)
+  in
+  Alcotest.(check int) "one establishment per scenario" 7 (begun "symex/establish");
+  Alcotest.(check int) "one replay per witness" 158 (begun "symex/replay")
+
 (* {1 Corpus hand-off} *)
 
 let test_corpus_round_trip () =
@@ -321,6 +408,17 @@ let () =
             test_every_call_witnessed;
           Alcotest.test_case "witnesses validate both ways" `Slow
             test_witnesses_validate;
+          Alcotest.test_case "max_paths below 1 is rejected" `Quick
+            test_max_paths_range;
+          Alcotest.test_case "trace: 7 establishments, 158 replays" `Slow
+            test_trace_spans;
+        ] );
+      ( "fork",
+        [
+          Alcotest.test_case "BOOM: forked replay == fresh replay" `Slow
+            (test_forked_replay_equals_fresh Config.boom);
+          Alcotest.test_case "XiangShan: forked replay == fresh replay" `Slow
+            (test_forked_replay_equals_fresh Config.xiangshan);
         ] );
       ( "corpus",
         [
