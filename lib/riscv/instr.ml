@@ -17,9 +17,8 @@ type width = Byte | Half | Word_ | Double
 
 let width_bytes = function Byte -> 1 | Half -> 2 | Word_ -> 4 | Double -> 8
 
-let pp_width fmt w =
-  Format.pp_print_string fmt
-    (match w with Byte -> "b" | Half -> "h" | Word_ -> "w" | Double -> "d")
+let width_name = function Byte -> "b" | Half -> "h" | Word_ -> "w" | Double -> "d"
+let pp_width fmt w = Format.pp_print_string fmt (width_name w)
 
 type alu_op = Add | Sub | Xor | Or | And | Sll | Srl
 type cond = Eq | Ne | Lt | Ge
@@ -74,27 +73,35 @@ let eval_cond c a b =
 
 let negate_cond = function Eq -> Ne | Ne -> Eq | Lt -> Ge | Ge -> Lt
 
-let pp fmt = function
-  | Li (rd, v) -> Format.fprintf fmt "li x%d, %s" rd (Word.to_hex v)
-  | Alu (op, rd, rs1, rs2) ->
-    Format.fprintf fmt "%s x%d, x%d, x%d" (alu_name op) rd rs1 rs2
-  | Alui (op, rd, rs1, imm) ->
-    Format.fprintf fmt "%si x%d, x%d, %s" (alu_name op) rd rs1 (Word.to_hex imm)
-  | Load { width; rd; base; offset } ->
-    Format.fprintf fmt "l%a x%d, %s(x%d)" pp_width width rd (Word.to_hex offset) base
-  | Store { width; rs; base; offset } ->
-    Format.fprintf fmt "s%a x%d, %s(x%d)" pp_width width rs (Word.to_hex offset) base
-  | Branch (c, rs1, rs2, label) ->
-    Format.fprintf fmt "%s x%d, x%d, %s" (cond_name c) rs1 rs2 label
-  | Jal label -> Format.fprintf fmt "j %s" label
-  | Csrr (rd, csr) -> Format.fprintf fmt "csrr x%d, %s" rd (Csr.name csr)
-  | Csrw (csr, rs) -> Format.fprintf fmt "csrw %s, x%d" (Csr.name csr) rs
-  | Ecall -> Format.pp_print_string fmt "ecall"
-  | Fence -> Format.pp_print_string fmt "fence"
-  | Nop -> Format.pp_print_string fmt "nop"
-  | Halt -> Format.pp_print_string fmt "halt"
+(* Built by concatenation rather than through [Format]: every
+   committed instruction is rendered into the log. *)
+let reg_names = Array.init 32 (Printf.sprintf "x%d")
+let reg r = if r >= 0 && r < 32 then reg_names.(r) else "x" ^ string_of_int r
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string = function
+  | Li (rd, v) -> String.concat "" [ "li "; reg rd; ", "; Word.to_hex v ]
+  | Alu (op, rd, rs1, rs2) ->
+    String.concat "" [ alu_name op; " "; reg rd; ", "; reg rs1; ", "; reg rs2 ]
+  | Alui (op, rd, rs1, imm) ->
+    String.concat "" [ alu_name op; "i "; reg rd; ", "; reg rs1; ", "; Word.to_hex imm ]
+  | Load { width; rd; base; offset } ->
+    String.concat ""
+      [ "l"; width_name width; " "; reg rd; ", "; Word.to_hex offset; "("; reg base; ")" ]
+  | Store { width; rs; base; offset } ->
+    String.concat ""
+      [ "s"; width_name width; " "; reg rs; ", "; Word.to_hex offset; "("; reg base; ")" ]
+  | Branch (c, rs1, rs2, label) ->
+    String.concat "" [ cond_name c; " "; reg rs1; ", "; reg rs2; ", "; label ]
+  | Jal label -> "j " ^ label
+  | Csrr (rd, csr) -> String.concat "" [ "csrr "; reg rd; ", "; Csr.name csr ]
+  | Csrw (csr, rs) -> String.concat "" [ "csrw "; Csr.name csr; ", "; reg rs ]
+  | Ecall -> "ecall"
+  | Fence -> "fence"
+  | Nop -> "nop"
+  | Halt -> "halt"
+
+let pp fmt i = Format.pp_print_string fmt (to_string i)
+
 let ld rd base offset = Load { width = Double; rd; base; offset }
 let sd rs base offset = Store { width = Double; rs; base; offset }
 let lb rd base offset = Load { width = Byte; rd; base; offset }

@@ -32,7 +32,22 @@ let splitmix64 x =
   Int64.logxor x (Int64.shift_right_logical x 31)
 
 let pp fmt x = Format.fprintf fmt "0x%016Lx" x
-let to_hex x = Printf.sprintf "0x%Lx" x
+(* [Printf.sprintf "0x%Lx"] without the format interpreter: commits
+   render their immediates with it. *)
+let to_hex x =
+  let digits = ref 1 in
+  while !digits < 16 && Int64.shift_right_logical x (4 * !digits) <> 0L do
+    incr digits
+  done;
+  let b = Bytes.create (2 + !digits) in
+  Bytes.set b 0 '0';
+  Bytes.set b 1 'x';
+  for i = 0 to !digits - 1 do
+    let d = Int64.to_int (Int64.shift_right_logical x (4 * (!digits - 1 - i))) land 15 in
+    Bytes.set b (2 + i) "0123456789abcdef".[d]
+  done;
+  Bytes.unsafe_to_string b
+
 let byte_of x ~index = Int64.to_int (extract x ~pos:(index * 8) ~len:8)
 
 let set_byte x ~index ~byte =

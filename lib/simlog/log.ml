@@ -177,12 +177,17 @@ let ctx_id = function
   | Exec_context.Enclave i -> i
   | Exec_context.Host _ | Exec_context.Monitor -> 0
 
+(* Built once, like [Exec_context]'s names: decoding a context
+   allocates nothing for enclave ids below 64. *)
+let enclaves = Array.init 64 (fun i -> Exec_context.Enclave i)
+
 let ctx_of ~tag ~id =
   match tag with
   | 0 -> host_u
   | 1 -> host_s
   | 2 -> host_m
-  | 3 -> Exec_context.Enclave id
+  | 3 ->
+    if id >= 0 && id < Array.length enclaves then enclaves.(id) else Exec_context.Enclave id
   | 4 -> Exec_context.Monitor
   | c -> invalid_arg (Printf.sprintf "Log: corrupt context tag %d" c)
 
@@ -431,17 +436,26 @@ module Values = struct
     let h = x * 0x2545F4914F6CDD1D in
     (h lxor (h lsr 29)) land mask
 
-  (* [mem_at v b off]: is the word at [b.[off]] a member? *)
-  let mem_at v b off =
+  (* [slot_at v b off]: the slot holding the word at [b.[off]], or -1
+     when it is not a member. *)
+  let slot_at v b off =
     let x = get64 b off in
     let i = ref (slot_of v.mask (Int64.to_int x)) in
-    let result = ref 0 in
-    while !result = 0 do
-      if Bytes.get_uint8 v.used !i = 0 then result := 2
-      else if get64 v.keys (8 * !i) = x then result := 1
+    let result = ref (-2) in
+    while !result = -2 do
+      if Bytes.get_uint8 v.used !i = 0 then result := -1
+      else if get64 v.keys (8 * !i) = x then result := !i
       else i := (!i + 1) land v.mask
     done;
-    !result = 1
+    !result
+
+  let mem_at v b off = slot_at v b off >= 0
+  let capacity v = v.mask + 1
+
+  let slot v w =
+    let probe = Bytes.create 8 in
+    set64 probe 0 w;
+    slot_at v probe 0
 
   let of_list words =
     let n = List.length words in
@@ -478,7 +492,11 @@ module Cursor = struct
   let byte c k = Bytes.get_uint8 c.seg (c.at + k)
   let kind c = kind_of_code (byte c 0)
   let cycle c = get_int c.seg (c.at + 8)
-  let ctx c = ctx_of ~tag:(byte c 1) ~id:(get_int c.seg (c.at + 16))
+  let ctx_tag c = byte c 1
+  let ctx_id c = get_int c.seg (c.at + 16)
+  let ctx c = ctx_of ~tag:(ctx_tag c) ~id:(ctx_id c)
+  let structure_code c = byte c 2
+  let origin_code c = byte c 3
 
   let structure_opt c =
     let s = byte c 2 in
@@ -542,6 +560,8 @@ module Cursor = struct
       incr i
     done;
     if !i < n then !i else -1
+
+  let value_slot c values i = Values.slot_at values c.seg (entry_at c i + 16)
 
   let pc c =
     match kind c with
@@ -619,6 +639,9 @@ let iter_since t m f =
   in
   walk t.base.m_buf from (Bytes.length t.base.m_buf);
   walk t.buf 0 t.len
+
+let note_at = string_at
+let context_of_code = ctx_of
 
 let to_list t =
   let acc = ref [] in

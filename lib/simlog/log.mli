@@ -159,6 +159,13 @@ module Values : sig
   type t
 
   val of_list : Word.t list -> t
+
+  (** The number of slots: every {!slot} lies in [0 .. capacity - 1]. *)
+  val capacity : t -> int
+
+  (** [slot v w] is the slot holding [w], or [-1] when [w] is not a
+      member.  Distinct members have distinct slots. *)
+  val slot : t -> Word.t -> int
 end
 
 (** A position on one record of a log.  A cursor handed to an {!iter}
@@ -172,6 +179,17 @@ module Cursor : sig
   val kind : t -> kind
   val cycle : t -> int
   val ctx : t -> Exec_context.t
+
+  (** The raw header fields behind {!ctx}, {!structure} and {!origin},
+      read without decoding: {!context_of_code} rebuilds the context,
+      [Structure.of_code] and {!origin_of_code} the others.  The
+      structure code is meaningful on a [Write] or [Snapshot], the
+      origin code on a [Write] only. *)
+  val ctx_tag : t -> int
+
+  val ctx_id : t -> int
+  val structure_code : t -> int
+  val origin_code : t -> int
 
   (** The structure of a [Write] or [Snapshot]; raises
       [Invalid_argument] on other records. *)
@@ -187,6 +205,10 @@ module Cursor : sig
   val data : t -> int -> Word.t
   val note : t -> int -> string
 
+  (** [note_ref c i] is a reference to entry [i]'s note, valid for the
+      log's lifetime: {!note_at} reads it. *)
+  val note_ref : t -> int -> int
+
   (** [note_contains c i ~needle] is [Strutil]-style substring search in
       entry [i]'s note, without decoding it. *)
   val note_contains : t -> int -> needle:string -> bool
@@ -197,6 +219,10 @@ module Cursor : sig
   (** [next_match c values i] is the first entry at or after [i] whose
       data is in [values], or [-1].  Entries are compared in place. *)
   val next_match : t -> Values.t -> int -> int
+
+  (** [value_slot c values i] is the {!Values.slot} of entry [i]'s data,
+      or [-1] when it is not in [values]; compared in place. *)
+  val value_slot : t -> Values.t -> int -> int
 
   (** The pc of a [Commit] or [Exception_raised]. *)
   val pc : t -> Word.t
@@ -218,6 +244,14 @@ val iter : t -> (Cursor.t -> unit) -> unit
     by {!reset_to}, with no reset to another mark since.  Raises
     [Invalid_argument] when [t] is shorter than [m]. *)
 val iter_since : t -> mark -> (Cursor.t -> unit) -> unit
+
+(** [note_at t r] is the note that {!Cursor.note_ref} referenced as [r]
+    on a record of [t]. *)
+val note_at : t -> int -> string
+
+(** [context_of_code ~tag ~id] is the context {!Cursor.ctx} decodes from
+    these raw fields; shared, not allocated, for enclave ids below 64. *)
+val context_of_code : tag:int -> id:int -> Exec_context.t
 
 (** Records in chronological order — for printers, the reference checker
     and tests; readers on the simulation paths use {!iter}. *)

@@ -9,6 +9,10 @@ open! Import
 type id = D1 | D2 | D3 | D4 | D5 | D6 | D7 | D8 | M1 | M2
 
 val all : id list
+
+(** [index c] is [c]'s position in {!all}. *)
+val index : id -> int
+
 val compare : id -> id -> int
 val equal : id -> id -> bool
 val to_string : id -> string

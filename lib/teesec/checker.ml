@@ -43,9 +43,11 @@ let cross_boundary_case (owner : Secret.owner) (ctx : Exec_context.t) =
 
 let contains_substring = Strutil.contains_substring
 
-(* Classify one data observation. *)
-let classify ~(structure : Structure.t) ~origin ~(owner : Secret.owner)
-    ~(ctx : Exec_context.t) ~note ~detection =
+(* Classify one data observation.  [forwarded] and [transient] say
+   whether the observed entry's note mentions a store-buffer forward or
+   a transient access; only register-file writes consult them. *)
+let classify_flags ~(structure : Structure.t) ~origin ~(owner : Secret.owner)
+    ~(ctx : Exec_context.t) ~forwarded ~transient ~detection =
   match structure with
   | Structure.Lfb -> (
     match origin with
@@ -61,16 +63,22 @@ let classify ~(structure : Structure.t) ~origin ~(owner : Secret.owner)
       None)
   | Structure.Reg_file ->
     if detection = Residue then None
-    else if contains_substring ~needle:"forwarded-from-store-buffer" note then
-      Some Case.D8
-    else if contains_substring ~needle:"transient" note then
-      cross_boundary_case owner ctx
+    else if forwarded then Some Case.D8
+    else if transient then cross_boundary_case owner ctx
     else None
   | Structure.L1i_data | Structure.L1d_data | Structure.L2_data
   | Structure.Store_buffer | Structure.Store_queue | Structure.Load_queue
   | Structure.Dtlb | Structure.Ptw_cache | Structure.Ubtb | Structure.Ftb
   | Structure.Hpm_counters | Structure.Wb_buffer | Structure.Prefetcher ->
     None
+
+let forwarded_needle = "forwarded-from-store-buffer"
+let transient_needle = "transient"
+
+let classify ~structure ~origin ~owner ~ctx ~note ~detection =
+  classify_flags ~structure ~origin ~owner ~ctx ~detection
+    ~forwarded:(contains_substring ~needle:forwarded_needle note)
+    ~transient:(contains_substring ~needle:transient_needle note)
 
 (* Provenance of a residue hit: the most recent write of the same value
    into the same structure.  Naive reference — rescans the whole record
@@ -164,45 +172,77 @@ let check_data_naive log tracker records =
 
 (* {2 P1: data leakage — indexed}
 
-   The log is read once through a cursor ({!scan}).  Entry data is
-   compared in place against the seeded secret values, so only the
-   matching entries are decoded ({!hit}s, with their record and entry
-   index), together with every commit and the few records the metadata
-   checks read.  Three indexes then replace the naive nested loops:
+   The reference emits secret by secret in registration order, then
+   record by record, then entry by entry, and prepends: its list runs
+   over the secrets newest first and over each secret's observations
+   newest first.  [dedupe] keeps the first finding of each key in that
+   list, so the indexed pass visits observations in the same order and
+   decides survival before it builds anything.
 
-   - a value-keyed table mapping each secret value to the secrets that
-     carry it, so every hit costs one lookup instead of a scan of all
-     seeded secrets;
-   - a per-(structure, value) list of secret-valued writes in record
-     order, so residue provenance folds over a handful of candidates
-     instead of the full log;
-   - a cycle-sorted commit array, so the last-committed-PC annotation is
-     a binary search instead of a scan per finding.
+   - {!scan} reads the log once.  Entry data is compared in place
+     against the seeded values, and each matching entry — a {e hit} —
+     is recorded as integers in a per-domain scratch buffer, chained
+     newest first to the earlier hits of its value (keyed by the
+     value's {!Log.Values} slot).  Every commit is kept as (cycle, pc),
+     and the records the metadata checks read are decoded.
+   - {!emit_data} walks the secrets newest first and, for each, its
+     value's chain, applying the reference's rules.  The dedupe key of
+     a candidate is an integer computed from its codes; only the first
+     candidate of a key becomes a finding, and only then are its note
+     and last committed pc read. *)
 
-   Emissions are tagged with (secret, record, entry) positions and
-   sorted back into the naive implementation's emission order, so the
-   returned list — and therefore which duplicate survives [dedupe] — is
-   identical to the reference. *)
+(* A hit is [hit_fields] consecutive ints of [scratch.hits]. *)
+let f_record = 0
+let f_structure = 1
+let f_origin = 2 (* Origin code; -1 for a [Snapshot] hit. *)
+let f_cycle = 3
+let f_tag = 4
+let f_id = 5
+let f_note = 6 (* Note reference ([Write] hits). *)
+let f_flags = 7 (* Register-file writes: the note predicates below. *)
+let f_next = 8 (* The same value's previous hit, or -1. *)
+let hit_fields = 9
+let transient_flag = 1
+let forwarded_flag = 2
 
-type hit = {
-  h_record : int;
-  h_entry : int;
-  h_structure : Structure.t;
-  h_origin : Log.origin option;  (** [None] for a [Snapshot] hit. *)
-  h_cycle : int;
-  h_ctx : Exec_context.t;
-  h_value : Word.t;
-  h_note : string;  (** The entry's note; [""] for snapshot hits. *)
+module Keys = Hashtbl.Make (Int)
+
+type scratch = {
+  mutable hits : int array;
+  mutable n_hits : int;
+  mutable heads : int array;  (* Per value slot: its newest hit, or -1. *)
+  seen : unit Keys.t;  (* The dedupe keys met so far. *)
+  mutable commit_cycles : int array;
+  mutable commit_pcs : Bytes.t;
+  mutable n_commits : int;
 }
 
-type scanned = {
-  hits : hit list;  (** In record, then entry order. *)
-  commits : (int * Word.t) list;  (** [(cycle, pc)] in record order. *)
-  metadata : Log.record list;
-      (** The records {!check_btb_residue} and {!check_hpc} read, in
-          record order: host BTB snapshots, HPM snapshots and CSR-read
-          register writes.  Both checks ignore every other record. *)
-}
+(* Arrays over 256 words are allocated on the major heap, so the
+   buffers are kept per domain and reused by every check.  They start
+   small and double on demand, so a domain holds only what its largest
+   log needed; one key for the module, so nothing accumulates per
+   campaign or engine. *)
+let initial = 256
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        hits = Array.make (initial * hit_fields) 0;
+        n_hits = 0;
+        heads = Array.make initial (-1);
+        seen = Keys.create 64;
+        commit_cycles = Array.make initial 0;
+        commit_pcs = Bytes.create (8 * initial);
+        n_commits = 0;
+      })
+
+let grow a need =
+  if need <= Array.length a then a
+  else begin
+    let a' = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  end
 
 let metadata_record c =
   match (Log.Cursor.kind c, Log.Cursor.structure c) with
@@ -212,174 +252,209 @@ let metadata_record c =
   | Log.Write_kind, Structure.Reg_file -> Log.Cursor.origin c = Log.Csr_read
   | _ -> false
 
-let scan log values =
-  let hits = ref [] and commits = ref [] and metadata = ref [] in
+let reg_file = Structure.to_code Structure.Reg_file
+
+(* Appends a hit of value slot [k]: the record's fields, read once per
+   record, and entry [i]'s note. *)
+let push_hit sc c ~record ~structure ~origin ~cycle ~tag ~id i k =
+  let h = sc.n_hits in
+  let b = h * hit_fields in
+  if b + hit_fields > Array.length sc.hits then
+    sc.hits <- grow sc.hits (b + hit_fields);
+  let hits = sc.hits and write = origin >= 0 in
+  hits.(b + f_record) <- record;
+  hits.(b + f_structure) <- structure;
+  hits.(b + f_origin) <- origin;
+  hits.(b + f_cycle) <- cycle;
+  hits.(b + f_tag) <- tag;
+  hits.(b + f_id) <- id;
+  hits.(b + f_note) <- (if write then Log.Cursor.note_ref c i else 0);
+  hits.(b + f_flags) <-
+    (if write && structure = reg_file then
+       (if Log.Cursor.note_contains c i ~needle:transient_needle then transient_flag else 0)
+       lor
+       if Log.Cursor.note_contains c i ~needle:forwarded_needle then forwarded_flag else 0
+     else 0);
+  hits.(b + f_next) <- sc.heads.(k);
+  sc.heads.(k) <- h;
+  sc.n_hits <- h + 1
+
+let push_commit sc c =
+  let n = sc.n_commits in
+  if n >= Array.length sc.commit_cycles then begin
+    sc.commit_cycles <- grow sc.commit_cycles (n + 1);
+    let pcs = Bytes.create (8 * Array.length sc.commit_cycles) in
+    Bytes.blit sc.commit_pcs 0 pcs 0 (8 * n);
+    sc.commit_pcs <- pcs
+  end;
+  sc.commit_cycles.(n) <- Log.Cursor.cycle c;
+  Bytes.set_int64_ne sc.commit_pcs (8 * n) (Log.Cursor.pc c);
+  sc.n_commits <- n + 1
+
+(* Fills [sc] from [log] and returns the metadata records, in record
+   order: host BTB snapshots, HPM snapshots and CSR-read register
+   writes — {!check_btb_residue} and {!check_hpc} ignore every other
+   record. *)
+let scan sc log values =
+  let slots = Log.Values.capacity values in
+  if slots > Array.length sc.heads then sc.heads <- grow sc.heads slots;
+  Array.fill sc.heads 0 slots (-1);
+  sc.n_hits <- 0;
+  sc.n_commits <- 0;
+  let metadata = ref [] in
   Log.iter log (fun c ->
       match Log.Cursor.kind c with
-      | Log.Commit_kind -> commits := (Log.Cursor.cycle c, Log.Cursor.pc c) :: !commits
+      | Log.Commit_kind -> push_commit sc c
       | (Log.Write_kind | Log.Snapshot_kind) as kind ->
         if metadata_record c then metadata := Log.Cursor.record c :: !metadata;
         let i = ref (Log.Cursor.next_match c values 0) in
         if !i >= 0 then begin
-          let write = kind = Log.Write_kind in
-          let h_structure = Log.Cursor.structure c in
-          let h_origin = if write then Some (Log.Cursor.origin c) else None in
-          let h_cycle = Log.Cursor.cycle c and h_ctx = Log.Cursor.ctx c in
+          let record = Log.Cursor.index c and structure = Log.Cursor.structure_code c in
+          let origin = if kind = Log.Write_kind then Log.Cursor.origin_code c else -1 in
+          let cycle = Log.Cursor.cycle c in
+          let tag = Log.Cursor.ctx_tag c and id = Log.Cursor.ctx_id c in
           while !i >= 0 do
-            hits :=
-              {
-                h_record = Log.Cursor.index c;
-                h_entry = !i;
-                h_structure;
-                h_origin;
-                h_cycle;
-                h_ctx;
-                h_value = Log.Cursor.data c !i;
-                h_note = (if write then Log.Cursor.note c !i else "");
-              }
-              :: !hits;
+            push_hit sc c ~record ~structure ~origin ~cycle ~tag ~id !i
+              (Log.Cursor.value_slot c values !i);
             i := Log.Cursor.next_match c values (!i + 1)
           done
         end
       | Log.Mode_switch_kind | Log.Exception_kind | Log.Fault_kind -> ());
-  { hits = List.rev !hits; commits = List.rev !commits; metadata = List.rev !metadata }
+  List.rev !metadata
 
-let check_data secrets { hits; commits; _ } =
-  match secrets with
-  | [] -> []
-  | secrets ->
-    (* Secret value -> [(position in Secret.all, secret)], ascending. *)
-    let by_value : (Word.t, (int * Secret.seeded) list) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    List.iteri
-      (fun si (s : Secret.seeded) ->
-        let prev =
-          Option.value (Hashtbl.find_opt by_value s.Secret.value) ~default:[]
-        in
-        Hashtbl.replace by_value s.Secret.value ((si, s) :: prev))
-      secrets;
-    Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) by_value;
-    let matches h = Option.value (Hashtbl.find_opt by_value h.h_value) ~default:[] in
-    (* Secret-valued writes, in record order. *)
-    let writes : (Structure.t * Word.t, (int * Log.origin) list) Hashtbl.t =
-      Hashtbl.create 256
-    in
-    List.iter
-      (fun h ->
-        match h.h_origin with
-        | Some origin ->
-          let key = (h.h_structure, h.h_value) in
-          let prev = Option.value (Hashtbl.find_opt writes key) ~default:[] in
-          Hashtbl.replace writes key ((h.h_cycle, origin) :: prev)
-        | None -> ())
-      hits;
-    Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) writes;
-    let commits = Array.of_list commits in
-    (* Stable by cycle: record order survives among equal cycles, so the
-       last eligible slot is the record-order-last commit of the maximal
-       cycle — exactly what [Log.last_commit_before] returns. *)
-    Array.stable_sort (fun (c1, _) (c2, _) -> Int.compare c1 c2) commits;
-    let last_commit_before ~cycle =
-      let rec bs lo hi =
-        (* invariant: commits below [lo] have cycle <= [cycle], commits
-           from [hi] up have cycle > [cycle] *)
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if fst commits.(mid) <= cycle then bs (mid + 1) hi else bs lo mid
-      in
-      let i = bs 0 (Array.length commits) in
-      if i = 0 then None else Some (snd commits.(i - 1))
-    in
-    let provenance ~structure ~value ~before_cycle =
-      match Hashtbl.find_opt writes (structure, value) with
-      | None -> None
-      | Some l ->
-        Option.map snd
-          (List.fold_left
-             (fun best (cycle, origin) ->
-               if cycle > before_cycle then best
-               else
-                 match best with
-                 | Some (c, _) when c >= cycle -> best
-                 | _ -> Some (cycle, origin))
-             None l)
-    in
-    (* Detection, tagging each emission with its position in the naive
-       (secret-major, record, entry) emission order. *)
-    let emissions = ref [] in
-    let emit ~si ~ei h ~secret ~origin ~detection ~note =
-      let case =
-        classify ~structure:h.h_structure ~origin ~owner:secret.Secret.owner
-          ~ctx:h.h_ctx ~note ~detection
-      in
-      emissions :=
-        ( si,
-          h.h_record,
-          ei,
-          {
-            case;
-            secret = Some secret;
-            structure = h.h_structure;
-            cycle = h.h_cycle;
-            ctx = h.h_ctx;
-            origin;
-            detection;
-            note;
-            last_pc = last_commit_before ~cycle:h.h_cycle;
-          } )
-        :: !emissions
-    in
-    (* The naive pass emits at most once per (secret, snapshot). *)
-    let seen_record = ref (-1) and seen = ref [] in
-    List.iter
-      (fun h ->
-        if h.h_origin <> None then
-          List.iter
-            (fun (si, (s : Secret.seeded)) ->
-              if not (Secret.authorized s.Secret.owner h.h_ctx) then
-                let eligible =
-                  if s.Secret.derived then
-                    Structure.equal h.h_structure Structure.Reg_file
-                    && contains_substring ~needle:"transient" h.h_note
-                  else true
-                in
-                if eligible then
-                  emit ~si ~ei:h.h_entry h ~secret:s ~origin:h.h_origin
-                    ~detection:Fetched ~note:h.h_note)
-            (matches h)
-        else begin
-          if h.h_record <> !seen_record then begin
-            seen_record := h.h_record;
-            seen := []
-          end;
-          List.iter
-            (fun (si, (s : Secret.seeded)) ->
-              if
-                (not s.Secret.derived)
-                && (not (List.mem si !seen))
-                && not (Secret.authorized s.Secret.owner h.h_ctx)
-              then begin
-                seen := si :: !seen;
-                let origin =
-                  provenance ~structure:h.h_structure ~value:s.Secret.value
-                    ~before_cycle:h.h_cycle
-                in
-                emit ~si ~ei:0 h ~secret:s ~origin ~detection:Residue
-                  ~note:"snapshot residue"
-              end)
-            (matches h)
-        end)
-      hits;
-    (* The naive pass prepends as it emits, so its result is emission
-       order reversed: sort the tags descending. *)
-    let descending (a_si, a_ri, a_ei, _) (b_si, b_ri, b_ei, _) =
-      if a_si <> b_si then Int.compare b_si a_si
-      else if a_ri <> b_ri then Int.compare b_ri a_ri
-      else Int.compare b_ei a_ei
-    in
-    List.map (fun (_, _, _, f) -> f) (List.sort descending !emissions)
+(* {!Log.last_commit_before} over the kept commits: the record-order-last
+   commit of the largest cycle at or before [cycle], with the same -1
+   floor. *)
+let last_commit_before sc ~cycle =
+  let cycles = sc.commit_cycles in
+  let best = ref (-1) and best_cycle = ref (-1) in
+  for j = 0 to sc.n_commits - 1 do
+    let at = cycles.(j) in
+    if at <= cycle && at >= !best_cycle then begin
+      best := j;
+      best_cycle := at
+    end
+  done;
+  if !best < 0 then None else Some (Bytes.get_int64_ne sc.commit_pcs (8 * !best))
+
+(* [Some o] for every origin, by code: classification takes options. *)
+let some_origin = Array.of_list (List.map Option.some Log.all_origins)
+
+(* {!residue_provenance} over value slot [k]'s chain: among the writes
+   into [structure] at or before [before_cycle], the first in record
+   order of the largest cycle.  The chain runs newest first, so a tie
+   replaces the best. *)
+let residue_origin sc k ~structure ~before_cycle =
+  let hits = sc.hits in
+  let best = ref (-1) and best_cycle = ref 0 in
+  let h = ref sc.heads.(k) in
+  while !h >= 0 do
+    let b = !h * hit_fields in
+    let origin = hits.(b + f_origin) and cycle = hits.(b + f_cycle) in
+    if
+      origin >= 0
+      && hits.(b + f_structure) = structure
+      && cycle <= before_cycle
+      && (!best < 0 || cycle >= !best_cycle)
+    then begin
+      best := origin;
+      best_cycle := cycle
+    end;
+    h := hits.(b + f_next)
+  done;
+  if !best < 0 then None else some_origin.(!best)
+
+let case_codes = 1 + List.length Case.all
+
+(* Whether [dedupe]'s key — (case, structure, detection, value), the
+   value by its slot [k] — is met for the first time; records it. *)
+let first_sighting sc k case structure detection =
+  let case = match case with None -> 0 | Some c -> 1 + Case.index c in
+  let detection = match detection with Fetched -> 0 | Residue -> 1 in
+  let key = (((((k * case_codes) + case) * Structure.count) + structure) * 2) + detection in
+  if Keys.mem sc.seen key then false
+  else begin
+    Keys.replace sc.seen key ();
+    true
+  end
+
+(* The deduplicated data findings in the reference's order, split into
+   the classified ones and the residue warnings. *)
+let emit_data sc log values newest_first =
+  Keys.reset sc.seen;
+  let hits = sc.hits in
+  let classified = ref [] and residue = ref [] in
+  let keep f =
+    match f.case with
+    | Some _ -> classified := f :: !classified
+    | None -> residue := f :: !residue
+  in
+  List.iter
+    (fun (s : Secret.seeded) ->
+      let k = Log.Values.slot values s.Secret.value and owner = s.Secret.owner in
+      let last_snapshot = ref (-1) in
+      let h = ref sc.heads.(k) in
+      while !h >= 0 do
+        let b = !h * hit_fields in
+        h := hits.(b + f_next);
+        let ctx = Log.context_of_code ~tag:hits.(b + f_tag) ~id:hits.(b + f_id) in
+        if not (Secret.authorized owner ctx) then begin
+          let code = hits.(b + f_structure) and cycle = hits.(b + f_cycle) in
+          let structure = Structure.of_code code in
+          if hits.(b + f_origin) >= 0 then begin
+            let flags = hits.(b + f_flags) in
+            let transient = flags land transient_flag <> 0 in
+            (* Derived sub-words only count as transient RF forwards. *)
+            if (not s.Secret.derived) || (code = reg_file && transient) then begin
+              let origin = some_origin.(hits.(b + f_origin)) in
+              let case =
+                classify_flags ~structure ~origin ~owner ~ctx ~detection:Fetched
+                  ~forwarded:(flags land forwarded_flag <> 0) ~transient
+              in
+              if first_sighting sc k case code Fetched then
+                keep
+                  {
+                    case;
+                    secret = Some s;
+                    structure;
+                    cycle;
+                    ctx;
+                    origin;
+                    detection = Fetched;
+                    note = Log.note_at log hits.(b + f_note);
+                    last_pc = last_commit_before sc ~cycle;
+                  }
+            end
+          end
+          else if (not s.Secret.derived) && hits.(b + f_record) <> !last_snapshot
+          then begin
+            (* The reference emits once per secret and snapshot.  Dedupe
+               would drop the repeats anyway; skipping them saves their
+               provenance walks. *)
+            last_snapshot := hits.(b + f_record);
+            let origin = residue_origin sc k ~structure:code ~before_cycle:cycle in
+            let case =
+              classify_flags ~structure ~origin ~owner ~ctx ~detection:Residue
+                ~forwarded:false ~transient:false
+            in
+            if first_sighting sc k case code Residue then
+              keep
+                {
+                  case;
+                  secret = Some s;
+                  structure;
+                  cycle;
+                  ctx;
+                  origin;
+                  detection = Residue;
+                  note = "snapshot residue";
+                  last_pc = last_commit_before sc ~cycle;
+                }
+          end
+        end
+      done)
+    newest_first;
+  (List.rev !classified, List.rev !residue)
 
 (* {2 P2: metadata leakage} *)
 
@@ -541,13 +616,18 @@ let finish findings =
   let findings = dedupe findings in
   List.stable_sort (fun a b -> Int.compare (case_rank a) (case_rank b)) findings
 
+(* [finish] of the reference, assembled directly: metadata findings
+   carry no secret, so their dedupe keys never meet a data finding's,
+   and all of them are classified. *)
 let check log tracker =
   let secrets = Secret.all tracker in
-  let scanned =
-    scan log (Log.Values.of_list (List.map (fun (s : Secret.seeded) -> s.Secret.value) secrets))
+  let values =
+    Log.Values.of_list (List.map (fun (s : Secret.seeded) -> s.Secret.value) secrets)
   in
-  let metadata = scanned.metadata in
-  finish (check_data secrets scanned @ check_btb_residue metadata @ check_hpc metadata)
+  let sc = Domain.DLS.get scratch_key in
+  let metadata = scan sc log values in
+  let classified, residue = emit_data sc log values (List.rev secrets) in
+  classified @ dedupe (check_btb_residue metadata @ check_hpc metadata) @ residue
 
 let check_reference log tracker =
   let records = Log.to_list log in

@@ -42,11 +42,21 @@ type finding = {
 
 val pp_finding : Format.formatter -> finding -> unit
 
-(** [check log tracker] returns the deduplicated findings, classified
-    cases first.  The data pass runs over value-keyed indexes (one log
-    scan, O(1) secret lookup per entry, indexed residue provenance and
-    last-commit-PC), but its output is exactly that of the naive
-    reference scan. *)
+(** [check log tracker] returns the deduplicated findings: classified
+    data findings, then the metadata findings (M1, M2), then residue
+    warnings.  Its output is exactly that of {!check_reference}.
+
+    One cursor pass matches entry data in place against the seeded
+    values and records each matching entry as integers, chained per
+    value, newest first; commits are kept as (cycle, pc).  The
+    reference's list runs over the secrets newest-registered first and
+    over each secret's observations newest first, and deduplication
+    keeps the first finding of each (case, structure, detection, value)
+    key.  Emission walks the secrets and their values' chains in that
+    same order, so a candidate survives exactly when its key is new,
+    and only a survivor gets a note string, a last committed pc and a
+    finding record.  The scratch buffers are per domain and reused
+    across calls. *)
 val check : Log.t -> Secret.tracker -> finding list
 
 (** [check_reference log tracker] is the naive O(secrets × records)

@@ -43,8 +43,9 @@ let check_of_finding (f : Checker.finding) =
    findings, the first enclave-owned entry for metadata ones.  For a
    Fetched finding this is the observed write itself; for a Residue
    finding it is the access the residue survives from.  One cursor pass
-   serves every finding; data entries are matched in place, so only the
-   writes that carry some finding's evidence are looked at. *)
+   serves every finding.  A write is looked at only when it goes into
+   some finding's structure, and data entries are matched in place, so
+   only the writes that carry some finding's evidence are decoded. *)
 let find_writes log (findings : Checker.finding array) =
   let best = Array.make (Array.length findings) None in
   let values =
@@ -53,18 +54,21 @@ let find_writes log (findings : Checker.finding array) =
       |> List.filter_map (fun (f : Checker.finding) ->
              Option.map (fun s -> s.Secret.value) f.Checker.secret))
   in
-  let metadata_structures =
-    Array.to_list findings
-    |> List.filter_map (fun (f : Checker.finding) ->
-           if f.Checker.secret = None then Some f.Checker.structure else None)
-  in
+  (* Per structure code: bit 0 when a data finding is in it, bit 1 when
+     a metadata finding is. *)
+  let wanted = Array.make Structure.count 0 in
+  Array.iter
+    (fun (f : Checker.finding) ->
+      let code = Structure.to_code f.Checker.structure in
+      wanted.(code) <- (wanted.(code) lor if f.Checker.secret = None then 2 else 1))
+    findings;
   Log.iter log (fun c ->
       if Log.Cursor.kind c = Log.Write_kind then begin
-        let structure = Log.Cursor.structure c in
+        let want = wanted.(Log.Cursor.structure_code c) in
         if
-          Log.Cursor.next_match c values 0 >= 0
-          || List.exists (Structure.equal structure) metadata_structures
+          want land 2 <> 0 || (want land 1 <> 0 && Log.Cursor.next_match c values 0 >= 0)
         then begin
+          let structure = Log.Cursor.structure c in
           let cycle = Log.Cursor.cycle c in
           Array.iteri
             (fun k (f : Checker.finding) ->

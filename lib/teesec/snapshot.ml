@@ -30,7 +30,7 @@ type slot = {
 }
 
 type cache = {
-  mutable slots : slot list;
+  slots : (int64, slot) Hashtbl.t;  (** By cut key. *)
   mutable clock : int;
   mutable pool : (Env.t * Env.snapshot) option;
       (* The domain's recycled base environment and its pristine capture.
@@ -177,14 +177,13 @@ let domain_cache t =
   match List.assoc_opt self (Atomic.get t.caches) with
   | Some cache -> cache
   | None ->
-    let cache = { slots = []; clock = 0; pool = None } in
+    let cache = { slots = Hashtbl.create 64; clock = 0; pool = None } in
     update_caches t (fun l -> (self, cache) :: l);
     if not (Domain.is_main_domain ()) then
       Domain.at_exit (fun () -> update_caches t (List.remove_assoc self));
     cache
 
-let find_slot cache key =
-  List.find_opt (fun s -> s.s_key = key) cache.slots
+let find_slot cache key = Hashtbl.find_opt cache.slots key
 
 let touch cache slot =
   cache.clock <- cache.clock + 1;
@@ -203,16 +202,16 @@ let store t cache key ~depth env =
       { s_key = key; s_depth = depth; s_snap = Env.snapshot env;
         s_stamp = cache.clock }
     in
-    let slots = slot :: cache.slots in
-    cache.slots <-
-      (if List.length slots <= t.capacity then slots
-       else
-         let victim =
-           List.fold_left
-             (fun v s -> if s.s_stamp < v.s_stamp then s else v)
-             (List.hd slots) slots
-         in
-         List.filter (fun s -> s != victim) slots);
+    Hashtbl.replace cache.slots key slot;
+    if Hashtbl.length cache.slots > t.capacity then begin
+      (* Stamps are distinct, so the least recently used slot is unique. *)
+      let victim =
+        Hashtbl.fold
+          (fun _ s v -> if s.s_stamp < v.s_stamp then s else v)
+          cache.slots slot
+      in
+      Hashtbl.remove cache.slots victim.s_key
+    end;
     Atomic.incr t.stores;
     Option.iter (fun i -> Obs.Metrics.inc i.i_stores) t.ins
 

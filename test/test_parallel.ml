@@ -131,16 +131,6 @@ let secret_index_differential =
 let host_u = Exec_context.Host Riscv.Priv.User
 let host_s = Exec_context.Host Riscv.Priv.Supervisor
 
-(* A tracker covering every owner kind, plus a derived secret. *)
-let make_tracker () =
-  let t = Secret.create_tracker () in
-  let v0 = Secret.register t ~seed:1L ~addr:0x8800_8000L ~owner:(Secret.Enclave_owner 0) in
-  let v1 = Secret.register t ~seed:2L ~addr:0x8800_9000L ~owner:(Secret.Enclave_owner 1) in
-  let v2 = Secret.register t ~seed:3L ~addr:0x8000_1000L ~owner:Secret.Sm_owner in
-  let v3 = Secret.register t ~seed:4L ~addr:0x8100_0000L ~owner:Secret.Host_owner in
-  Secret.register_value t ~value:0xDE11L ~addr:0x8800_8004L ~owner:(Secret.Enclave_owner 0);
-  (t, [| v0; v1; v2; v3; 0xDE11L; 0x1234L; 0x0L; 0xFFFFL |])
-
 let notes =
   [|
     "";
@@ -156,7 +146,11 @@ let notes =
 let gen_record values =
   let open QCheck.Gen in
   let gen_ctx =
-    oneofl [ host_u; host_s; Exec_context.Enclave 0; Exec_context.Enclave 1; Exec_context.Monitor ]
+    oneofl
+      [
+        host_u; host_s; Exec_context.Enclave 0; Exec_context.Enclave 1;
+        Exec_context.Enclave 2; Exec_context.Monitor;
+      ]
   in
   let gen_structure = oneofl Structure.all in
   let gen_origin = oneofl Log.all_origins in
@@ -168,9 +162,6 @@ let gen_record values =
       (map (fun i -> notes.(i mod Array.length notes)) (int_range 0 100))
   in
   let gen_entries = list_size (int_range 1 3) gen_entry in
-  (* Cycles are drawn independently, so record order is deliberately
-     not cycle-monotonic: the provenance/commit indexes must not assume
-     sortedness. *)
   let gen_cycle = int_range 0 400 in
   let gen_event =
     frequency
@@ -191,25 +182,109 @@ let build_log specs =
   List.iter (fun (cycle, ctx, event) -> Log.record log ~cycle ~ctx event) specs;
   log
 
+(* Drawn per case: every secret takes one of four values, so values
+   repeat across owners (enclaves 0-2, the monitor's, the host's) and a
+   derived secret can carry a non-derived one's value. *)
+let gen_tracker =
+  QCheck.Gen.(list_size (int_range 0 6) (triple (int_range 0 3) (int_range 0 4) bool))
+
+let pool_value i = Secret.value_for ~seed:(Int64.of_int (i + 1)) ~addr:0x8800_8000L
+
+let tracker_of specs =
+  let t = Secret.create_tracker () in
+  List.iteri
+    (fun n (v, owner, derived) ->
+      let owner =
+        match owner with
+        | 0 | 1 | 2 -> Secret.Enclave_owner owner
+        | 3 -> Secret.Sm_owner
+        | _ -> Secret.Host_owner
+      in
+      let addr = Int64.of_int (0x8800_8000 + (8 * n)) in
+      if derived then Secret.register_value t ~value:(pool_value v) ~addr ~owner
+      else
+        (* [register] hashes (seed, addr): seed [v + 1] at the pool's
+           address yields [pool_value v] whatever the owner. *)
+        ignore (Secret.register t ~seed:(Int64.of_int (v + 1)) ~addr:0x8800_8000L ~owner))
+    specs;
+  t
+
+(* Writes of one value into one structure at one cycle through
+   different origins: the residue-provenance tie rule picks the first. *)
+let gen_tied_writes values =
+  let open QCheck.Gen in
+  map
+    (fun ((cycle, ctx, structure), (value, origins)) ->
+      List.map
+        (fun origin ->
+          ( cycle,
+            ctx,
+            Log.Write
+              { structure; entries = [ Log.entry ~note:"tie" value ]; origin } ))
+        origins)
+    (pair
+       (triple (int_range 0 60)
+          (oneofl [ host_s; Exec_context.Enclave 0; Exec_context.Enclave 2 ])
+          (oneofl [ Structure.Lfb; Structure.Reg_file; Structure.L1d_data ]))
+       (pair (oneofa values) (list_size (int_range 2 3) (oneofl Log.all_origins))))
+
+(* Trackers, logs and ties all drawn per case.  Cycles are drawn
+   independently, so record order is deliberately not cycle-monotonic:
+   the provenance and commit indexes must not assume sortedness. *)
 let checker_differential =
-  let tracker, values = make_tracker () in
-  let gen = QCheck.Gen.(list_size (int_range 0 120) (gen_record values)) in
-  QCheck.Test.make ~name:"indexed check == naive reference (random logs)"
-    ~count:300
+  let values = Array.append (Array.init 4 pool_value) [| 0x1234L; 0x0L; 0xFFFFL |] in
+  let gen_records =
+    QCheck.Gen.(
+      map List.concat
+        (list_size (int_range 0 120)
+           (frequency
+              [ (6, map (fun r -> [ r ]) (gen_record values)); (1, gen_tied_writes values) ])))
+  in
+  QCheck.Test.make ~name:"indexed check == naive reference (random logs)" ~count:500
     (QCheck.make
-       ~print:(fun specs -> Printf.sprintf "<log with %d records>" (List.length specs))
-       gen)
-    (fun specs ->
-      let log = build_log specs in
+       ~print:(fun (specs, records) ->
+         Printf.sprintf "secrets %s; <log with %d records>"
+           (String.concat ","
+              (List.map
+                 (fun (v, o, d) -> Printf.sprintf "(%d,%d,%b)" v o d)
+                 specs))
+           (List.length records))
+       (QCheck.Gen.pair gen_tracker gen_records))
+    (fun (specs, records) ->
+      let tracker = tracker_of specs and log = build_log records in
       Checker.check log tracker = Checker.check_reference log tracker)
 
+(* Both checkers take a commit's pc only from cycle -1 on: a commit at
+   cycle -5 is no [last_pc] for a secret-valued write at -2, as
+   [Log.last_commit_before] has it.  [Serialize] reads such logs. *)
+let test_checker_negative_cycles () =
+  let tracker = Secret.create_tracker () in
+  let v = Secret.register tracker ~seed:1L ~addr:0x8800_8000L ~owner:(Secret.Enclave_owner 0) in
+  let log =
+    build_log
+      [
+        (-5, host_s, Log.Commit { pc = 0x8000_0000L; instr = "nop" });
+        ( -2,
+          host_s,
+          Log.Write
+            { structure = Structure.Lfb; entries = [ Log.entry v ]; origin = Log.Refill } );
+      ]
+  in
+  let indexed = Checker.check log tracker in
+  Alcotest.(check bool) "check == check_reference" true
+    (indexed = Checker.check_reference log tracker);
+  Alcotest.(check bool) "one finding, no last_pc" true
+    (match indexed with [ f ] -> f.Checker.last_pc = None | _ -> false)
+
 let test_checker_differential_real_logs () =
-  (* The mitigation slice exercises every access path on both cores. *)
+  (* The full 585-case corpus, each case's log as the campaign sees it
+     (through the snapshot engine), on both cores. *)
   List.iter
     (fun config ->
+      let engine = Snapshot.create config in
       List.iter
         (fun tc ->
-          let o = Runner.run config tc in
+          let o = Runner.run ~snapshots:engine config tc in
           let indexed = Checker.check o.Runner.log o.Runner.tracker in
           let reference = Checker.check_reference o.Runner.log o.Runner.tracker in
           Alcotest.(check int)
@@ -220,7 +295,7 @@ let test_checker_differential_real_logs () =
                (Testcase.name tc))
             true
             (indexed = reference))
-        (Mitigation_eval.slice ()))
+        (Fuzzer.corpus ()))
     [ Config.boom; Config.xiangshan ]
 
 (* {1 Parallel campaign == sequential campaign} *)
@@ -326,6 +401,7 @@ let () =
       ( "checker",
         [
           QCheck_alcotest.to_alcotest checker_differential;
+          Alcotest.test_case "commits before cycle -1" `Quick test_checker_negative_cycles;
           Alcotest.test_case "indexed == reference on real logs" `Slow
             test_checker_differential_real_logs;
         ] );

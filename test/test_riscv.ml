@@ -282,6 +282,34 @@ let test_instr_pp () =
   Alcotest.(check string) "csr" "csrr x10, satp"
     (Instr.to_string (Instr.Csrr (Instr.a0, Csr.Satp)))
 
+(* [to_string] renders commits without [Format]; these are the texts
+   the [Format]-based printer gave, and [Word.to_hex] is [Printf]'s
+   "0x%Lx". *)
+let test_instr_to_string () =
+  List.iter
+    (fun (expected, i) -> Alcotest.(check string) expected expected (Instr.to_string i))
+    Instr.
+      [
+        ("li x10, 0x0", Li (a0, 0L));
+        ("li x10, 0xffffffffffffffff", Li (a0, -1L));
+        ("addi x0, x5, 0x8000000000000000", Alui (Add, 0, 5, Int64.min_int));
+        ("srli x31, x1, 0x7fffffffffffffff", Alui (Srl, 31, 1, Int64.max_int));
+        ("xor x1, x2, x31", Alu (Xor, 1, 2, 31));
+        ("lb x7, 0xfff(x2)", Load { width = Byte; rd = 7; base = 2; offset = 0xfffL });
+        ("sh x30, 0x0(x0)", Store { width = Half; rs = 30; base = 0; offset = 0L });
+        ("lw x1, 0xfffffffffffffff8(x8)", Load { width = Word_; rd = 1; base = 8; offset = -8L });
+        ("sd x2, 0x10(x3)", Store { width = Double; rs = 2; base = 3; offset = 0x10L });
+        ("bge x3, x4, loop_1", Branch (Ge, 3, 4, "loop_1"));
+        ("j done", Jal "done");
+        ("csrr x9, mhpmcounter31", Csrr (9, Csr.Mhpmcounter 31));
+        ("csrw pmpaddr15, x12", Csrw (Csr.Pmpaddr 15, 12));
+        ("ecall", Ecall);
+        ("halt", Halt);
+      ];
+  List.iter
+    (fun v -> Alcotest.(check string) "to_hex" (Printf.sprintf "0x%Lx" v) (Word.to_hex v))
+    [ 0L; 1L; -1L; 0x10L; 0xf0L; 0xfffL; 0x8000_0000L; 0x123456789abcdefL; Int64.min_int; Int64.max_int ]
+
 let test_width_bytes () =
   Alcotest.(check int) "byte" 1 (Instr.width_bytes Instr.Byte);
   Alcotest.(check int) "half" 2 (Instr.width_bytes Instr.Half);
@@ -768,6 +796,7 @@ let () =
         [
           Alcotest.test_case "pretty printing" `Quick test_instr_pp;
           Alcotest.test_case "width bytes" `Quick test_width_bytes;
+          Alcotest.test_case "to_string text" `Quick test_instr_to_string;
         ] );
       ( "program",
         [

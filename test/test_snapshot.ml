@@ -253,6 +253,45 @@ let test_engine_hits_across_cases () =
   Alcotest.(check bool) "hits skip replay work" true
     (stats.Snapshot.restored_gadgets > 0)
 
+(* With two slots, storing a third prefix evicts the least recently
+   used one, not the oldest: after A, B, A, C the cache holds A and C. *)
+let test_engine_evicts_lru () =
+  let path = List.hd Access_path.all in
+  let case name =
+    let prefix =
+      {
+        Gadget.name;
+        kind = Gadget.Setup;
+        description = name;
+        param_deps = [];
+        pre = (fun _ -> true);
+        post = (fun _ -> ());
+        emit = (fun _ -> ());
+      }
+    in
+    {
+      Testcase.id = 0;
+      path;
+      gadgets = [ prefix; Gadget_library.access_gadget path ];
+      params = Params.default;
+    }
+  in
+  let engine = Snapshot.create ~slots:2 Config.boom in
+  let hits () = (Snapshot.stats engine).Snapshot.hits in
+  List.iter
+    (fun (name, hit) ->
+      let before = hits () in
+      ignore (Snapshot.establish engine (case name));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s" name (if hit then "hits" else "misses"))
+        hit
+        (hits () > before))
+    [
+      ("A", false); ("B", false); ("A", true); ("C", false); ("A", true);
+      ("B", false); ("C", false); ("B", true);
+    ];
+  Alcotest.(check int) "one store per miss" 5 (Snapshot.stats engine).Snapshot.stores
+
 let test_engine_rejects_other_config () =
   let engine = Snapshot.create Config.boom in
   let tc = List.hd (Mitigation_eval.slice ()) in
@@ -364,6 +403,8 @@ let () =
             test_engine_rejects_other_config;
           Alcotest.test_case "dropped engines are freed" `Quick
             test_dropped_engines_are_freed;
+          Alcotest.test_case "two slots evict the least recently used" `Quick
+            test_engine_evicts_lru;
         ] );
       ( "differential",
         [
