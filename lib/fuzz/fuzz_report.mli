@@ -3,7 +3,7 @@
     The JSON form deliberately contains no wall time or host detail:
     reports for the same seed must be byte-identical across job counts
     and reruns (the acceptance criterion the jobs-determinism test
-    pins).  Timing lives in bench/main.ml, wrapped around the call. *)
+    pins).  Nothing in the repository times the fuzzing engine. *)
 
 val pp : Format.formatter -> Engine.report -> unit
 

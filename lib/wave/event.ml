@@ -141,11 +141,19 @@ let encode buf ~kind ~cycle ~structure_id ~slot ~domain ~value =
 
 exception Malformed of string
 
+(* [add_varint] writes a non-negative int (62 value bits) in at most
+   nine bytes, the ninth carrying bits 56-61 only; anything longer, or a
+   ninth byte that would set the sign bit, is not one of ours. *)
 let read_varint src pos =
   let len = String.length src in
   let rec go pos shift acc =
     if pos >= len then raise (Malformed "truncated varint");
     let b = Char.code src.[pos] in
+    if shift = 56 && b > 0x3f then
+      raise
+        (Malformed
+           (if b land 0x80 <> 0 then "varint longer than nine bytes"
+            else "varint overflows int"));
     let acc = acc lor ((b land 0x7f) lsl shift) in
     if b land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
   in
@@ -212,7 +220,7 @@ let unframe_exn src =
   let len = String.length src in
   let read_str pos =
     let n, pos = read_varint src pos in
-    if pos + n > len then raise (Malformed "truncated frame");
+    if n > len - pos then raise (Malformed "truncated frame");
     (String.sub src pos n, pos + n)
   in
   let rec go pos acc =

@@ -117,13 +117,22 @@ let test_campaign_progress_stream () =
 
 (* {1 Clean baseline reproduces Table 3} *)
 
+(* At the bench seed, 20 plans over the slice: the clean baseline
+   reproduces Table 3, and the plans split stable/spurious/masked into
+   exactly these counts per core. *)
 let test_zero_fault_baseline_matches_paper () =
   List.iter
-    (fun config ->
+    (fun (config, totals) ->
       let r =
-        Inject_campaign.run ~jobs:2 ~seed:0x5EEDL ~plans:1 config
+        Inject_campaign.run ~seed:0x5EEDL ~plans:20 config
           (Mitigation_eval.slice ())
       in
+      let { Inject_campaign.stable; spurious; masked } =
+        r.Inject_campaign.plan_totals
+      in
+      Alcotest.(check (triple int int int))
+        (config.Config.name ^ ": plans stable/spurious/masked")
+        totals (stable, spurious, masked);
       Alcotest.(check bool)
         (config.Config.name ^ ": clean baseline matches Table 3")
         true r.Inject_campaign.baseline_matches_paper;
@@ -134,7 +143,7 @@ let test_zero_fault_baseline_matches_paper () =
         (config.Config.name ^ ": baseline case set")
         (List.map Case.to_string expected)
         (List.map Case.to_string r.Inject_campaign.baseline_found))
-    [ Config.boom; Config.xiangshan ]
+    [ (Config.boom, (16, 0, 4)); (Config.xiangshan, (19, 0, 1)) ]
 
 let test_campaign_counts_consistent () =
   let testcases = small_slice () in

@@ -278,7 +278,10 @@ let test_checker_negative_cycles () =
 
 let test_checker_differential_real_logs () =
   (* The full 585-case corpus, each case's log as the campaign sees it
-     (through the snapshot engine), on both cores. *)
+     (through a fresh snapshot engine, in corpus order as a jobs-1
+     campaign runs it), on both cores.  The engine's prefix sharing over
+     that run is pinned exactly: a change to cut keys, parameter
+     dependencies or the grid moves these counts. *)
   List.iter
     (fun config ->
       let engine = Snapshot.create config in
@@ -295,7 +298,19 @@ let test_checker_differential_real_logs () =
                (Testcase.name tc))
             true
             (indexed = reference))
-        (Fuzzer.corpus ()))
+        (Fuzzer.corpus ());
+      let s = Snapshot.stats engine in
+      List.iter
+        (fun (what, expected, actual) ->
+          Alcotest.(check int) (config.Config.name ^ ": snapshot " ^ what)
+            expected actual)
+        [
+          ("hits", 535, s.Snapshot.hits);
+          ("misses", 50, s.Snapshot.misses);
+          ("stores", 564, s.Snapshot.stores);
+          ("restored gadgets", 894, s.Snapshot.restored_gadgets);
+          ("replayed gadgets", 564, s.Snapshot.replayed_gadgets);
+        ])
     [ Config.boom; Config.xiangshan ]
 
 (* {1 Parallel campaign == sequential campaign} *)

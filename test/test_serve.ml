@@ -451,6 +451,8 @@ let test_planner_family_boundaries () =
   with
   | Error e -> Alcotest.fail e
   | Ok shards ->
+    Alcotest.(check int) "shards of the slice at the default cap" 15
+      (List.length shards);
     List.iter
       (fun (s : Planner.shard) ->
         let cases = s.Planner.work.Request.cases in

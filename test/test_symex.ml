@@ -338,27 +338,33 @@ let test_trace_spans () =
 
 (* {1 Corpus hand-off} *)
 
+(* The witnesses lower to exactly 20 seed entries per core, and the
+   emitted corpus loads back entry for entry. *)
 let test_corpus_round_trip () =
-  let report = Lazy.force full_report in
-  let seeds = Synthesize.testcases_of report in
-  Alcotest.(check bool) "corpus non-empty" true (seeds <> []);
-  let path = Filename.temp_file "symex_corpus" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let n = Synthesize.emit report ~path in
-      Alcotest.(check int) "emit count" (List.length seeds) n;
-      match Corpus_io.load ~path with
-      | Error msg -> Alcotest.failf "emitted corpus does not load: %s" msg
-      | Ok loaded ->
-        Alcotest.(check int) "entry count survives" (List.length seeds)
-          (List.length loaded);
-        List.iter2
-          (fun (a : Teesec.Testcase.t) (b : Teesec.Testcase.t) ->
-            Alcotest.(check string) "family survives"
-              (Teesec.Access_path.to_string a.Teesec.Testcase.path)
-              (Teesec.Access_path.to_string b.Teesec.Testcase.path))
-          seeds loaded)
+  List.iter
+    (fun report ->
+      let report = Lazy.force report in
+      let name = report.Explore.core in
+      let seeds = Synthesize.testcases_of report in
+      Alcotest.(check int) (name ^ ": corpus entries") 20 (List.length seeds);
+      let path = Filename.temp_file "symex_corpus" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let n = Synthesize.emit report ~path in
+          Alcotest.(check int) "emit count" (List.length seeds) n;
+          match Corpus_io.load ~path with
+          | Error msg -> Alcotest.failf "emitted corpus does not load: %s" msg
+          | Ok loaded ->
+            Alcotest.(check int) "entry count survives" (List.length seeds)
+              (List.length loaded);
+            List.iter2
+              (fun (a : Teesec.Testcase.t) (b : Teesec.Testcase.t) ->
+                Alcotest.(check string) "family survives"
+                  (Teesec.Access_path.to_string a.Teesec.Testcase.path)
+                  (Teesec.Access_path.to_string b.Teesec.Testcase.path))
+              seeds loaded))
+    [ full_report; lazy (Explore.run Config.xiangshan) ]
 
 let test_seeded_fuzzing_differential () =
   (* The bench-seed differential: seeding the guided engine with the

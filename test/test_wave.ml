@@ -38,7 +38,8 @@ let encode_events evs =
 let event_gen =
   QCheck.Gen.(
     let* kind = oneofl all_kinds in
-    let* cycle = int_bound 2_000_000 in
+    (* max_int is the longest varint the encoder writes: nine bytes. *)
+    let* cycle = frequency [ (9, int_bound 2_000_000); (1, return max_int) ] in
     let* structure =
       oneof [ return None; map Option.some (oneofl Structure.all) ]
     in
@@ -81,9 +82,21 @@ let test_codec_rejects_corrupt () =
   Buffer.add_char buf '\x05' (* cycle 5 *);
   Buffer.add_char buf '\xfe' (* structure id 254: not 0xff, out of range *);
   Buffer.add_string buf "\x00\x00\x00";
-  match Event.decode (Buffer.contents buf) with
+  (match Event.decode (Buffer.contents buf) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad structure id accepted"
+  | Ok _ -> Alcotest.fail "bad structure id accepted");
+  (* A varint that overflows a non-negative int, or runs past nine
+     bytes, fails as the cycle and as a later field. *)
+  List.iter
+    (fun (what, src) ->
+      match Event.decode src with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("negative cycle", "\x00" ^ String.make 8 '\xff' ^ "\x7f\xff\x00\x00\x00");
+      ("2^62 cycle", "\x00" ^ String.make 8 '\x80' ^ "\x40\xff\x00\x00\x00");
+      ("overlong slot", "\x00\x05\xff" ^ String.make 20 '\xff' ^ "\x01\x00\x00");
+    ]
 
 (* {1 Framing} *)
 
@@ -113,7 +126,14 @@ let test_unframe_rejects_corrupt () =
       match Event.unframe src with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "corrupt framing accepted: %S" src)
-    [ "\x05ab"; "\x02ab\x7f"; "\xff" ]
+    [
+      "\x05ab"; "\x02ab\x7f"; "\xff";
+      (* Length varints that decode to a negative length, to max_int (so
+         that pos + n wraps), and that run past nine bytes. *)
+      String.make 8 '\xff' ^ "\x7fabc";
+      String.make 8 '\xff' ^ "\x3fabc";
+      String.make 20 '\xff' ^ "\x01abc";
+    ]
 
 (* {1 Tap} *)
 
@@ -358,10 +378,20 @@ let test_provenance_list_json () =
   | Error e -> Alcotest.failf "list json rejected: %s" e
 
 (* Campaign waves render to a VCD the strict validator accepts — the CI
-   smoke step in miniature. *)
+   smoke step's slice campaign — and the tap's volume on it is pinned:
+   a change that adds, drops or re-encodes events moves these counts. *)
 let test_campaign_wave_vcd () =
-  let r = Teesec.Campaign.run ~jobs:1 ~wave:true Config.boom (slice_prefix 6) in
-  match Vcd.validate (Vcd.render r.Teesec.Campaign.waves) with
+  let r =
+    Teesec.Campaign.run ~jobs:1 ~wave:true Config.boom
+      (Teesec.Mitigation_eval.slice ())
+  in
+  let waves = r.Teesec.Campaign.waves in
+  let total f = List.fold_left (fun acc (_, s) -> acc + f s) 0 waves in
+  Alcotest.(check int) "events on the BOOM slice" 64_896
+    (total (fun s -> Query.length (Query.of_stream s)));
+  Alcotest.(check int) "stream bytes on the BOOM slice" 503_204
+    (total String.length);
+  match Vcd.validate (Vcd.render waves) with
   | Ok stats ->
     Alcotest.(check bool) "signals and changes present" true
       (stats.Vcd.signals > 0 && stats.Vcd.changes > 0 && stats.Vcd.last_time > 0)
