@@ -1,9 +1,10 @@
 (** Sparse physical memory.
 
-    Backing store for the whole memory hierarchy.  Data is held in 8-byte
-    little-endian granules; reads of unwritten memory return zero.  The
-    cache models fetch whole 64-byte lines with {!read_line} and write
-    them back with {!write_line}. *)
+    Backing store for the whole memory hierarchy.  Data is held in 64-byte
+    little-endian lines, one hash-table entry per line keyed by the line
+    index, so a {!read_line} or {!write_line} costs one lookup; reads of
+    unwritten memory return zero.  The cache models fetch whole lines with
+    {!read_line} and write them back with {!write_line}. *)
 
 type t
 
@@ -12,10 +13,10 @@ val line_bytes : int
 
 val create : unit -> t
 
-(** Snapshot form holding only the written granules — unlike a
+(** Snapshot form holding only the written lines — unlike a
     [Hashtbl.copy] it does not drag the backing table's bucket array
-    along, so it stays proportional to the words actually written.
-    [restore_capture] overwrites [into] with the captured granules;
+    along, so it stays proportional to the lines actually written.
+    [restore_capture] overwrites [into] with the captured lines;
     nothing in the model iterates memory, so insertion order cannot
     affect behaviour. *)
 type capture
@@ -38,10 +39,6 @@ val read_line : t -> addr:Word.t -> Word.t array
 (** [write_line t ~addr line] stores eight words at the line containing
     [addr]. *)
 val write_line : t -> addr:Word.t -> Word.t array -> unit
-
-(** [fill t ~addr ~size ~value] writes [value] to every aligned 8-byte
-    granule of the region — the security monitor's [memset]. *)
-val fill : t -> addr:Word.t -> size:int64 -> value:Word.t -> unit
 
 (** [words_written t] is the number of distinct 8-byte granules ever
     written, used by tests. *)

@@ -173,6 +173,29 @@ let check t ~priv ~kind ~addr ~size =
 
 let allows t ~priv ~kind ~addr ~size = verdict t ~priv ~kind ~addr ~size < 0
 
+(* The lowest-index entry overlapping any byte of the region decides,
+   and it must contain the whole region.  Unlike [verdict]'s match, an
+   entry lying strictly inside the region counts as overlapping it, so
+   a [true] here means [allows] holds for every word-sized access
+   inside.  An empty or address-space-wrapping region is refused. *)
+let allows_region t ~priv ~kind ~addr ~size =
+  let lo = flip addr and hi = flip (Int64.add addr (Int64.of_int size)) in
+  let i = ref 0 and found = ref entry_count in
+  while !found = entry_count && !i < entry_count do
+    if Bytes.get_uint8 t.ranged !i = 1
+       && lo < get64 t.ranges ((16 * !i) + 8) && hi > get64 t.ranges (16 * !i)
+    then found := !i;
+    incr i
+  done;
+  let i = !found in
+  lo < hi
+  &&
+  if i = entry_count then Priv.equal priv Priv.Machine || not t.any_active
+  else
+    let e = t.entries.(i) in
+    lo >= get64 t.ranges (16 * i) && hi <= get64 t.ranges ((16 * i) + 8)
+    && ((Priv.equal priv Priv.Machine && not e.locked) || perm_allows e.perm kind)
+
 let region_of_entry t i = entry_byte_range t.entries i
 
 let pp fmt t =

@@ -81,6 +81,16 @@ val check :
 (** [allows t ~priv ~kind ~addr ~size] is [check ... = Allowed]. *)
 val allows : t -> priv:Priv.t -> kind:access_kind -> addr:Word.t -> size:int -> bool
 
+(** [allows_region t ~priv ~kind ~addr ~size] is a sufficient condition
+    for [allows] to hold at every aligned 8-byte word of
+    [[addr, addr + size)]: the lowest-index entry overlapping any byte of
+    the region contains all of it and grants the access, or no entry
+    overlaps and the default grants it.  [false] means "not shown", not
+    "denied": a region straddling an entry boundary, empty, or wrapping
+    the address space is refused. *)
+val allows_region :
+  t -> priv:Priv.t -> kind:access_kind -> addr:Word.t -> size:int -> bool
+
 (** [region_of_entry t i] is the byte range covered by entry [i], if it is
     active ([Tor] entries consult entry [i-1] for their base). *)
 val region_of_entry : t -> int -> (Word.t * int64) option

@@ -215,7 +215,9 @@ let destroy_enclave t eid =
       enter_monitor t;
       (* sm_destroy_enclave: memset(base, 0, size) through the real
          store path — the refills drag the dying enclave's secrets
-         through the LFB (leakage case D3). *)
+         through the LFB (leakage case D3).  In machine mode with no
+         fault hook or taps this is the line path, whose records equal
+         the per-word oracle's ([Machine.memset_words]). *)
       Machine.memset_region t.machine ~origin:Log.Memset_destroy ~addr:e.base
         ~size:(Int64.of_int e.size) ~value:0L;
       (match Enclave.transition e ~to_state:Enclave.Destroyed with

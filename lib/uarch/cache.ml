@@ -130,6 +130,15 @@ let write_word t ~addr v =
     true
   end
 
+let write_run t ~addr ~n v =
+  let l = find t addr in
+  if l == no_line then false
+  else begin
+    Array.fill l.data (word_index addr) n v;
+    l.dirty <- true;
+    true
+  end
+
 let insert t ~addr line_data =
   assert (Array.length line_data = line_words);
   let l = find t addr in

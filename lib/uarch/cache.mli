@@ -42,6 +42,12 @@ val read_word : t -> addr:Word.t -> Word.t option
     nothing. *)
 val write_word : t -> addr:Word.t -> Word.t -> bool
 
+(** [write_run t ~addr ~n v] writes [v] to the [n] aligned words from
+    [addr], which must all lie in [addr]'s line, if that line is
+    present, marking it dirty: one lookup for the run.  Returns [false]
+    on a miss.  Allocates nothing. *)
+val write_run : t -> addr:Word.t -> n:int -> Word.t -> bool
+
 (** [insert t ~addr line] installs a line, returning the evicted victim
     [(addr, line, dirty)] if a valid line was displaced. *)
 val insert : t -> addr:Word.t -> Word.t array -> (Word.t * Word.t array * bool) option

@@ -591,7 +591,7 @@ let rec store ?(origin = Log.Explicit_store) t ~vaddr ~size ~value () =
       end
   end
 
-let memset_region t ~origin ~addr ~size ~value =
+let memset_words t ~origin ~addr ~size ~value =
   let base = granule_base addr in
   let words = Int64.to_int (Int64.div (Int64.add size 7L) 8L) in
   for i = 0 to words - 1 do
@@ -599,6 +599,65 @@ let memset_region t ~origin ~addr ~size ~value =
     ignore (store ~origin t ~vaddr ~size:8 ~value ())
   done;
   drain_store_buffer t
+
+(* {3 The line path}
+
+   With no advance hook and no taps nothing reads the store buffer
+   between drains, so the memset's own entries are never materialised:
+   words [drained, i) are "pending" behind the real entries, and a drain
+   writes them in runs that stay inside one line — one L1 lookup, and on
+   a miss one refill, per run.  Each step emits exactly the records,
+   cycles and counters [memset_words] does, in the same order. *)
+
+(* Drain the pending words [from, upto) of the region at [base]. *)
+let drain_memset_run t ~origin ~base ~from ~upto ~value =
+  let i = ref from in
+  while !i < upto do
+    let addr = Int64.add base (Int64.of_int (!i * 8)) in
+    let run = min (upto - !i) ((Memory.line_bytes / 8) - word_in_line addr) in
+    if not (Cache.write_run t.l1 ~addr ~n:run value) then begin
+      Hpc.bump t.csr Hpc.L1d_miss;
+      ignore (refill_l1 t ~paddr:addr ~origin ~trigger_prefetch:false);
+      ignore (Cache.write_run t.l1 ~addr ~n:run value)
+    end;
+    advance t run;
+    i := !i + run
+  done
+
+let memset_lines t ~origin ~base ~words ~value =
+  let note = Exec_context.to_string t.ctx in
+  let capacity = t.config.Config.store_buffer_entries in
+  let real = ref (Store_buffer.occupancy t.stb) and drained = ref 0 in
+  for i = 0 to words - 1 do
+    Hpc.bump t.csr Hpc.L1d_access;
+    if !real + (i - !drained) >= capacity then begin
+      drain_store_buffer t;
+      real := 0;
+      drain_memset_run t ~origin ~base ~from:!drained ~upto:i ~value;
+      drained := i
+    end;
+    begin_write t ~structure:Structure.Store_buffer ~origin;
+    Log.add_addr_entry t.log ~slot:0 ~addr:(Int64.add base (Int64.of_int (i * 8))) ~note value;
+    advance t 1
+  done;
+  drain_store_buffer t;
+  drain_memset_run t ~origin ~base ~from:!drained ~upto:words ~value
+
+(* The line path runs when nothing can observe individual words: no
+   fault injector armed, taps off, machine mode (translation is the
+   identity), and every word's PMP check grants. *)
+let memset_region t ~origin ~addr ~size ~value =
+  let base = granule_base addr in
+  let words = Int64.to_int (Int64.div (Int64.add size 7L) 8L) in
+  if
+    Option.is_none t.advance_hook
+    && (not (wave_enabled t))
+    && Priv.equal (priv t) Priv.Machine
+    && (t.pmp_stuck_grant
+       || Pmp.allows_region t.pmp ~priv:Priv.Machine ~kind:Pmp.Write ~addr:base
+            ~size:(8 * words))
+  then memset_lines t ~origin ~base ~words ~value
+  else memset_words t ~origin ~addr ~size ~value
 
 (* {2 Observation} *)
 

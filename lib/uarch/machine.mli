@@ -129,10 +129,24 @@ val store :
 (** [fence t] drains the store buffer. *)
 val fence : t -> unit
 
-(** [memset_region t ~origin ~addr ~size ~value] stores [value] over the
-    region through the ordinary store path — the security monitor's
-    enclave-destroy cleanser. *)
+(** [memset_region t ~origin ~addr ~size ~value] stores [value] over
+    every aligned word of the region through the store path — the
+    security monitor's enclave-destroy cleanser.  When nothing can
+    observe individual words (no advance hook, wave taps off, machine
+    mode, and [Pmp.allows_region] or the stuck-at-grant fault granting
+    the whole region) it takes a line path: the memset's store-buffer
+    entries are not materialised, and each drain writes them one
+    line-sized run at a time, with one L1 lookup and at most one refill
+    per run.  Otherwise it is {!memset_words}.  Both paths leave the
+    same log records, cycles, counters and structure contents. *)
 val memset_region :
+  t -> origin:Log.origin -> addr:Word.t -> size:int64 -> value:Word.t -> unit
+
+(** [memset_words] is the oracle for {!memset_region}: each word goes
+    through {!store}, then the store buffer is drained.  It is the path
+    for every case the line path does not cover, and the differential
+    tests compare the line path against it. *)
+val memset_words :
   t -> origin:Log.origin -> addr:Word.t -> size:int64 -> value:Word.t -> unit
 
 (** {1 Flushes (mitigations and helper gadgets)} *)

@@ -265,12 +265,183 @@ let test_memory_lines () =
   Memory.write_line m ~addr:0x2000L line2;
   Alcotest.(check word) "written line" 30L (Memory.read m ~addr:0x2010L ~size:8)
 
-let test_memory_fill () =
-  let m = Memory.create () in
-  Memory.fill m ~addr:0x3000L ~size:128L ~value:0xAAL;
-  Alcotest.(check word) "first" 0xAAL (Memory.read m ~addr:0x3000L ~size:8);
-  Alcotest.(check word) "last" 0xAAL (Memory.read m ~addr:0x3078L ~size:8);
-  Alcotest.(check word) "beyond untouched" 0L (Memory.read m ~addr:0x3080L ~size:8)
+(* {2 Model test}
+
+   The reference is the granule-keyed memory the line-keyed [Memory]
+   replaced: one table entry per written 8-byte granule.  [Memory] must
+   return the same result for every operation, and agree on
+   [words_written] after each one. *)
+
+module Memory_reference = struct
+  type t = (int64, Word.t) Hashtbl.t
+
+  let line_bytes = 64
+  let create () : t = Hashtbl.create 4096
+
+  type capture = (int64 * Word.t) array
+
+  let capture (t : t) : capture = Array.of_seq (Hashtbl.to_seq t)
+
+  let restore_capture (cap : capture) ~(into : t) =
+    Hashtbl.reset into;
+    Array.iter (fun (g, w) -> Hashtbl.replace into g w) cap
+
+  let granule addr = Int64.shift_right_logical addr 3
+  let granule_base addr = Word.align_down addr ~alignment:8
+
+  let read_word t addr =
+    Option.value (Hashtbl.find_opt t (granule addr)) ~default:0L
+
+  let write_word t addr v = Hashtbl.replace t (granule addr) v
+
+  let read_byte t addr =
+    let w = read_word t (granule_base addr) in
+    Word.byte_of w ~index:(Int64.to_int (Int64.rem addr 8L))
+
+  let write_byte t addr byte =
+    let base = granule_base addr in
+    let w = read_word t base in
+    write_word t base (Word.set_byte w ~index:(Int64.to_int (Int64.rem addr 8L)) ~byte)
+
+  let read t ~addr ~size =
+    assert (size = 1 || size = 2 || size = 4 || size = 8);
+    if size = 8 && Word.is_aligned addr ~alignment:8 then read_word t addr
+    else begin
+      let v = ref 0L in
+      for i = size - 1 downto 0 do
+        let byte = read_byte t (Int64.add addr (Int64.of_int i)) in
+        v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int byte)
+      done;
+      !v
+    end
+
+  let write t ~addr ~size v =
+    assert (size = 1 || size = 2 || size = 4 || size = 8);
+    if size = 8 && Word.is_aligned addr ~alignment:8 then write_word t addr v
+    else
+      for i = 0 to size - 1 do
+        write_byte t (Int64.add addr (Int64.of_int i)) (Word.byte_of v ~index:i)
+      done
+
+  let read_line t ~addr =
+    let base = Word.align_down addr ~alignment:line_bytes in
+    Array.init (line_bytes / 8) (fun i ->
+        read_word t (Int64.add base (Int64.of_int (i * 8))))
+
+  let write_line t ~addr line =
+    assert (Array.length line = line_bytes / 8);
+    let base = Word.align_down addr ~alignment:line_bytes in
+    Array.iteri (fun i w -> write_word t (Int64.add base (Int64.of_int (i * 8))) w) line
+
+  let words_written t = Hashtbl.length t
+end
+
+type mem_op =
+  | M_write of int64 * int * int64
+  | M_write_line of int64 * int64
+  | M_read of int64 * int
+  | M_read_line of int64
+  | M_capture
+  | M_restore
+
+(* Low addresses cover eight adjacent lines at every byte offset, so
+   sub-word and misaligned accesses straddle granules and lines.  High
+   addresses (bit 63 set, up to the last line of the address space) are
+   line-path and aligned-word addresses only: the reference's byte
+   accessors assume a non-negative address. *)
+let memory_low_lines = 8
+let memory_low_base = 0x1000L
+let memory_high_bases = [ Int64.min_int; 0xC000_0000_0000_0040L; -64L ]
+
+let gen_memory_case =
+  let open QCheck.Gen in
+  let low =
+    map2
+      (fun line off -> Int64.add memory_low_base (Int64.of_int ((line * 64) + off)))
+      (int_bound (memory_low_lines - 1)) (int_bound 63)
+  in
+  let high = map2 (fun b off -> Int64.add b (Int64.of_int off)) (oneofl memory_high_bases) (int_bound 63) in
+  let aligned = map (fun a -> Word.align_down a ~alignment:8) in
+  let line_addr = frequency [ (3, low); (1, high) ] in
+  let op =
+    frequency
+      [
+        (4, map3 (fun a k v -> M_write (a, 1 lsl k, v)) low (int_bound 3) ui64);
+        (2, map2 (fun a v -> M_write (a, 8, v)) (aligned line_addr) ui64);
+        (2, map2 (fun a v -> M_write_line (a, v)) line_addr ui64);
+        (3, map2 (fun a k -> M_read (a, 1 lsl k)) low (int_bound 3));
+        (1, map (fun a -> M_read (a, 8)) (aligned line_addr));
+        (2, map (fun a -> M_read_line a) line_addr);
+        (1, return M_capture);
+        (1, return M_restore);
+      ]
+  in
+  list_size (int_range 1 60) op
+
+let print_memory_case ops =
+  String.concat "; "
+    (List.map
+       (function
+         | M_write (a, size, v) -> Printf.sprintf "write %Lx/%d %Lx" a size v
+         | M_write_line (a, v) -> Printf.sprintf "write_line %Lx %Lx" a v
+         | M_read (a, size) -> Printf.sprintf "read %Lx/%d" a size
+         | M_read_line a -> Printf.sprintf "read_line %Lx" a
+         | M_capture -> "capture"
+         | M_restore -> "restore")
+       ops)
+
+(* Distinct words per line, derived from one generated value. *)
+let memory_line_of v = Array.init 8 (fun i -> Int64.add v (Int64.of_int (i * 0x0101)))
+
+let prop_memory_matches_reference =
+  QCheck.Test.make ~name:"line-keyed memory matches the granule-keyed reference" ~count:300
+    (QCheck.make ~print:print_memory_case gen_memory_case)
+    (fun ops ->
+      let m = Memory.create () and r = Memory_reference.create () in
+      let saved = ref None in
+      let same_result op =
+        match op with
+        | M_write (addr, size, v) ->
+          Memory.write m ~addr ~size v;
+          Memory_reference.write r ~addr ~size v;
+          true
+        | M_write_line (addr, v) ->
+          Memory.write_line m ~addr (memory_line_of v);
+          Memory_reference.write_line r ~addr (memory_line_of v);
+          true
+        | M_read (addr, size) -> Memory.read m ~addr ~size = Memory_reference.read r ~addr ~size
+        | M_read_line addr -> Memory.read_line m ~addr = Memory_reference.read_line r ~addr
+        | M_capture ->
+          saved := Some (Memory.capture m, Memory_reference.capture r);
+          true
+        | M_restore ->
+          Option.iter
+            (fun (cap, cap_r) ->
+              Memory.restore_capture cap ~into:m;
+              Memory_reference.restore_capture cap_r ~into:r)
+            !saved;
+          true
+      in
+      (* Every line either side can hold, read back from the live memory
+         and from a capture round trip into a memory holding other data. *)
+      let lines =
+        List.init (memory_low_lines + 1) (fun i -> Int64.add memory_low_base (Int64.of_int (i * 64)))
+        @ memory_high_bases
+      in
+      let restored = Memory.create () in
+      Memory.write_line restored ~addr:0x40L (memory_line_of 7L);
+      List.for_all
+        (fun op ->
+          same_result op && Memory.words_written m = Memory_reference.words_written r)
+        ops
+      &&
+      (Memory.restore_capture (Memory.capture m) ~into:restored;
+       Memory.words_written restored = Memory_reference.words_written r
+       && List.for_all
+            (fun addr ->
+              let expected = Memory_reference.read_line r ~addr in
+              Memory.read_line m ~addr = expected && Memory.read_line restored ~addr = expected)
+            lines))
 
 (* {1 Instr and Program} *)
 
@@ -603,6 +774,40 @@ let prop_pmp_matches_reference =
           && Pmp.allows t ~priv ~kind ~addr ~size = (expected = Pmp.Allowed))
         accesses)
 
+(* [allows_region] may refuse a region whose words are all allowed, but
+   must never grant one holding a denied word: entries lying strictly
+   inside the region and entries straddling its edges both count. *)
+let prop_pmp_region_implies_words =
+  QCheck.Test.make ~name:"PMP region grant implies every word's grant" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         gen_pmp_case >>= fun (entries, accesses) ->
+         map (fun words -> (entries, accesses, words)) (int_range 1 40)))
+    (fun (entries, accesses, words) ->
+      let t = Pmp.create () in
+      Array.iteri (Pmp.set t) entries;
+      List.for_all
+        (fun (priv, kind, addr, _) ->
+          let addr = Word.align_down addr ~alignment:8 in
+          (not (Pmp.allows_region t ~priv ~kind ~addr ~size:(8 * words)))
+          || List.for_all
+               (fun i -> Pmp.allows t ~priv ~kind ~addr:(Int64.add addr (Int64.of_int (8 * i))) ~size:8)
+               (List.init words Fun.id))
+        accesses)
+
+let test_pmp_region () =
+  let t = Pmp.create () in
+  Pmp.set t 1 (Pmp.napot_entry ~base:0x8000_1000L ~size:64 ~perm:Pmp.read_only ~locked:true);
+  Pmp.set t 15 (Pmp.napot_entry ~base:0x8000_0000L ~size:0x1_0000 ~perm:Pmp.full_access ~locked:false);
+  let region addr size = Pmp.allows_region t ~priv:Priv.Machine ~kind:Pmp.Write ~addr ~size in
+  Alcotest.(check bool) "inside the granting entry" true (region 0x8000_2000L 0x1000);
+  Alcotest.(check bool) "locked entry strictly inside" false (region 0x8000_0F00L 0x200);
+  Alcotest.(check bool) "straddles the locked entry" false (region 0x8000_1020L 0x40);
+  Alcotest.(check bool) "straddles the outer entry" false (region 0x8000_FF00L 0x200);
+  Alcotest.(check bool) "no entry: machine default" true (region 0x9000_0000L 0x100);
+  Alcotest.(check bool) "wraps the address space" false (region (-8L) 16);
+  Alcotest.(check bool) "empty" false (region 0x8000_2000L 0)
+
 let test_pmp_allows_allocates_nothing () =
   let t = Pmp.create () in
   Pmp.set t 0 (Pmp.napot_entry ~base:0x8800_0000L ~size:0x1_0000 ~perm:Pmp.no_access ~locked:false);
@@ -745,8 +950,10 @@ let properties =
       prop_align_down_le;
       prop_napot_contains_base;
       prop_memory_rw_roundtrip;
+      prop_memory_matches_reference;
       prop_walk_matches_mapping;
       prop_pmp_matches_reference;
+      prop_pmp_region_implies_words;
       prop_csr_matches_model;
     ]
 
@@ -774,6 +981,7 @@ let () =
           Alcotest.test_case "TOR regions" `Quick test_pmp_tor;
           Alcotest.test_case "execute permission" `Quick test_pmp_exec_permission;
           Alcotest.test_case "denied entry index" `Quick test_pmp_denied_entry_index;
+          Alcotest.test_case "region checks" `Quick test_pmp_region;
           Alcotest.test_case "allows allocates nothing" `Quick
             test_pmp_allows_allocates_nothing;
         ] );
@@ -790,7 +998,6 @@ let () =
           Alcotest.test_case "read/write" `Quick test_memory_rw;
           Alcotest.test_case "misaligned" `Quick test_memory_misaligned;
           Alcotest.test_case "lines" `Quick test_memory_lines;
-          Alcotest.test_case "fill" `Quick test_memory_fill;
         ] );
       ( "instr",
         [

@@ -1378,6 +1378,163 @@ let test_snapshots_allocate_nothing () =
     (measure (fun () ->
          ignore (Regfile.writeback rf ~value:42L ~ctx:(Exec_context.Enclave 1) ~transient:false)))
 
+(* {1 Memset: line path against the per-word oracle}
+
+   [Machine.memset_region] takes its line path whenever nothing can
+   observe individual words; [Machine.memset_words] is the per-word loop
+   it replaced.  Twin machines built identically run one each, then
+   switch context so every structure lands in the log: the serialized
+   logs, the cycle, every counter and the region's memory must agree. *)
+
+type memset_case = {
+  core : int;  (* index into [memset_configs] *)
+  offset : int;  (* bytes past a line-aligned base *)
+  bytes : int;
+  value : int64;
+  pending : (int * int * int64) list;
+      (* Store-buffer entries before the memset: (byte offset from the
+         region's line base, log2 size, value). *)
+  warm : bool;  (* every other region line loaded into L1 and L2 *)
+  dirty_sets : bool;  (* dirty lines in the region's L1 and L2 sets *)
+  pmp : int;
+      (* 0: the host view; 1: a locked read-only entry straddling the
+         region; 2: a locked no-access entry inside the region under the
+         stuck-at-grant fault; 3: the same entry without the fault.  The
+         dispatcher falls back wherever the region meets the locked
+         entry without the fault. *)
+}
+
+let memset_configs = [| Config.boom; Config.boom_v2; Config.xiangshan |]
+let memset_base = 0x8001_0000L
+let memset_sizes = [ 8; 56; 72; 200; 65536 ]
+
+let gen_memset_case =
+  let open QCheck.Gen in
+  int_bound (Array.length memset_configs - 1) >>= fun core ->
+  let capacity = memset_configs.(core).Config.store_buffer_entries in
+  let pending_store =
+    (* Aligned to its size so that every store is exactly one entry;
+       two in three land inside the region's first lines. *)
+    map3
+      (fun (inside, at) k v ->
+        let size = 1 lsl k in
+        ((if inside then at else 0x2_0000 + at) land lnot (size - 1), k, v))
+      (pair (frequency [ (2, return true); (1, return false) ]) (int_bound 255))
+      (int_bound 3) ui64
+  in
+  map
+    (fun (((offset, bytes, value), pending), (warm, dirty_sets, pmp)) ->
+      { core; offset; bytes; value; pending; warm; dirty_sets; pmp })
+    (pair
+       (pair
+          (triple
+             (frequency [ (3, map (fun w -> 8 * w) (int_bound 7)); (1, int_bound 63) ])
+             (frequency [ (4, oneofl memset_sizes); (1, int_range 1 300) ])
+             (oneofl [ 0L; 0x5EC2E7L; -1L ]))
+          (list_size (int_bound capacity) pending_store))
+       (triple bool bool (frequency [ (6, return 0); (1, return 1); (1, return 2); (1, return 3) ])))
+
+let print_memset_case c =
+  Printf.sprintf "%s +%d %dB value %Lx pending [%s]%s%s pmp %d"
+    memset_configs.(c.core).Config.name c.offset c.bytes c.value
+    (String.concat "; "
+       (List.map (fun (at, k, v) -> Printf.sprintf "%x/%d %Lx" at (1 lsl k) v) c.pending))
+    (if c.warm then " warm" else "")
+    (if c.dirty_sets then " dirty-sets" else "")
+    c.pmp
+
+let memset_twin c =
+  let config = memset_configs.(c.core) in
+  let m = machine_with_pmp config in
+  let mem = Machine.memory m in
+  let at off = Int64.add memset_base (Int64.of_int off) in
+  let region_lines = (c.offset + c.bytes + 63) / 64 in
+  (* Distinct data in the region, for refills to drag through the LFB. *)
+  for l = 0 to region_lines - 1 do
+    Memory.write_line mem ~addr:(at (l * 64))
+      (Array.init 8 (fun w -> Int64.of_int (0xE000_0000 + (l * 8) + w)))
+  done;
+  if c.warm then
+    for l = 0 to min 32 region_lines - 1 do
+      if l mod 2 = 0 then ignore (Machine.load m ~vaddr:(at (l * 64)) ~size:8 ())
+    done;
+  if c.dirty_sets then begin
+    (* Dirty lines sharing the first region lines' sets, one more than
+       the ways at each level, so the memset's refills evict them. *)
+    let stride level_sets = level_sets * 64 in
+    List.iter
+      (fun (sets, ways) ->
+        for l = 0 to 1 do
+          for j = 1 to ways + 1 do
+            let addr = at ((l * 64) + (j * stride sets)) in
+            ignore (Machine.store m ~vaddr:addr ~size:8 ~value:(Int64.of_int j) ())
+          done
+        done)
+      [ (config.Config.l1_sets, config.Config.l1_ways); (config.Config.l2_sets, config.Config.l2_ways) ]
+  end;
+  Machine.fence m;
+  List.iter
+    (fun (off, k, v) -> ignore (Machine.store m ~vaddr:(at off) ~size:(1 lsl k) ~value:v ()))
+    c.pending;
+  let pmp = Machine.pmp m in
+  (match c.pmp with
+  | 1 ->
+    Pmp.set pmp 1
+      (Pmp.napot_entry ~base:(at 128) ~size:128 ~perm:Pmp.read_only ~locked:true)
+  | 2 | 3 ->
+    Pmp.set pmp 1 (Pmp.napot_entry ~base:(at 64) ~size:64 ~perm:Pmp.no_access ~locked:true);
+    if c.pmp = 2 then Machine.set_pmp_stuck_grant m true
+  | _ -> ());
+  Machine.set_context m Exec_context.Monitor;
+  m
+
+let prop_memset_line_path_matches_oracle =
+  QCheck.Test.make ~name:"memset line path matches the per-word oracle" ~count:120
+    (QCheck.make ~print:print_memset_case gen_memset_case)
+    (fun c ->
+      let run memset =
+        let m = memset_twin c in
+        memset m ~origin:Log.Memset_destroy ~addr:(Int64.add memset_base (Int64.of_int c.offset))
+          ~size:(Int64.of_int c.bytes) ~value:c.value;
+        Machine.switch_context m ~to_ctx:host_s;
+        m
+      in
+      let line = run Machine.memset_region and oracle = run Machine.memset_words in
+      let counters m =
+        List.map
+          (fun n ->
+            Csr.raw_read (Machine.csr m)
+              (match n with 0 -> Csr.Mcycle | 2 -> Csr.Minstret | n -> Csr.Mhpmcounter n))
+          Csr.modelled_counters
+      in
+      let memory m =
+        List.init ((c.offset + c.bytes + 63) / 64) (fun l ->
+            Memory.read_line (Machine.memory m) ~addr:(Int64.add memset_base (Int64.of_int (l * 64))))
+      in
+      String.equal
+        (Simlog.Serialize.to_string (Machine.log line))
+        (Simlog.Serialize.to_string (Machine.log oracle))
+      && Machine.cycle line = Machine.cycle oracle
+      && counters line = counters oracle
+      && memory line = memory oracle
+      && Memory.words_written (Machine.memory line) = Memory.words_written (Machine.memory oracle))
+
+(* The dispatcher must really take the line path: on a 64 KiB memset it
+   allocates under half of what the per-word oracle does. *)
+let test_memset_takes_line_path () =
+  let allocated memset =
+    let m = machine_with_pmp Config.boom in
+    Machine.set_context m Exec_context.Monitor;
+    let before = Gc.minor_words () in
+    memset m ~origin:Log.Memset_destroy ~addr:memset_base ~size:65536L ~value:0L;
+    Gc.minor_words () -. before
+  in
+  let line = allocated Machine.memset_region and words = allocated Machine.memset_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "line path %.0f minor words, per-word oracle %.0f" line words)
+    true
+    (line < words /. 2.)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1387,6 +1544,7 @@ let properties =
       prop_machine_load_reads_memory;
       prop_cache_matches_reference;
       prop_btb_matches_reference;
+      prop_memset_line_path_matches_oracle;
     ]
 
 let () =
@@ -1497,6 +1655,7 @@ let () =
           Alcotest.test_case "BOOM v2.3 configuration" `Quick test_boom_v2_config;
           Alcotest.test_case "l2 eviction" `Quick test_evict_line_l2;
           Alcotest.test_case "memset region" `Quick test_memset_region;
+          Alcotest.test_case "memset takes the line path" `Quick test_memset_takes_line_path;
         ] );
       ("properties", properties);
     ]
