@@ -43,6 +43,13 @@ let windowed = function
   | Flush_drop _ | Flush_partial _ | Pmp_stuck_grant -> true
   | Bit_flip _ | Snapshot_delay | Hpc_corrupt -> false
 
+(* Exhaustive on purpose: a new model's author must say whether it can
+   make the run differ from the clean run before it logs a
+   [Fault_injected] record. *)
+let deferred = function
+  | Snapshot_delay -> true
+  | Bit_flip _ | Flush_drop _ | Flush_partial _ | Pmp_stuck_grant | Hpc_corrupt -> false
+
 let to_string = function
   | Bit_flip s -> "bit-flip:" ^ Structure.to_string s
   | Flush_drop s -> "flush-drop:" ^ Structure.to_string s

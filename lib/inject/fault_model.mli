@@ -44,6 +44,15 @@ val structure_of : t -> Structure.t option
     (and are disarmed when it closes) rather than firing once. *)
 val windowed : t -> bool
 
+(** [deferred t] is true for faults that can make the run differ from
+    the clean run before they log a [Fault_injected] record: a snapshot
+    delay only sets a counter, and logs at the next context switch.
+    Every other model logs through [Machine]'s fault emitter by the
+    time it first makes the run differ — the injector's early stop
+    ({!Injector.arm}'s [stop_when_inert]) is exact only under this
+    invariant. *)
+val deferred : t -> bool
+
 val to_string : t -> string
 
 (** [of_string s] inverts [to_string]. *)

@@ -2,7 +2,6 @@
 module Word = Riscv.Word
 module Log = Simlog.Log
 module Structure = Simlog.Structure
-module Stats = Simlog.Stats
 module Machine = Uarch.Machine
 module Config = Uarch.Config
 module Case = Teesec.Case

@@ -97,22 +97,28 @@ let plan_never_fires (plan : Fault_plan.t) ~span =
     (fun (f : Fault_plan.fault) -> f.Fault_plan.window_start > span)
     plan.Fault_plan.faults
 
-let eval_unit ?snapshots config (plan, tc, (base : baseline)) =
-  let outcome =
+(* The verdict of a unit whose run is the clean run: no diff, no fault. *)
+let clean_unit (base : baseline) =
+  ({ testcase = base.b_name; masked_cases = []; spurious_cases = [] }, 0)
+
+let eval_unit ?snapshots ~stop_when_inert config (plan, tc, (base : baseline)) =
+  match
     Runner.run ?snapshots
-      ~prepare:(fun env -> Injector.arm env.Env.machine plan)
+      ~prepare:(fun env -> Injector.arm ~stop_when_inert env.Env.machine plan)
       config tc
-  in
-  let findings = Checker.check outcome.Runner.log outcome.Runner.tracker in
-  let cases = Checker.distinct_cases findings in
-  let masked_cases =
-    List.filter (fun c -> not (List.exists (Case.equal c) cases)) base.b_cases
-  in
-  let spurious_cases =
-    List.filter (fun c -> not (List.exists (Case.equal c) base.b_cases)) cases
-  in
-  let faults = (Stats.of_log outcome.Runner.log).Stats.faults_injected in
-  ({ testcase = base.b_name; masked_cases; spurious_cases }, faults)
+  with
+  | exception Injector.Spent_clean -> clean_unit base
+  | outcome ->
+    let findings = Checker.check outcome.Runner.log outcome.Runner.tracker in
+    let cases = Checker.distinct_cases findings in
+    let masked_cases =
+      List.filter (fun c -> not (List.exists (Case.equal c) cases)) base.b_cases
+    in
+    let spurious_cases =
+      List.filter (fun c -> not (List.exists (Case.equal c) base.b_cases)) cases
+    in
+    let faults = Machine.faults_logged outcome.Runner.env.Env.machine in
+    ({ testcase = base.b_name; masked_cases; spurious_cases }, faults)
 
 (* One parallel task = one test case: the clean baseline plus every
    faulted rerun, evaluated back to back on the same domain so all of
@@ -124,18 +130,18 @@ type case_eval = {
 
 let eval_case ?snapshots ?wave config plan_list tc =
   let base = eval_baseline ?snapshots ?wave config tc in
-  (* Span pruning rides with the snapshot engine: a provably-inert plan
-     diffs to the baseline verdict with zero faults applied, exactly
-     what executing it would produce.  The replay path ([snapshots =
-     None]) still runs every unit — it is the oracle the differential
-     suite diffs the pruned path against. *)
+  (* Span pruning and the early stop ride with the snapshot engine: a
+     plan that can never fire, or one spent without a trace, diffs to
+     the baseline verdict with zero faults applied, exactly what
+     executing it to the end would produce.  The replay path
+     ([snapshots = None]) still runs every unit to the end — it is the
+     oracle the differential suite diffs the engine's path against. *)
   let prune = Option.is_some snapshots in
   let units =
     List.map
       (fun plan ->
-        if prune && plan_never_fires plan ~span:base.b_span then
-          ({ testcase = base.b_name; masked_cases = []; spurious_cases = [] }, 0)
-        else eval_unit ?snapshots config (plan, tc, base))
+        if prune && plan_never_fires plan ~span:base.b_span then clean_unit base
+        else eval_unit ?snapshots ~stop_when_inert:prune config (plan, tc, base))
       plan_list
   in
   { ce_base = base; ce_units = Array.of_list units }

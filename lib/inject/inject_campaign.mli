@@ -97,7 +97,13 @@ type case_eval = {
 (** [eval_case ?snapshots config plan_list tc] evaluates the clean
     baseline and every faulted rerun of one test case.  [wave] (default
     false) attaches a wave tap on the replay path (an engine carries its
-    own setting); the baseline's stream lands in [b_wave]. *)
+    own setting); the baseline's stream lands in [b_wave].
+
+    With an engine, a unit whose plan cannot fire within the baseline's
+    span is not run, and one whose plan is spent without a trace stops
+    there ({!Injector.Spent_clean}); both get the clean verdict with
+    zero faults, exactly what running them to the end gives.  Without
+    an engine every unit runs to the end: that path is the oracle. *)
 val eval_case :
   ?snapshots:Snapshot.t ->
   ?wave:bool ->
@@ -133,8 +139,10 @@ val aggregate :
     [snapshots], if given, establishes each run's setup prefix through
     the snapshot engine (see {!Teesec.Snapshot}); because a test case's
     baseline and faulted reruns share one prefix and run on one domain,
-    every rerun after the first forks from a cached snapshot.  The
-    report stays byte-identical either way.
+    every rerun after the first forks from a cached snapshot, and
+    reruns that provably end in the clean verdict are cut short or
+    skipped (see {!eval_case}).  The report stays byte-identical either
+    way.
 
     [obs] (default [Obs.noop]) receives a phase span ([inject/cases])
     and unit/outcome/fault counters.  The sink only reads campaign

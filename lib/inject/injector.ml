@@ -32,17 +32,21 @@ let deactivate machine (f : Fault_plan.fault) =
   | Fault_model.Bit_flip _ | Fault_model.Snapshot_delay | Fault_model.Hpc_corrupt ->
     assert false
 
-let arm machine (plan : Fault_plan.t) =
+exception Spent_clean
+
+let arm ?(stop_when_inert = false) machine (plan : Fault_plan.t) =
   (* Windows are relative to the arming cycle, so a plan perturbs the
      run identically whether the setup prefix was replayed or restored
      from a snapshot (the two paths arm at the same cycle, but relative
      windows make the contract independent of where the fork point
      lands). *)
   let base = Machine.cycle machine in
+  let logged = Machine.faults_logged machine in
   (* [faults] is sorted by window start, so the head is always the next
      fault to fire. *)
   let pending = ref plan.Fault_plan.faults in
   let active = ref [] in
+  let deferred = ref false in
   let hook m =
     let cycle = Machine.cycle m - base in
     (* Close expired windows before opening new ones, so a window of
@@ -56,6 +60,7 @@ let arm machine (plan : Fault_plan.t) =
       match !pending with
       | f :: rest when f.Fault_plan.window_start <= cycle ->
         pending := rest;
+        if Fault_model.deferred f.Fault_plan.model then deferred := true;
         if Fault_model.windowed f.Fault_plan.model then begin
           activate m f;
           active := (f, f.Fault_plan.window_start + f.Fault_plan.window_len) :: !active
@@ -64,6 +69,17 @@ let arm machine (plan : Fault_plan.t) =
         fire ()
       | _ -> ()
     in
-    fire ()
+    fire ();
+    (* Spent: a hook with nothing pending and nothing active does
+       nothing, so removing it is exact — and lets the machine's line
+       paths run again.  If the plan also left no trace, no fault made
+       the run differ (it would have logged), so the rest of the run is
+       the clean run. *)
+    match (!pending, !active) with
+    | [], [] ->
+      Machine.set_advance_hook m None;
+      if stop_when_inert && (not !deferred) && Machine.faults_logged m = logged then
+        raise Spent_clean
+    | _ -> ()
   in
   Machine.set_advance_hook machine (Some hook)

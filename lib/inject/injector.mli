@@ -1,5 +1,10 @@
 open! Import
 
+(** Raised out of the armed run (through {!Machine.advance}) by a plan
+    armed with [~stop_when_inert:true] once it is spent and left no
+    trace; see {!arm}. *)
+exception Spent_clean
+
 (** Arms a fault plan on a machine.
 
     [arm machine plan] installs an advance hook that watches the cycle
@@ -11,5 +16,18 @@ open! Import
     arming time — the runner arms at the fork point (after the setup
     prefix), so the same plan on the same test case perturbs the run
     identically every time, whether the prefix was replayed or restored
-    from a snapshot. *)
-val arm : Machine.t -> Fault_plan.t -> unit
+    from a snapshot.
+
+    Once the plan is {e spent} — its last fault has fired and its last
+    window has closed — the hook removes itself, so the rest of the run
+    pays nothing for it (the machine's destroy memset goes back to its
+    line path mid-region).
+
+    With [~stop_when_inert:true] (default false), a spent plan that has
+    logged no [Fault_injected] record since arming and fired no
+    {!Fault_model.deferred} fault raises {!Spent_clean} instead of
+    letting the run continue: every other model logs by the time it
+    first makes the run differ from the clean run, so such a run is the
+    clean run from here on and its verdict is the clean verdict.  The caller must catch it and
+    must not reuse the machine without restoring it. *)
+val arm : ?stop_when_inert:bool -> Machine.t -> Fault_plan.t -> unit

@@ -57,6 +57,7 @@ type t = {
   mutable flush_faults : (Structure.t * flush_behaviour) list;
   mutable pmp_stuck_grant : bool;
   mutable snapshot_delay : int;
+  mutable faults_logged : int;  (* [Fault_injected] records so far *)
   wave : Wave.Tap.t;
       (* Per-structure event tap: Noop unless the machine was created
          with [~wave:true]; write-only, so verdicts never depend on it. *)
@@ -106,6 +107,7 @@ let create ?(wave = false) config =
     flush_faults = [];
     pmp_stuck_grant = false;
     snapshot_delay = 0;
+    faults_logged = 0;
   }
 
 let config t = t.config
@@ -167,7 +169,14 @@ let log_exception t ~cause ~pc =
   Hpc.bump t.csr Hpc.Exception_event;
   record t (Log.Exception_raised { cause = cause_to_string cause; pc })
 
-let log_fault t ?structure detail = record t (Log.Fault_injected { structure; detail })
+(* The only emitter of [Fault_injected]: the counter it bumps is a
+   unit's fault count and the injector's test for "this plan changed
+   nothing", without decoding the log. *)
+let log_fault t ?structure detail =
+  t.faults_logged <- t.faults_logged + 1;
+  record t (Log.Fault_injected { structure; detail })
+
+let faults_logged t = t.faults_logged
 
 (* Every PMP check in the data path goes through this wrapper so the
    stuck-at-grant fault can override the verdict (and so the wave tap
@@ -645,19 +654,29 @@ let memset_lines t ~origin ~base ~words ~value =
 
 (* The line path runs when nothing can observe individual words: no
    fault injector armed, taps off, machine mode (translation is the
-   identity), and every word's PMP check grants. *)
+   identity), and every word's PMP check grants.  An armed hook may
+   remove itself mid-region (a spent fault plan does): until it does,
+   words go one at a time through [store], exactly [memset_words]' loop
+   body; the remainder is then dispatched as a region of its own, and
+   the words already stored are ordinary store-buffer entries. *)
 let memset_region t ~origin ~addr ~size ~value =
   let base = granule_base addr in
   let words = Int64.to_int (Int64.div (Int64.add size 7L) 8L) in
+  let i = ref 0 in
+  while !i < words && Option.is_some t.advance_hook do
+    let vaddr = Int64.add base (Int64.of_int (!i * 8)) in
+    ignore (store ~origin t ~vaddr ~size:8 ~value ());
+    incr i
+  done;
+  let base = Int64.add base (Int64.of_int (!i * 8)) and words = words - !i in
   if
-    Option.is_none t.advance_hook
-    && (not (wave_enabled t))
+    (not (wave_enabled t))
     && Priv.equal (priv t) Priv.Machine
     && (t.pmp_stuck_grant
        || Pmp.allows_region t.pmp ~priv:Priv.Machine ~kind:Pmp.Write ~addr:base
             ~size:(8 * words))
   then memset_lines t ~origin ~base ~words ~value
-  else memset_words t ~origin ~addr ~size ~value
+  else memset_words t ~origin ~addr:base ~size:(Int64.of_int (8 * words)) ~value
 
 (* {2 Observation} *)
 
@@ -708,6 +727,7 @@ type snapshot = {
   snap_flush_faults : (Structure.t * flush_behaviour) list;
   snap_pmp_stuck_grant : bool;
   snap_snapshot_delay : int;
+  snap_faults_logged : int;
   snap_wave : Wave.Tap.mark;
       (* Captured wave-stream prefix: restoring rewinds the stream to
          exactly these bytes, so spliced streams equal replayed ones
@@ -744,6 +764,7 @@ let snapshot t =
     snap_flush_faults = t.flush_faults;
     snap_pmp_stuck_grant = t.pmp_stuck_grant;
     snap_snapshot_delay = t.snapshot_delay;
+    snap_faults_logged = t.faults_logged;
     snap_wave = Wave.Tap.mark t.wave;
   }
 
@@ -777,6 +798,7 @@ let restore t s =
   t.flush_faults <- s.snap_flush_faults;
   t.pmp_stuck_grant <- s.snap_pmp_stuck_grant;
   t.snapshot_delay <- s.snap_snapshot_delay;
+  t.faults_logged <- s.snap_faults_logged;
   Wave.Tap.reset_to t.wave s.snap_wave
 
 (* {2 Flushes} *)

@@ -137,8 +137,12 @@ val fence : t -> unit
     the whole region) it takes a line path: the memset's store-buffer
     entries are not materialised, and each drain writes them one
     line-sized run at a time, with one L1 lookup and at most one refill
-    per run.  Otherwise it is {!memset_words}.  Both paths leave the
-    same log records, cycles, counters and structure contents. *)
+    per run.  Otherwise it is {!memset_words}.  While an advance hook
+    is armed, words go one at a time through {!store}; a hook that
+    removes itself mid-region (a spent fault plan's does) hands the
+    remainder back to this dispatch, which takes the line path for it
+    under the same conditions.  Every path leaves the same log records,
+    cycles, counters and structure contents. *)
 val memset_region :
   t -> origin:Log.origin -> addr:Word.t -> size:int64 -> value:Word.t -> unit
 
@@ -206,11 +210,18 @@ val restore : t -> snapshot -> unit
     structure (even slots / oldest half, depending on the structure). *)
 type flush_behaviour = Flush_normal | Flush_dropped | Flush_partial
 
+(** [faults_logged t] is the number of [Fault_injected] records [t] has
+    logged: every fault hook below logs through one emitter that counts.
+    {!snapshot} captures the count and {!restore} rewinds it, so it
+    equals the number of [Fault_injected] records in {!log}. *)
+val faults_logged : t -> int
+
 (** [set_advance_hook t (Some f)] calls [f t] after every {!advance}.
     The injector uses this as its cycle trigger: the hook inspects
     {!cycle} and applies faults whose window has opened.  Re-entrant
     calls are suppressed — cycles burnt by the hook's own perturbations
-    do not re-invoke it.  [None] removes the hook. *)
+    do not re-invoke it.  [None] removes the hook; [f] may remove
+    itself, and an exception it raises propagates out of {!advance}. *)
 val set_advance_hook : t -> (t -> unit) option -> unit
 
 (** [set_flush_fault t ~structure behaviour] arms (or, with

@@ -12,6 +12,7 @@ module Machine = Uarch.Machine
 module Structure = Simlog.Structure
 module Fault_model = Inject.Fault_model
 module Fault_plan = Inject.Fault_plan
+module Injector = Inject.Injector
 module Inject_campaign = Inject.Inject_campaign
 module Robustness_report = Inject.Robustness_report
 
@@ -218,6 +219,90 @@ let test_flip_bit_empty_structure () =
         (Machine.flip_bit m ~structure ~select:5 ~bit:17))
     [ Structure.Store_buffer; Structure.Lfb ]
 
+(* {1 The machine's fault counter}
+
+   [Inject_campaign] reads a unit's fault count from
+   [Machine.faults_logged] instead of decoding the log; the early stop
+   compares it across a plan's lifetime.  Both rely on it equalling the
+   log's [Fault_injected] records. *)
+
+let test_fault_counter_rewinds () =
+  let m = Machine.create Config.boom in
+  Machine.set_pmp_stuck_grant m true;
+  let snap = Machine.snapshot m in
+  ignore (Machine.flip_bit m ~structure:Structure.Hpm_counters ~select:0 ~bit:0);
+  Alcotest.(check int) "two faults logged" 2 (Machine.faults_logged m);
+  Machine.restore m snap;
+  Alcotest.(check int) "restore rewinds the counter" 1 (Machine.faults_logged m)
+
+(* Every faulted run of the slice under the CLI's 25 default plans, on
+   both cores, run to the end: forked from the engine, so every run but
+   the first starts from a restored counter. *)
+let test_fault_counter_matches_log () =
+  let plans = Fault_plan.sample ~seed:0x5EEDL ~count:25 in
+  List.iter
+    (fun config ->
+      let snapshots = Snapshot.create config in
+      let total = ref 0 in
+      List.iter
+        (fun tc ->
+          List.iter
+            (fun (plan : Fault_plan.t) ->
+              let o =
+                Runner.run ~snapshots
+                  ~prepare:(fun env -> Injector.arm env.Env.machine plan)
+                  config tc
+              in
+              let logged =
+                (Simlog.Stats.of_log o.Runner.log).Simlog.Stats.faults_injected
+              in
+              let counted = Machine.faults_logged o.Runner.env.Env.machine in
+              if counted <> logged then
+                Alcotest.failf "%s, %s, plan %d: counter %d, log %d" config.Config.name
+                  (Testcase.name tc) plan.Fault_plan.id counted logged;
+              total := !total + logged)
+            plans)
+        (Mitigation_eval.slice ());
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d faults logged" config.Config.name !total)
+        true (!total > 0))
+    [ Config.boom; Config.xiangshan ]
+
+(* {1 A spent plan hands the destroy memset back}
+
+   An armed hook sends every word of the 64 KiB destroy memset through
+   the per-word store path.  A plan whose only fault fires at the fork
+   point is spent a cycle later, so its hook removes itself and the
+   memset runs on its line path.  Run straight through the runner, with
+   no engine, so neither span pruning nor the early stop applies. *)
+let test_spent_plan_hands_memset_back () =
+  let tc =
+    List.find
+      (fun (tc : Testcase.t) ->
+        Access_path.equal tc.Testcase.path Access_path.Imp_acc_destroy_memset)
+      (Mitigation_eval.slice ())
+  in
+  let clean = Runner.run Config.boom tc in
+  let span = clean.Runner.cycles - clean.Runner.fork_cycle in
+  let run window_start =
+    let fault =
+      { Fault_plan.model = Fault_model.Hpc_corrupt; window_start; window_len = 1; select = 0; bit = 0 }
+    in
+    let plan = { Fault_plan.id = 0; plan_seed = 0L; faults = [ fault ] } in
+    let before = Gc.minor_words () in
+    let o =
+      Runner.run ~prepare:(fun env -> Injector.arm env.Env.machine plan) Config.boom tc
+    in
+    (Gc.minor_words () -. before, Machine.faults_logged o.Runner.env.Env.machine)
+  in
+  let spent, fired = run 0 and armed, not_fired = run (span + 1) in
+  Alcotest.(check int) "the fault at the fork point fires" 1 fired;
+  Alcotest.(check int) "the fault past the span never fires" 0 not_fired;
+  Alcotest.(check bool)
+    (Printf.sprintf "spent plan %.0f minor words, armed throughout %.0f" spent armed)
+    true
+    (spent < armed /. 2.)
+
 (* {1 Corpus generator determinism (regression)} *)
 
 let testcase_fingerprint (tc : Testcase.t) = (Testcase.name tc, tc.Testcase.params)
@@ -284,6 +369,12 @@ let () =
             test_snapshot_delay_counts_down;
           Alcotest.test_case "flip_bit on empty structure is a no-op" `Quick
             test_flip_bit_empty_structure;
+          Alcotest.test_case "restore rewinds the fault counter" `Quick
+            test_fault_counter_rewinds;
+          Alcotest.test_case "fault counter matches the log" `Slow
+            test_fault_counter_matches_log;
+          Alcotest.test_case "spent plan hands the memset back" `Quick
+            test_spent_plan_hands_memset_back;
         ] );
       ( "fuzzer",
         [

@@ -13,8 +13,10 @@
      refused, campaign CSV, inject JSON and fuzz JSON are byte-identical
      whether the setup prefix is replayed or restored from snapshots, on
      both cores and at jobs 1 and 4, and the inject report is
-     snapshot-invariant for arbitrary seeds and plan counts — the replay
-     path is the oracle the snapshot path is diffed against. *)
+     snapshot-invariant for arbitrary seeds, plan counts and slice cases
+     and at the CLI's defaults — the replay path is the oracle the
+     snapshot path, with its span pruning and early stop, is diffed
+     against. *)
 
 open Teesec
 open Riscv
@@ -340,31 +342,59 @@ let fuzz () =
   Equiv.fuzz
     { Fuzz.Engine.default with Fuzz.Engine.seed = 42L; budget = 48; batch = 16 }
 
-(* qcheck: the inject report is snapshot-invariant for arbitrary seeds
-   and plan counts — fault plans interact with the fork point (arming
-   happens after the prefix), so this is where a restore that is almost
-   exact would surface. *)
+(* qcheck: the inject report is snapshot-invariant for arbitrary seeds,
+   plan counts and slice cases, on both cores — fault plans interact
+   with the fork point (arming happens after the prefix), and the
+   engine's path skips plans that cannot fire and stops the ones spent
+   without a trace, so this is where a restore that is almost exact, or
+   an early stop that is not, would surface.  Every draw holds a
+   destroy-memset case: its run outlasts every plan, so most plans are
+   spent mid-memset. *)
 let inject_snapshot_invariant =
-  let gen = QCheck.Gen.(pair (int_range 0 1000) (int_range 1 4)) in
-  QCheck.Test.make ~count:6
+  let slice = Array.of_list (Mitigation_eval.slice ()) in
+  let memset_cases =
+    List.filter
+      (fun i -> Access_path.equal slice.(i).Testcase.path Access_path.Imp_acc_destroy_memset)
+      (List.init (Array.length slice) Fun.id)
+  in
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 0 1000) (int_range 1 25) bool
+        (pair (oneofl memset_cases) (list_size (int_range 1 2) (int_bound (Array.length slice - 1)))))
+  in
+  QCheck.Test.make ~count:10
     ~name:"inject JSON is snapshot-invariant for arbitrary (seed, plans)"
     (QCheck.make
-       ~print:(fun (seed, plans) -> Printf.sprintf "seed=%d plans=%d" seed plans)
+       ~print:(fun (seed, plans, boom, (memset, others)) ->
+         Printf.sprintf "seed=%d plans=%d core=%s cases=[%s]" seed plans
+           (if boom then "boom" else "xiangshan")
+           (String.concat "; " (List.map string_of_int (memset :: others))))
        gen)
-    (fun (seed, plans) ->
+    (fun (seed, plans, boom, (memset, others)) ->
       let seed = Int64.of_int seed in
-      let testcases = List.filteri (fun i _ -> i < 3) (Mitigation_eval.slice ()) in
+      let config = if boom then Config.boom else Config.xiangshan in
+      let testcases =
+        List.map (Array.get slice) (List.sort_uniq compare (memset :: others))
+      in
       let replay =
         Inject.Robustness_report.to_json_string
-          (Inject.Inject_campaign.run ~seed ~plans Config.boom testcases)
+          (Inject.Inject_campaign.run ~seed ~plans config testcases)
       in
       let snapshot =
         Inject.Robustness_report.to_json_string
           (Inject.Inject_campaign.run
-             ~snapshots:(Snapshot.create Config.boom)
-             ~seed ~plans Config.boom testcases)
+             ~snapshots:(Snapshot.create config)
+             ~seed ~plans config testcases)
       in
       String.equal replay snapshot)
+
+(* The CLI's defaults: the whole slice under 25 plans at 0x5EED, engine
+   against replay. *)
+let inject_defaults config () =
+  Equiv.row
+    ~variants:(Equiv.across ~snapshot:[ true ] ())
+    (Equiv.inject ~seed:0x5EEDL ~plans:25 (Mitigation_eval.slice ()))
+    config ()
 
 let () =
   Alcotest.run "snapshot"
@@ -420,6 +450,11 @@ let () =
             (differential fuzz Config.boom);
           Alcotest.test_case "fuzz JSON snapshot == replay (XiangShan)" `Slow
             (differential fuzz Config.xiangshan);
+          Alcotest.test_case "inject JSON snapshot == replay at the defaults (BOOM)"
+            `Slow (inject_defaults Config.boom);
+          Alcotest.test_case
+            "inject JSON snapshot == replay at the defaults (XiangShan)" `Slow
+            (inject_defaults Config.xiangshan);
           QCheck_alcotest.to_alcotest inject_snapshot_invariant;
         ] );
     ]

@@ -1384,7 +1384,10 @@ let test_snapshots_allocate_nothing () =
    observe individual words; [Machine.memset_words] is the per-word loop
    it replaced.  Twin machines built identically run one each, then
    switch context so every structure lands in the log: the serialized
-   logs, the cycle, every counter and the region's memory must agree. *)
+   logs, the cycle, every counter and the region's memory must agree.
+   Some twins carry an advance hook that removes itself mid-region, the
+   way a spent fault plan does: the dispatcher must go word by word
+   while it is armed and resume the line path from the very next word. *)
 
 type memset_case = {
   core : int;  (* index into [memset_configs] *)
@@ -1402,6 +1405,9 @@ type memset_case = {
          stuck-at-grant fault; 3: the same entry without the fault.  The
          dispatcher falls back wherever the region meets the locked
          entry without the fault. *)
+  hook : (int * Structure.t option) option;
+      (* An advance hook that, on its k-th call, flips a bit in the
+         structure if one is given, then removes itself. *)
 }
 
 let memset_configs = [| Config.boom; Config.boom_v2; Config.xiangshan |]
@@ -1422,9 +1428,20 @@ let gen_memset_case =
       (pair (frequency [ (2, return true); (1, return false) ]) (int_bound 255))
       (int_bound 3) ui64
   in
+  let hook =
+    frequency
+      [
+        (1, return None);
+        ( 2,
+          map2
+            (fun k flip -> Some (k, flip))
+            (int_bound 300)
+            (oneofl [ None; Some Structure.Store_buffer; Some Structure.L1d_data ]) );
+      ]
+  in
   map
-    (fun (((offset, bytes, value), pending), (warm, dirty_sets, pmp)) ->
-      { core; offset; bytes; value; pending; warm; dirty_sets; pmp })
+    (fun (((offset, bytes, value), pending), ((warm, dirty_sets, pmp), hook)) ->
+      { core; offset; bytes; value; pending; warm; dirty_sets; pmp; hook })
     (pair
        (pair
           (triple
@@ -1432,16 +1449,23 @@ let gen_memset_case =
              (frequency [ (4, oneofl memset_sizes); (1, int_range 1 300) ])
              (oneofl [ 0L; 0x5EC2E7L; -1L ]))
           (list_size (int_bound capacity) pending_store))
-       (triple bool bool (frequency [ (6, return 0); (1, return 1); (1, return 2); (1, return 3) ])))
+       (pair
+          (triple bool bool (frequency [ (6, return 0); (1, return 1); (1, return 2); (1, return 3) ]))
+          hook))
 
 let print_memset_case c =
-  Printf.sprintf "%s +%d %dB value %Lx pending [%s]%s%s pmp %d"
+  Printf.sprintf "%s +%d %dB value %Lx pending [%s]%s%s pmp %d%s"
     memset_configs.(c.core).Config.name c.offset c.bytes c.value
     (String.concat "; "
        (List.map (fun (at, k, v) -> Printf.sprintf "%x/%d %Lx" at (1 lsl k) v) c.pending))
     (if c.warm then " warm" else "")
     (if c.dirty_sets then " dirty-sets" else "")
     c.pmp
+    (match c.hook with
+    | None -> ""
+    | Some (k, flip) ->
+      Printf.sprintf " hook off at call %d%s" k
+        (match flip with None -> "" | Some s -> " after flipping " ^ Structure.to_string s))
 
 let memset_twin c =
   let config = memset_configs.(c.core) in
@@ -1486,6 +1510,20 @@ let memset_twin c =
     if c.pmp = 2 then Machine.set_pmp_stuck_grant m true
   | _ -> ());
   Machine.set_context m Exec_context.Monitor;
+  Option.iter
+    (fun (k, flip) ->
+      let calls = ref 0 in
+      Machine.set_advance_hook m
+        (Some
+           (fun m ->
+             if !calls = k then begin
+               Option.iter
+                 (fun structure -> ignore (Machine.flip_bit m ~structure ~select:k ~bit:(k mod 64)))
+                 flip;
+               Machine.set_advance_hook m None
+             end;
+             incr calls)))
+    c.hook;
   m
 
 let prop_memset_line_path_matches_oracle =
