@@ -244,7 +244,7 @@ let run_snapshot_phase ~name ~units ~replay ~snap =
 let setup_bound_only tcs =
   List.filter
     (fun tc ->
-      (Teesec.Testcase.access_gadget tc).Teesec.Gadget.name
+      (snd (Teesec.Testcase.split tc)).Teesec.Gadget.name
       <> "Imp_Acc_Destroy_Memset")
     tcs
 
@@ -430,7 +430,7 @@ let () =
   List.iter
     (fun config ->
       Format.printf "%a@." Teesec.Recommend.pp_result
-        (Teesec.Recommend.evaluate ~max_size:2 config))
+        (Teesec.Recommend.evaluate config))
     [ boom; xiangshan ];
 
   List.iter

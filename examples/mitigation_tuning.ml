@@ -19,7 +19,7 @@
 let () =
   List.iter
     (fun (config : Uarch.Config.t) ->
-      let result = Teesec.Recommend.evaluate ~max_size:2 config in
+      let result = Teesec.Recommend.evaluate config in
       Format.printf "%a@." Teesec.Recommend.pp_result result;
       let best = Teesec.Recommend.best result in
       Format.printf "  -> recommended: %s (residual: %s, overhead %+.1f%%)@.@."

@@ -116,22 +116,28 @@ let wave_arg =
                framed event streams (readable back by the explain and \
                vcd-check machinery). Never changes verdicts or reports.")
 
+let skip_corrupt_wave ~path e =
+  Format.printf "warning: corrupt wave payload (%s); %s not written@." e path
+
 let write_wave_file ~path streams =
   let contents =
     if Filename.check_suffix path ".vcd" then Wave.Vcd.render streams
-    else Wave.Event.frame_streams streams
+    else Ok (Wave.Event.frame_streams streams)
   in
-  Obs.write_file ~path contents;
-  Format.printf "waveforms (%d stream(s)) written to %s@."
-    (List.length streams) path
+  match contents with
+  | Error e -> skip_corrupt_wave ~path e
+  | Ok contents ->
+    Obs.write_file ~path contents;
+    Format.printf "waveforms (%d stream(s)) written to %s@."
+      (List.length streams) path
 
 (* A wave payload fetched from the daemon is already framed
    ({!Wave.Event.frame_streams}, shard order); unframe to render VCD or
-   to count the streams for the confirmation line. *)
+   to count the streams for the confirmation line.  A frame or a stream
+   that does not decode skips the file with a warning. *)
 let save_wave_blob ~path blob =
   match Wave.Event.unframe blob with
-  | Error e ->
-    Format.printf "warning: corrupt wave payload (%s); %s not written@." e path
+  | Error e -> skip_corrupt_wave ~path e
   | Ok streams -> write_wave_file ~path streams
 
 (* --snapshot / --no-snapshot: the fork-point execution engine
@@ -800,11 +806,9 @@ let report_cmd =
       | [] -> [ Uarch.Config.boom; Uarch.Config.xiangshan ]
       | l -> List.map snd l
     in
-    let options =
-      { Teesec.Verification_report.default_options with full_corpus = full }
-    in
-    let bytes = Teesec.Verification_report.save ~options ~path:out configs in
-    Format.printf "Wrote %s (%d bytes) covering %s.@." out bytes
+    let report = Teesec.Verification_report.generate ~full_corpus:full configs in
+    Obs.write_file ~path:out report;
+    Format.printf "Wrote %s (%d bytes) covering %s.@." out (String.length report)
       (String.concat ", " (List.map (fun c -> c.Uarch.Config.name) configs))
   in
   let cores =
@@ -1541,20 +1545,19 @@ let explain_cmd =
               | None -> 0
             in
             let hi = p.Teesec.Provenance.p_cycle in
-            let q = Wave.Query.of_stream outcome.Teesec.Runner.wave in
-            let clip =
-              List.filter
-                (fun (e : Wave.Event.t) ->
-                  let c = e.Wave.Event.cycle in
-                  (c >= lo && c <= hi)
-                  || c <= hi
-                     && (match e.Wave.Event.kind with
-                        | Wave.Event.Ctx_switch | Wave.Event.Case_mark -> true
-                        | _ -> false))
-                (Wave.Query.events q)
-            in
-            write_wave_file ~path
-              [ (p.Teesec.Provenance.p_id, reencode_events clip) ]);
+            match Wave.Query.of_stream outcome.Teesec.Runner.wave with
+            | Error e -> skip_corrupt_wave ~path e
+            | Ok q ->
+              let clip =
+                List.filter
+                  (fun (e : Wave.Event.t) ->
+                    let c = e.Wave.Event.cycle in
+                    (c >= lo && c <= hi)
+                    || (c <= hi && e.Wave.Event.kind = Wave.Event.Ctx_switch))
+                  (Wave.Query.events q)
+              in
+              write_wave_file ~path
+                [ (p.Teesec.Provenance.p_id, reencode_events clip) ]);
           if verify then begin
             (* Replay through the snapshot engine (the other prefix
                path) and assert the causal chain reproduces exactly. *)

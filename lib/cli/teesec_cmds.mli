@@ -8,9 +8,6 @@
 (** The subcommand names, in listing order. *)
 val command_names : string list
 
-(** The full command group ([teesec_cli ...]). *)
-val cmd : unit Cmdliner.Cmd.t
-
 (** [eval ?argv ()] evaluates the CLI (defaults to [Sys.argv]) and
     returns the process exit code. *)
 val eval : ?argv:string array -> unit -> int

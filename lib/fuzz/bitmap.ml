@@ -3,7 +3,6 @@ open! Import
 type t = Bytes.t
 
 let create () = Bytes.make Edge.count '\000'
-let copy = Bytes.copy
 let equal = Bytes.equal
 
 let bucket count =
@@ -33,15 +32,6 @@ let add t edges =
       else novel)
     0 edges
 
-let would_add t edges =
-  (* Duplicate indices in one observation can't occur (Edge.of_log
-     aggregates counts per edge), so a plain membership test suffices. *)
-  List.fold_left
-    (fun novel (index, count) ->
-      let bit = 1 lsl bucket count in
-      if Char.code (Bytes.get t index) land bit = 0 then novel + 1 else novel)
-    0 edges
-
 let union a b =
   let out = Bytes.copy a in
   Bytes.iteri
@@ -60,10 +50,3 @@ let covered_bits t =
   let n = ref 0 in
   Bytes.iter (fun c -> n := !n + popcount (Char.code c)) t;
   !n
-
-let covered_indices t =
-  let acc = ref [] in
-  for i = Bytes.length t - 1 downto 0 do
-    if Bytes.get t i <> '\000' then acc := i :: !acc
-  done;
-  !acc

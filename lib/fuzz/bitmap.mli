@@ -10,7 +10,6 @@
 type t
 
 val create : unit -> t
-val copy : t -> t
 val equal : t -> t -> bool
 
 (** [bucket count] is the bucket bit (0–7) for a raw hit count [>= 1]. *)
@@ -20,10 +19,6 @@ val bucket : int -> int
     returns the number of newly set bits (0 = nothing novel). *)
 val add : t -> (int * int) list -> int
 
-(** [would_add t edges] is [add] without the mutation: the novelty the
-    observation {e would} contribute. *)
-val would_add : t -> (int * int) list -> int
-
 (** [union a b] is a fresh bitmap covering everything [a] or [b] covers. *)
 val union : t -> t -> t
 
@@ -32,6 +27,3 @@ val covered_edges : t -> int
 
 (** Total number of set bucket bits. *)
 val covered_bits : t -> int
-
-(** Indices of the covered edges, ascending. *)
-val covered_indices : t -> int list

@@ -4,18 +4,15 @@ type op = Splice | Nudge | Evict_resize | Priv_shuffle | Reseed | Crossover
 
 let all = [ Splice; Nudge; Evict_resize; Priv_shuffle; Reseed; Crossover ]
 
-let op_to_string = function
-  | Splice -> "splice"
-  | Nudge -> "nudge"
-  | Evict_resize -> "evict-resize"
-  | Priv_shuffle -> "priv-shuffle"
-  | Reseed -> "reseed"
-  | Crossover -> "crossover"
-
+(* The gadget variants the path's parameter grid instantiates: the
+   domain [Priv_shuffle] and [Splice] draw from (variants outside it have
+   no defined gadget behaviour). *)
 let variants_of path =
   List.sort_uniq compare
     (List.map (fun (p : Params.t) -> p.Params.variant) (Fuzzer.grid path))
 
+(* The other access paths sharing at least one microarchitectural
+   structure with [path]: the splice targets. *)
 let siblings path =
   let mine = Access_path.structures path in
   List.filter

@@ -24,17 +24,6 @@ type op =
   | Crossover  (** Blend parameters of two corpus entries. *)
 
 val all : op list
-val op_to_string : op -> string
-
-(** [variants_of path] is the set of gadget variants the path's
-    parameter grid instantiates — the domain [Priv_shuffle] and
-    [Splice] draw from (variants outside it have no defined gadget
-    behaviour). *)
-val variants_of : Access_path.t -> int list
-
-(** [siblings path] lists the other access paths sharing at least one
-    microarchitectural structure with [path] (the splice targets). *)
-val siblings : Access_path.t -> Access_path.t list
 
 (** [apply op ~rng_state ~pool ~id parent] derives a mutant with the
     given corpus entry as parent; [pool] is the current corpus queue

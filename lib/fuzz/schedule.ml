@@ -35,9 +35,6 @@ let add_entry t entry =
   let f = family_of t entry.testcase.Testcase.path in
   f.queue <- entry :: f.queue
 
-let queue_size t =
-  List.fold_left (fun n (_, f) -> n + List.length f.queue) 0 t.families
-
 let pool t =
   Array.of_list
     (List.concat_map

@@ -30,9 +30,6 @@ val register_exec : t -> family:Access_path.t -> reward:int -> unit
 (** [add_entry t entry] enqueues an interesting test case. *)
 val add_entry : t -> entry -> unit
 
-(** Number of queue entries across all families. *)
-val queue_size : t -> int
-
 (** All queued test cases (the crossover pool), in a deterministic
     order. *)
 val pool : t -> Testcase.t array

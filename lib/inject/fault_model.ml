@@ -63,4 +63,3 @@ let of_string s =
 
 let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -30,9 +30,6 @@ type t =
     the model). *)
 val bit_flip_targets : Structure.t list
 
-(** Structures keyed by the machine's flush-fault hooks. *)
-val flush_targets : Structure.t list
-
 (** Every instantiable fault model — the sampler's alphabet. *)
 val vocabulary : t list
 
@@ -60,4 +57,3 @@ val of_string : string -> t option
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

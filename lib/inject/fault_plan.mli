@@ -29,5 +29,4 @@ type t = {
 val sample : seed:Word.t -> count:int -> t list
 
 val equal : t -> t -> bool
-val pp_fault : Format.formatter -> fault -> unit
 val pp : Format.formatter -> t -> unit

@@ -48,13 +48,6 @@ let make ?(level = Info) ?(deterministic = false) ?clock ~writer
 let create ?level ?deterministic ?clock ~writer () =
   make ?level ?deterministic ?clock ~writer ~close_fn:ignore ()
 
-let to_channel ?level ?deterministic ?clock oc =
-  make ?level ?deterministic ?clock
-    ~writer:(fun line ->
-      output_string oc line;
-      flush oc)
-    ~close_fn:ignore ()
-
 let open_file ?level ?deterministic ?clock path =
   let oc = open_out path in
   make ?level ?deterministic ?clock
@@ -77,6 +70,7 @@ let value_to_json = function
   | Float f -> Json.Num f
   | Bool b -> Json.Bool b
 
+(* Below-threshold levels and [null] cost one branch. *)
 let event t level ~event fields =
   match t with
   | Null -> ()

@@ -39,10 +39,6 @@ val create :
   unit ->
   t
 
-(** Lines are flushed per event — a crashing daemon keeps its log. *)
-val to_channel :
-  ?level:level -> ?deterministic:bool -> ?clock:Clock.t -> out_channel -> t
-
 (** [open_file path] truncates and writes [path]; {!close} closes it. *)
 val open_file :
   ?level:level -> ?deterministic:bool -> ?clock:Clock.t -> string -> t
@@ -52,10 +48,6 @@ val close : t -> unit
 (** [enabled t level] is whether an event at [level] would be written —
     for skipping expensive field construction. *)
 val enabled : t -> level -> bool
-
-(** [event t level ~event fields] writes one line.  Below-threshold
-    levels and {!null} cost one branch. *)
-val event : t -> level -> event:string -> (string * value) list -> unit
 
 val debug : t -> event:string -> (string * value) list -> unit
 val info : t -> event:string -> (string * value) list -> unit

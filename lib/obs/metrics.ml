@@ -36,6 +36,8 @@ let create () =
     kind_of_name = Hashtbl.create 64;
   }
 
+(* Power-of-four spread from 100µs to 100s, suited to phase and
+   test-case durations. *)
 let default_duration_buckets =
   [ 0.0001; 0.0004; 0.0016; 0.0064; 0.0256; 0.1024; 0.4096; 1.6384; 6.5536;
     26.2144; 104.8576 ]

@@ -41,10 +41,6 @@ val histogram :
     implicit [+Inf] bucket is always appended.  Defaults to
     {!default_duration_buckets}. *)
 
-val default_duration_buckets : float list
-(** Power-of-four spread from 100µs to 100s, suited to phase and
-    test-case durations. *)
-
 val inc : ?by:int -> counter -> unit
 (** [by] defaults to 1 and must be [>= 0]. *)
 

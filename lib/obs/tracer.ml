@@ -70,14 +70,6 @@ let span t ?args name f =
 let name_thread t name =
   record t Metadata ~args:[ ("name", String name) ] "thread_name"
 
-let event_count t =
-  Mutex.lock t.mutex;
-  let n =
-    Hashtbl.fold (fun _ b acc -> acc + List.length b.rev_events) t.bufs 0
-  in
-  Mutex.unlock t.mutex;
-  n
-
 let unclosed t =
   Mutex.lock t.mutex;
   let names =

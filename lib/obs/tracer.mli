@@ -47,8 +47,6 @@ val instant : t -> ?args:(string * arg) list -> string -> unit
 val name_thread : t -> string -> unit
 (** Label the calling domain's track in the exported trace. *)
 
-val event_count : t -> int
-
 val unclosed : t -> string list
 (** Names of currently open spans across all domains (innermost first
     per domain); [[]] once every begin has been ended. *)

@@ -43,6 +43,9 @@ let rec worker_loop pool index =
     worker_loop pool index
   end
 
+(* [domains >= 1] workers idle on a condition variable until work
+   arrives.  The per-worker series of [obs] are registered here, before
+   any worker runs, so registration order is deterministic. *)
 let create ?(obs = Obs.noop) ~domains () =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
   let task_counts =
@@ -79,8 +82,6 @@ let create ?(obs = Obs.noop) ~domains () =
             worker_loop pool i));
   pool
 
-let size pool = pool.size
-
 let run_all pool tasks =
   match tasks with
   | [] -> ()
@@ -101,6 +102,7 @@ let run_all pool tasks =
     done;
     Mutex.unlock pool.mutex
 
+(* Idempotent; the pool must not be used afterwards. *)
 let shutdown pool =
   Mutex.lock pool.mutex;
   let workers = pool.workers in

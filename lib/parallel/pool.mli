@@ -26,16 +26,6 @@
 
 type t
 
-(** [create ?obs ~domains ()] spawns [domains] worker domains
-    ([domains >= 1]).  The workers idle on a condition variable until
-    work arrives.  [obs] (default [Obs.noop]) receives the worker
-    spans and task counters; its per-worker series are registered here,
-    before any worker runs, so registration order is deterministic. *)
-val create : ?obs:Obs.t -> domains:int -> unit -> t
-
-(** Number of worker domains. *)
-val size : t -> int
-
 (** [run_all t tasks] enqueues every task and blocks until all of them
     (and any other outstanding work on the pool) have finished.  A task
     that raises is counted as finished; its exception is swallowed, so
@@ -48,10 +38,6 @@ val run_all : t -> (unit -> unit) list -> unit
     application raised, the first exception (lowest input index) is
     re-raised in the caller after all chunks have settled. *)
 val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [shutdown t] asks the workers to exit and joins them.  Idempotent;
-    the pool must not be used afterwards. *)
-val shutdown : t -> unit
 
 (** [with_pool ?obs ~domains f] runs [f] over a fresh pool and always
     shuts it down, even if [f] raises. *)

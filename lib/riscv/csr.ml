@@ -22,8 +22,6 @@ type id =
   | Pmpaddr of int
   | Mhartid
 
-let equal (a : id) (b : id) = a = b
-
 (* Indexed names are formatted once: a residue snapshot names eight
    counters per context switch. *)
 let indexed_name prefix =
@@ -58,8 +56,6 @@ let name = function
   | Pmpcfg n -> pmpcfg_name n
   | Pmpaddr n -> pmpaddr_name n
   | Mhartid -> "mhartid"
-
-let pp_id fmt id = Format.pp_print_string fmt (name id)
 
 let required_priv = function
   | Cycle | Instret | Hpmcounter _ -> Priv.User

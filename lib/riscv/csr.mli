@@ -34,12 +34,9 @@ type id =
   | Pmpaddr of int  (** Index 0..15. *)
   | Mhartid
 
-val equal : id -> id -> bool
-
 (** [name id] is the assembler name ([mhpmcounter3]); indexed names up
     to 31 are built once, so naming allocates nothing. *)
 val name : id -> string
-val pp_id : Format.formatter -> id -> unit
 
 (** Minimum privilege encoded in the CSR address space (bits 9:8 of the
     CSR number). *)

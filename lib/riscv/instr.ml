@@ -11,14 +11,12 @@ let a7 = 17
 let t0 = 5
 let t1 = 6
 let t2 = 7
-let sp = 2
 
 type width = Byte | Half | Word_ | Double
 
 let width_bytes = function Byte -> 1 | Half -> 2 | Word_ -> 4 | Double -> 8
 
 let width_name = function Byte -> "b" | Half -> "h" | Word_ -> "w" | Double -> "d"
-let pp_width fmt w = Format.pp_print_string fmt (width_name w)
 
 type alu_op = Add | Sub | Xor | Or | And | Sll | Srl
 type cond = Eq | Ne | Lt | Ge
@@ -104,6 +102,3 @@ let pp fmt i = Format.pp_print_string fmt (to_string i)
 
 let ld rd base offset = Load { width = Double; rd; base; offset }
 let sd rs base offset = Store { width = Double; rs; base; offset }
-let lb rd base offset = Load { width = Byte; rd; base; offset }
-let lw rd base offset = Load { width = Word_; rd; base; offset }
-let lh rd base offset = Load { width = Half; rd; base; offset }

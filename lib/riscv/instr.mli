@@ -23,12 +23,10 @@ val a7 : reg
 val t0 : reg
 val t1 : reg
 val t2 : reg
-val sp : reg
 
 type width = Byte | Half | Word_ | Double
 
 val width_bytes : width -> int
-val pp_width : Format.formatter -> width -> unit
 
 type alu_op = Add | Sub | Xor | Or | And | Sll | Srl
 
@@ -44,7 +42,6 @@ val eval_cond : cond -> Word.t -> Word.t -> bool
     likewise shared between concrete and symbolic execution. *)
 
 val alu_name : alu_op -> string
-val cond_name : cond -> string
 
 val negate_cond : cond -> cond
 (** [negate_cond c] is the condition holding exactly when [c] does not;
@@ -74,6 +71,3 @@ val to_string : t -> string
 val ld : reg -> reg -> Word.t -> t
 
 val sd : reg -> reg -> Word.t -> t
-val lb : reg -> reg -> Word.t -> t
-val lw : reg -> reg -> Word.t -> t
-val lh : reg -> reg -> Word.t -> t

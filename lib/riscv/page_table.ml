@@ -9,7 +9,6 @@ type pte =
   | Leaf of { paddr : Word.t; perm : pte_perm }
 
 let user_rw = { read = true; write = true; execute = false; user = true }
-let user_rx = { read = true; write = false; execute = true; user = true }
 let supervisor_rw = { read = true; write = true; execute = false; user = false }
 
 let vpn vaddr ~level =

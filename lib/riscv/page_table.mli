@@ -65,11 +65,10 @@ type walk_result =
   | Translated of { paddr : Word.t; perm : pte_perm; steps : walk_step list }
   | Fault of { steps : walk_step list }
 
-(** [walk mem ~root ~vaddr] is the pure reference walk used by tests and
-    by the TLB refill once the hardware walker's accesses have all been
-    performed. *)
+(** [walk mem ~root ~vaddr] is the pure reference walk: tests check the
+    tables {!map} builds against it.  The hardware walker in {!Uarch}
+    does not call it. *)
 val walk : Memory.t -> root:Word.t -> vaddr:Word.t -> walk_result
 
 val user_rw : pte_perm
-val user_rx : pte_perm
 val supervisor_rw : pte_perm

@@ -69,11 +69,6 @@ let napot_range e =
 
 type access_kind = Read | Write | Execute
 
-let pp_access_kind fmt = function
-  | Read -> Format.pp_print_string fmt "read"
-  | Write -> Format.pp_print_string fmt "write"
-  | Execute -> Format.pp_print_string fmt "execute"
-
 type check_result = Allowed | Denied of { entry_index : int option }
 
 let entry_byte_range (entries : entry array) i =
@@ -195,20 +190,3 @@ let allows_region t ~priv ~kind ~addr ~size =
     let e = t.entries.(i) in
     lo >= get64 t.ranges (16 * i) && hi <= get64 t.ranges ((16 * i) + 8)
     && ((Priv.equal priv Priv.Machine && not e.locked) || perm_allows e.perm kind)
-
-let region_of_entry t i = entry_byte_range t.entries i
-
-let pp fmt t =
-  let t = t.entries in
-  Array.iteri
-    (fun i e ->
-      if e.mode <> Off then
-        match entry_byte_range t i with
-        | None -> ()
-        | Some (base, size) ->
-          Format.fprintf fmt "pmp[%d] %a +%Ld %s%s%s%s@." i Word.pp base size
-            (if e.perm.read then "r" else "-")
-            (if e.perm.write then "w" else "-")
-            (if e.perm.execute then "x" else "-")
-            (if e.locked then " L" else ""))
-    t

@@ -65,8 +65,6 @@ val napot_range : entry -> Word.t * int64
 
 type access_kind = Read | Write | Execute
 
-val pp_access_kind : Format.formatter -> access_kind -> unit
-
 type check_result =
   | Allowed
   | Denied of { entry_index : int option }
@@ -90,9 +88,3 @@ val allows : t -> priv:Priv.t -> kind:access_kind -> addr:Word.t -> size:int -> 
     the address space is refused. *)
 val allows_region :
   t -> priv:Priv.t -> kind:access_kind -> addr:Word.t -> size:int -> bool
-
-(** [region_of_entry t i] is the byte range covered by entry [i], if it is
-    active ([Tor] entries consult entry [i-1] for their base). *)
-val region_of_entry : t -> int -> (Word.t * int64) option
-
-val pp : Format.formatter -> t -> unit

@@ -10,5 +10,3 @@ let of_int = function
 
 let geq a b = to_int a >= to_int b
 let equal a b = to_int a = to_int b
-let to_string = function User -> "U" | Supervisor -> "S" | Machine -> "M"
-let pp fmt t = Format.pp_print_string fmt (to_string t)

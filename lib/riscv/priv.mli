@@ -16,5 +16,3 @@ val of_int : int -> t option
 val geq : t -> t -> bool
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -1,7 +1,5 @@
 type t = int64
 
-let zero = 0L
-
 let mask bits =
   assert (bits >= 0 && bits <= 64);
   if bits = 64 then -1L else Int64.sub (Int64.shift_left 1L bits) 1L

@@ -7,8 +7,6 @@
 
 type t = int64
 
-val zero : t
-
 (** [mask bits] is an all-ones mask of the [bits] low bits.
     Requires [0 <= bits <= 64]. *)
 val mask : int -> t

@@ -1,9 +1,5 @@
 open! Import
 
-let extension = function
-  | Request.Campaign _ -> "csv"
-  | Request.Inject _ | Request.Fuzz _ -> "json"
-
 let assemble spec payloads =
   match Request.validate spec with
   | Error e -> Error e

@@ -9,9 +9,6 @@ open! Import
     the one-shot CLI writes for the same parameters — the campaign
     Table 3 CSV, the inject robustness JSON, the fuzz report JSON. *)
 
-(** Output filename extension for the request kind: "csv" or "json". *)
-val extension : Request.spec -> string
-
 (** [assemble spec payloads] decodes and concatenates the shard
     payloads in plan order and folds them through the corresponding
     aggregator.  [Error] reports undecodable payloads (a corrupt store

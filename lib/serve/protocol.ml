@@ -1,7 +1,6 @@
 let protocol_version = Protocol_version.protocol
 let build_version = Protocol_version.build
 let version_string = Protocol_version.version_string
-let code_version = Protocol_version.code_version
 
 (* 64 MiB: far above any shard payload (the largest is a full-corpus
    campaign shard's outcomes, a few hundred KiB), low enough that a

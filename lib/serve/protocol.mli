@@ -16,11 +16,6 @@ val build_version : string
 (** ["teesec <build> (protocol <n>)"] — what [teesec version] prints. *)
 val version_string : string
 
-(** Code version folded into every store digest. *)
-val code_version : string
-
-val max_frame : int
-
 (** [write_frame fd payload] writes one frame, handling short writes. *)
 val write_frame : Unix.file_descr -> string -> unit
 

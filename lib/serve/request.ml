@@ -42,10 +42,6 @@ let case_desc_equal a b =
   && a.cd_width = b.cd_width && a.cd_variant = b.cd_variant
   && Int64.equal a.cd_seed b.cd_seed
 
-let pp_case_desc fmt cd =
-  Format.fprintf fmt "#%d %s offset=%d width=%d variant=%d seed=%s" cd.cd_id
-    cd.cd_path cd.cd_offset cd.cd_width cd.cd_variant (Word.to_hex cd.cd_seed)
-
 type corpus_kind = Slice | Full | Random of { count : int; seed : Word.t }
 
 type spec =

@@ -27,7 +27,6 @@ val case_desc_of_testcase : Testcase.t -> case_desc
 val testcase_of_case_desc : case_desc -> Testcase.t
 
 val case_desc_equal : case_desc -> case_desc -> bool
-val pp_case_desc : Format.formatter -> case_desc -> unit
 
 type corpus_kind =
   | Slice  (** The representative slice (the CLI default). *)

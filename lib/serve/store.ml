@@ -27,8 +27,6 @@ let open_ ~root =
   mkdir_p (bucket_dir root `Verdicts);
   { root }
 
-let root t = t.root
-
 (* Two independently seeded SplitMix64 folds give a 128-bit digest —
    not cryptographic, but collision-resistant far beyond the object
    counts a store will ever hold, and dependency-free.  Sorting first

@@ -20,8 +20,6 @@ type t
 (** [open_ ~root] creates the directory layout if needed. *)
 val open_ : root:string -> t
 
-val root : t -> string
-
 type bucket = Corpus | Verdicts
 
 (** [digest_of_fields fields] is a 32-hex-character content digest.

@@ -38,9 +38,6 @@ type t = {
   to_class : ctx_class;
 }
 
-let equal (a : t) b = a = b
-let compare (a : t) b = Stdlib.compare a b
-
 let to_string t =
   Printf.sprintf "%s<-%s[%s->%s]"
     (Structure.to_string t.structure)

@@ -17,12 +17,6 @@
     is the same edge. *)
 type ctx_class = Host_user | Host_supervisor | Host_machine | Enclave | Monitor
 
-val ctx_class : Exec_context.t -> ctx_class
-val ctx_class_to_string : ctx_class -> string
-
-(** All five classes, in declaration order (the encoding base). *)
-val all_ctx_classes : ctx_class list
-
 type t = {
   structure : Structure.t;
   origin : Log.origin;
@@ -30,8 +24,6 @@ type t = {
   to_class : ctx_class;  (** The context the write was observed in. *)
 }
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
 val to_string : t -> string
 
 (** Number of distinct edge indices ([structures x origins x classes^2]);

@@ -7,12 +7,6 @@ let equal a b =
   | Monitor, Monitor -> true
   | (Host _ | Enclave _ | Monitor), _ -> false
 
-let is_trusted_for t ~enclave_id =
-  match t with
-  | Enclave i -> i = enclave_id
-  | Monitor -> true
-  | Host _ -> false
-
 (* Every name is a constant or built once: the simulator names the
    context on every store and register write, and a shared string makes
    the log's interning a pointer test. *)

@@ -13,11 +13,6 @@ type t =
 
 val equal : t -> t -> bool
 
-(** [is_trusted_for t ~enclave_id] is true when context [t] is allowed to
-    observe data belonging to [enclave_id]: the enclave itself and the
-    security monitor. *)
-val is_trusted_for : t -> enclave_id:int -> bool
-
 val pp : Format.formatter -> t -> unit
 
 (** [to_string t] is ["host-S"], ["enclave-3"] or ["monitor"]: one

@@ -68,8 +68,6 @@ let origin_of_code = function
 
 let origin_count = 12
 
-let pp_origin fmt o = Format.pp_print_string fmt (origin_to_string o)
-
 type entry = { slot : int; addr : Word.t option; data : Word.t; note : string }
 
 let entry ?(slot = 0) ?addr ?(note = "") data = { slot; addr; data; note }
@@ -647,17 +645,6 @@ let to_list t =
   let acc = ref [] in
   iter t (fun c -> acc := Cursor.record c :: !acc);
   List.rev !acc
-
-let writes_of t =
-  let acc = ref [] in
-  iter t (fun c -> if Cursor.kind c = Write_kind then acc := Cursor.record c :: !acc);
-  List.rev !acc
-
-let contains_value r v =
-  let in_entries entries = List.exists (fun e -> Int64.equal e.data v) entries in
-  match r.event with
-  | Write { entries; _ } | Snapshot { entries; _ } -> in_entries entries
-  | Mode_switch _ | Commit _ | Exception_raised _ | Fault_injected _ -> false
 
 let occurrences t v =
   let acc = ref [] in

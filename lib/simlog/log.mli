@@ -56,8 +56,6 @@ val origin_of_code : int -> origin
 
 val origin_count : int
 
-val pp_origin : Format.formatter -> origin -> unit
-
 (** One logged location inside a structure. *)
 type entry = {
   slot : int;  (** Index within the structure (way, entry number...). *)
@@ -203,7 +201,6 @@ module Cursor : sig
 
   val slot : t -> int -> int
   val data : t -> int -> Word.t
-  val note : t -> int -> string
 
   (** [note_ref c i] is a reference to entry [i]'s note, valid for the
       log's lifetime: {!note_at} reads it. *)
@@ -256,13 +253,6 @@ val context_of_code : tag:int -> id:int -> Exec_context.t
 (** Records in chronological order — for printers, the reference checker
     and tests; readers on the simulation paths use {!iter}. *)
 val to_list : t -> record list
-
-(** [writes_of t] keeps only the [Write] records. *)
-val writes_of : t -> record list
-
-(** [contains_value record v] is true when the record's event carries an
-    entry whose data equals [v]. *)
-val contains_value : record -> Word.t -> bool
 
 (** [occurrences t v] lists the records in which value [v] appears. *)
 val occurrences : t -> Word.t -> record list

@@ -20,9 +20,6 @@ open! Import
 
     where an entry is [<slot>,<addr|~>,<data>,<note>]. *)
 
-(** [write_channel oc log] writes the whole log, one record per line. *)
-val write_channel : out_channel -> Log.t -> unit
-
 (** [to_string log] is the serialised log. *)
 val to_string : Log.t -> string
 

@@ -93,8 +93,6 @@ let to_string = function
 
 let of_string s = List.find_opt (fun t -> to_string t = s) all
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let netlist_hint = function
   | Reg_file -> [ "regfile" ]
   | L1i_data -> [ "icache_data" ]
@@ -111,9 +109,3 @@ let netlist_hint = function
   | Hpm_counters -> [ "hpm_counters" ]
   | Wb_buffer -> [ "wb_buffer"; "wb_queue" ]
   | Prefetcher -> [ "prefetcher" ]
-
-let holds_data = function
-  | Reg_file | L1i_data | L1d_data | L2_data | Lfb | Store_buffer | Store_queue
-  | Load_queue | Wb_buffer ->
-    true
-  | Dtlb | Ptw_cache | Ubtb | Ftb | Hpm_counters | Prefetcher -> false

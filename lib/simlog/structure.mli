@@ -41,15 +41,7 @@ val to_string : t -> string
 (** [of_string s] inverts [to_string]. *)
 val of_string : string -> t option
 
-val pp : Format.formatter -> t -> unit
-
 (** [netlist_hint t] is the substring to look for in netlist storage
     element paths when cross-referencing the plan (e.g. [Lfb] matches
     both BOOM's ["lfb"] and XiangShan's ["miss_queue"]). *)
 val netlist_hint : t -> string list
-
-(** [holds_data t] distinguishes structures that can contain enclave data
-    verbatim (P1 targets) from the ones that only carry metadata (P2
-    targets: branch predictors, performance counters, prefetcher
-    state). *)
-val holds_data : t -> bool

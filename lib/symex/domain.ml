@@ -83,19 +83,8 @@ let mem x t =
   && Int64.equal (Int64.logand x t.zeros) 0L
   && Int64.equal (Int64.logand x t.ones) t.ones
 
-let is_top t =
-  Int64.equal t.lo Int64.min_int
-  && Int64.equal t.hi Int64.max_int
-  && Int64.equal t.zeros 0L
-  && Int64.equal t.ones 0L
-
 let as_const t = if Int64.equal t.lo t.hi then Some t.lo else None
 let unknown_bits t = unknown_of ~zeros:t.zeros ~ones:t.ones
-
-let equal a b =
-  Int64.equal a.lo b.lo && Int64.equal a.hi b.hi
-  && Int64.equal a.zeros b.zeros
-  && Int64.equal a.ones b.ones
 
 let join a b =
   (* Hull of the intervals, intersection of the known bits: both are
@@ -208,14 +197,3 @@ let candidates t =
       else x :: dedup (x :: seen) rest
   in
   dedup [] (List.filter (fun x -> mem x t) raw)
-
-let pp fmt t =
-  if is_top t then Format.pp_print_string fmt "top"
-  else
-    match as_const t with
-    | Some v -> Format.fprintf fmt "{%s}" (Word.to_hex v)
-    | None ->
-      Format.fprintf fmt "[%s,%s]/0:%s/1:%s" (Word.to_hex t.lo)
-        (Word.to_hex t.hi) (Word.to_hex t.zeros) (Word.to_hex t.ones)
-
-let to_string t = Format.asprintf "%a" pp t

@@ -40,13 +40,10 @@ val of_bits : zeros:Word.t -> ones:Word.t -> t option
 (** Exact membership against the stored constraints. *)
 val mem : Word.t -> t -> bool
 
-val is_top : t -> bool
 val as_const : t -> Word.t option
 
 (** Bits that are neither known-zero nor known-one. *)
 val unknown_bits : t -> Word.t
-
-val equal : t -> t -> bool
 
 (** Least upper bound: [mem x a || mem x b] implies [mem x (join a b)]. *)
 val join : t -> t -> t
@@ -63,6 +60,3 @@ val transfer : Instr.alu_op -> t -> t -> t
     (bounds, bit-pattern extremes, zero); every element satisfies
     {!mem}.  Never empty for elements whose denotation is non-empty. *)
 val candidates : t -> Word.t list
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -43,7 +43,6 @@ type result = {
 }
 
 val default_max_paths : int
-val default_max_steps : int
 
 (** [run ?max_paths ?max_steps program] enumerates feasible paths.
     Loads and CSR reads evaluate to concrete 0 (the SBI models contain

@@ -36,8 +36,7 @@ let bin op a b =
   | (Instr.Sll | Instr.Srl), Const 0L, _ -> Const 0L
   | _ -> Bin (op, a, b)
 
-let is_const = function Const _ -> true | _ -> false
-
+(* Symbols occurring in the term, sorted, without duplicates. *)
 let syms t =
   let rec go acc = function
     | Const _ -> acc

@@ -20,11 +20,7 @@ val sym : int -> t
     for every environment. *)
 val bin : Instr.alu_op -> t -> t -> t
 
-val is_const : t -> bool
 val equal : t -> t -> bool
-
-(** Symbols occurring in the term, sorted, without duplicates. *)
-val syms : t -> int list
 
 (** [eval env t] — concrete evaluation; [env i] is the value of
     [Sym i]. *)
@@ -34,7 +30,6 @@ val eval : env:(int -> Word.t) -> t -> Word.t
     {!Domain.transfer}. *)
 val abstract : env:(int -> Domain.t) -> t -> Domain.t
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** {1 Constraints} *)
@@ -47,5 +42,4 @@ type rel = { cond : Instr.cond; lhs : t; rhs : t }
 val rel_holds : env:(int -> Word.t) -> rel -> bool
 val negate_rel : rel -> rel
 val rel_syms : rel -> int list
-val pp_rel : Format.formatter -> rel -> unit
 val rel_to_string : rel -> string

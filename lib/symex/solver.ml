@@ -2,7 +2,7 @@ open! Import
 
 type env = Domain.t array
 
-let num_syms = 8
+let num_syms = 8 (* a0..a7 *)
 let top_env () = Array.make num_syms Domain.top
 
 let high_mask k =

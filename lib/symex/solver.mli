@@ -13,10 +13,7 @@ open Import
     ([None]), never produce a bogus witness. *)
 
 type env = Domain.t array
-(** One domain per argument symbol, indexed 0..{!num_syms}-1. *)
-
-val num_syms : int
-(** Eight: [a0..a7]. *)
+(** One domain per argument symbol [a0..a7], indexed 0..7. *)
 
 val top_env : unit -> env
 
@@ -27,8 +24,6 @@ val top_env : unit -> env
     masks and [add]/[sub] with constant offsets — exactly the shapes the
     SBI entry-path models generate. *)
 val refine : Expr.rel -> env -> env option
-
-val refine_all : Expr.rel list -> env -> env option
 
 type stats = {
   mutable solved : int;  (** Concretisations that produced a witness. *)

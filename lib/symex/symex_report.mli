@@ -2,7 +2,6 @@
     document (no wall time, no environment), byte-identical across runs,
     job counts and observability settings. *)
 
-val pp : Format.formatter -> Explore.t -> unit
 val to_text : Explore.t -> string
 val to_json_string : Explore.t -> string
 val save_json : path:string -> Explore.t -> unit

@@ -11,9 +11,6 @@ open Import
     cleanly back through {!Corpus_io} and seeds [fuzz --corpus] on the
     same coverage map. *)
 
-(** The gadget family exercising a call's monitor path. *)
-val access_path_of_call : Sbi.call -> Access_path.t
-
 (** [testcases_of report] — deduplicated, id-ordered gadgets for every
     accepted-path witness in [report]. *)
 val testcases_of : Explore.t -> Testcase.t list

@@ -9,8 +9,6 @@ let state_to_string = function
   | Exited -> "exited"
   | Destroyed -> "destroyed"
 
-let pp_state fmt s = Format.pp_print_string fmt (state_to_string s)
-
 type t = {
   id : int;
   base : Word.t;
@@ -56,7 +54,3 @@ let can_destroy t = match t.state with Stopped | Exited -> true | Fresh | Runnin
 let contains t ~addr =
   Int64.unsigned_compare addr t.base >= 0
   && Int64.unsigned_compare addr (Int64.add t.base (Int64.of_int t.size)) < 0
-
-let pp fmt t =
-  Format.fprintf fmt "enclave %d @ %a +%d (%s)" t.id Word.pp t.base t.size
-    (state_to_string t.state)

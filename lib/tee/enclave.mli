@@ -10,7 +10,6 @@ open Import
 type state = Fresh | Running | Stopped | Exited | Destroyed
 
 val state_to_string : state -> string
-val pp_state : Format.formatter -> state -> unit
 
 type t = {
   id : int;
@@ -39,5 +38,3 @@ val can_destroy : t -> bool
 (** [contains t ~addr] is true when [addr] falls inside the enclave's
     region. *)
 val contains : t -> addr:Word.t -> bool
-
-val pp : Format.formatter -> t -> unit

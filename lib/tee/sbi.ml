@@ -49,5 +49,4 @@ let to_string = function
   | Destroy_enclave -> "sm_destroy_enclave"
   | Attest_enclave -> "sm_attest_enclave"
 
-let pp fmt c = Format.pp_print_string fmt (to_string c)
 let error_code = Int64.minus_one

@@ -21,7 +21,6 @@ val all : call list
 val to_code : call -> Word.t
 val of_code : Word.t -> call option
 val to_string : call -> string
-val pp : Format.formatter -> call -> unit
 
 (** Value returned in [a0] on an SBI error. *)
 val error_code : Word.t

@@ -24,8 +24,6 @@ let scenarios =
     };
   ]
 
-let scenario_named name = List.find_opt (fun s -> s.name = name) scenarios
-
 type outcome =
   | Accepted
   | Rejected_wrong_code

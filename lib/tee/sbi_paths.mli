@@ -31,8 +31,6 @@ type scenario = { name : string; states : Enclave.state list }
     a full table (create exhaustion). *)
 val scenarios : scenario list
 
-val scenario_named : string -> scenario option
-
 (** Why a path accepts or rejects the call; mirrors
     {!Security_monitor.error} plus the dispatch-level rejections. *)
 type outcome =

@@ -14,7 +14,6 @@ type t = {
   machine : Machine.t;
   mutable enclaves : Enclave.t list;  (* creation order *)
   programs : (int, Program.t) Hashtbl.t;
-  enclave_satp : (int, Word.t) Hashtbl.t;
   mutable host_reg_bank : Word.t array option;
 }
 
@@ -31,7 +30,6 @@ exception Enclave_exit_requested of int
 type snapshot = {
   snap_enclaves : Enclave.t list;
   snap_programs : (int, Program.t) Hashtbl.t;
-  snap_enclave_satp : (int, Word.t) Hashtbl.t;
   snap_host_reg_bank : Word.t array option;
 }
 
@@ -39,7 +37,6 @@ let snapshot t =
   {
     snap_enclaves = List.map Enclave.copy t.enclaves;
     snap_programs = Hashtbl.copy t.programs;
-    snap_enclave_satp = Hashtbl.copy t.enclave_satp;
     snap_host_reg_bank = Option.map Array.copy t.host_reg_bank;
   }
 
@@ -49,12 +46,9 @@ let restore t s =
   t.enclaves <- List.map Enclave.copy s.snap_enclaves;
   Hashtbl.reset t.programs;
   Hashtbl.iter (fun k v -> Hashtbl.replace t.programs k v) s.snap_programs;
-  Hashtbl.reset t.enclave_satp;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.enclave_satp k v) s.snap_enclave_satp;
   t.host_reg_bank <- Option.map Array.copy s.snap_host_reg_bank
 
 let machine t = t.machine
-let enclaves t = List.rev t.enclaves
 
 let enclave t eid =
   List.find_opt (fun (e : Enclave.t) -> e.id = eid) t.enclaves
@@ -149,7 +143,6 @@ let create_enclave t ?(size = Memory_layout.enclave_size) () =
   end
 
 let register_enclave_program t eid prog = Hashtbl.replace t.programs eid prog
-let set_enclave_satp t eid satp = Hashtbl.replace t.enclave_satp eid satp
 
 let enter_monitor t =
   Machine.switch_context t.machine ~to_ctx:Exec_context.Monitor
@@ -175,13 +168,6 @@ let run_enclave_common t eid ~resume =
         (match e.saved_regs with
         | Some bank when resume -> restore_regs t bank
         | Some _ | None -> ());
-        (* Enclave-private address space, when enabled.  Keystone swaps
-           satp at the boundary but flushes nothing. *)
-        let csr = Machine.csr t.machine in
-        let host_satp = Csr.raw_read csr Csr.Satp in
-        (match Hashtbl.find_opt t.enclave_satp eid with
-        | Some satp -> Csr.raw_write csr Csr.Satp satp
-        | None -> ());
         Machine.switch_context t.machine ~to_ctx:(Exec_context.Enclave eid);
         let final_state =
           match Hashtbl.find_opt t.programs eid with
@@ -193,7 +179,6 @@ let run_enclave_common t eid ~resume =
             with Enclave_exit_requested id when id = eid -> Enclave.Exited)
         in
         enter_monitor t;
-        if Hashtbl.mem t.enclave_satp eid then Csr.raw_write csr Csr.Satp host_satp;
         e.saved_regs <- Some (bank_regs t);
         (match Enclave.transition e ~to_state:final_state with
         | Ok () -> ()
@@ -309,7 +294,6 @@ let install machine =
       machine;
       enclaves = [];
       programs = Hashtbl.create 8;
-      enclave_satp = Hashtbl.create 8;
       host_reg_bank = None;
     }
   in

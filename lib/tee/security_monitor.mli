@@ -51,9 +51,6 @@ val snapshot : t -> snapshot
     stays valid across restores. *)
 val restore : t -> snapshot -> unit
 
-(** Enclaves in creation order (including destroyed ones). *)
-val enclaves : t -> Enclave.t list
-
 val enclave : t -> int -> Enclave.t option
 
 (** {1 Enclave lifecycle (OCaml API)} *)
@@ -85,12 +82,6 @@ val destroy_enclave : t -> int -> (unit, error) result
 (** [attest_enclave t eid] returns the measurement recorded at
     creation. *)
 val attest_enclave : t -> int -> (Word.t, error) result
-
-(** [set_enclave_satp t eid satp] enables enclave-private virtual memory
-    (see {!Enclave_vm}): [satp] is installed when entering the enclave
-    and the host's [satp] restored on exit.  Faithfully to Keystone, the
-    TLB is {e not} flushed at either transition. *)
-val set_enclave_satp : t -> int -> Word.t -> unit
 
 (** {1 Host execution} *)
 

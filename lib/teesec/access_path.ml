@@ -55,8 +55,6 @@ let to_string = function
   | Meta_hpc -> "Meta_HPC"
   | Meta_btb -> "Meta_BTB"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let description = function
   | Exp_acc_enc_l1 -> "host load of PMP-protected enclave data resident in the L1D"
   | Exp_acc_enc_l2 -> "host load of enclave data resident in the L2 but not the L1D"
@@ -73,16 +71,6 @@ let description = function
   | Imp_acc_destroy_memset -> "store-drain refills of the enclave-destroy memset"
   | Meta_hpc -> "hardware performance counter readout across the enclave boundary"
   | Meta_btb -> "uBTB collision between aliasing host and enclave branches"
-
-type explicitness = Explicit | Implicit
-
-let explicitness = function
-  | Exp_acc_enc_l1 | Exp_acc_enc_l2 | Exp_acc_enc_mem | Exp_acc_enc_stb
-  | Exp_acc_enc_misaligned | Exp_acc_sm | Exp_acc_cross_enclave
-  | Exp_acc_host_from_enclave | Exp_store_enc | Meta_hpc | Meta_btb ->
-    Explicit
-  | Imp_acc_pref | Imp_acc_ptw_root | Imp_acc_ptw_legit | Imp_acc_destroy_memset ->
-    Implicit
 
 type perm_policy = Checked_serial | Checked_parallel | Unchecked
 

@@ -30,12 +30,7 @@ val data_paths : t list
 val metadata_paths : t list
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val description : t -> string
-
-type explicitness = Explicit | Implicit
-
-val explicitness : t -> explicitness
 
 (** Permission-check policy of a path on a given core (§4.1.2): checked
     before the access, checked in parallel with it (speculatively

@@ -51,26 +51,6 @@ let description = function
   | M1 -> "Revealing enclave control-flow/data access patterns via performance counters"
   | M2 -> "Revealing enclave control-flow via conflicts on branch prediction units"
 
-let source = function
-  | D1 | D2 | D3 -> Structure.Lfb
-  | D4 | D5 | D6 | D7 | D8 -> Structure.Reg_file
-  | M1 -> Structure.Hpm_counters
-  | M2 -> Structure.Ubtb
-
-let access_path = function
-  | D1 ->
-    "Load (Exp) -> L1 miss -> Prefetcher (Imp) -> L2 req -> LFB refill"
-  | D2 ->
-    "Load (Exp) -> TLB miss -> Page table walk (Imp) -> L1 miss -> L2 req -> LFB refill"
-  | D3 -> "Store (Exp) -> L1 miss -> L2 req -> LFB refill (stale enclave data)"
-  | D4 | D5 | D6 | D7 ->
-    "Load (Exp) -> TLB/PMP check -> L1 hit -> Write-back RF -> Secret forwarded"
-  | D8 ->
-    "Load (Exp) -> TLB/PMP check -> Store buffer hit -> Write-back RF -> Secret forwarded"
-  | M1 -> "Reset perf counters -> Enter enclave -> Stop enclave -> Read perf counters"
-  | M2 ->
-    "Enter enclave -> Cond. branch -> Stop enclave -> Cond. branch mapping to same uBTB entry -> Check cycle count"
-
 let expected id (core : Config.core_kind) =
   match (id, core) with
   | (D1 | D2 | D3), Config.Boom -> true

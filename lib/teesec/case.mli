@@ -26,12 +26,6 @@ val principle : id -> principle
 (** One-line description, following the paper's wording. *)
 val description : id -> string
 
-(** Secret source structure reported in Table 3. *)
-val source : id -> Structure.t
-
-(** Access path summary (the Table 3 middle column). *)
-val access_path : id -> string
-
 (** [expected id core] is the paper's Table 3 verdict: was the case found
     on this core? *)
 val expected : id -> Config.core_kind -> bool

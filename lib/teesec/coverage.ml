@@ -25,29 +25,11 @@ let writable_structures =
     Structure.Prefetcher;
   ]
 
-(* Distinct structures/origins written by one test case, in
+(* The edges one test case wrote ({!Simlog.Edge.of_log}), in
    first-observed order.  Computed in-domain; the merge below replays
    them per case in corpus order, so the accumulated tables (and their
    fold order) match the sequential run exactly. *)
-let observe config tc =
-  let structures = Hashtbl.create 16 in
-  let origins = Hashtbl.create 16 in
-  let structures_seq = ref [] in
-  let origins_seq = ref [] in
-  let outcome = Runner.run config tc in
-  Log.iter outcome.Runner.log (fun c ->
-      if Log.Cursor.kind c = Log.Write_kind then begin
-        let structure = Log.Cursor.structure c and origin = Log.Cursor.origin c in
-        if not (Hashtbl.mem structures structure) then begin
-          Hashtbl.replace structures structure ();
-          structures_seq := structure :: !structures_seq
-        end;
-        if not (Hashtbl.mem origins origin) then begin
-          Hashtbl.replace origins origin ();
-          origins_seq := origin :: !origins_seq
-        end
-      end);
-  (List.rev !structures_seq, List.rev !origins_seq)
+let observe config tc = Simlog.Edge.of_log (Runner.run config tc).Runner.log
 
 let measure ?(jobs = 1) config testcases =
   let path_counts = Hashtbl.create 16 in
@@ -55,11 +37,14 @@ let measure ?(jobs = 1) config testcases =
   let origins = Hashtbl.create 16 in
   let observations = Parallel.Pool.parmap ~jobs (observe config) testcases in
   List.iter2
-    (fun tc (case_structures, case_origins) ->
+    (fun tc edges ->
       Hashtbl.replace path_counts tc.Testcase.path
         (1 + Option.value (Hashtbl.find_opt path_counts tc.Testcase.path) ~default:0);
-      List.iter (fun s -> Hashtbl.replace structures s ()) case_structures;
-      List.iter (fun o -> Hashtbl.replace origins o ()) case_origins)
+      List.iter
+        (fun ((e : Simlog.Edge.t), _) ->
+          Hashtbl.replace structures e.structure ();
+          Hashtbl.replace origins e.origin ())
+        edges)
     testcases observations;
   let per_path =
     List.map
@@ -94,8 +79,6 @@ let measure ?(jobs = 1) config testcases =
       *. float_of_int (List.length observed_writable)
       /. float_of_int (List.length writable_here);
   }
-
-let measure_full ?jobs config = measure ?jobs config (Fuzzer.corpus ())
 
 let pp fmt t =
   Format.fprintf fmt "Coverage on %s over %d test cases:@." t.config.Config.name

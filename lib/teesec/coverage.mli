@@ -23,18 +23,10 @@ type t = {
       (** Of the structures the machine models and can emit writes for. *)
 }
 
-(** Structures the machine emits [Write] events for (the denominator of
-    [structure_coverage_pct]); the remaining structures are only visible
-    through snapshots. *)
-val writable_structures : Structure.t list
-
 (** [measure ?jobs config testcases] runs the corpus and accumulates
     coverage.  [jobs] (default 1) fans the runs out across domains; the
     per-case observations are merged in corpus order, so the result is
     identical for every job count. *)
 val measure : ?jobs:int -> Config.t -> Testcase.t list -> t
-
-(** [measure_full ?jobs config] covers the whole deterministic corpus. *)
-val measure_full : ?jobs:int -> Config.t -> t
 
 val pp : Format.formatter -> t -> unit

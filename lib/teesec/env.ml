@@ -76,4 +76,3 @@ let victim_secret_line t =
     (Int64.of_int (Memory_layout.enclave_size / 2))
 
 let secret_addr t = Int64.add (victim_secret_line t) (Int64.of_int t.params.Params.offset)
-let host_secret_addr _t = Memory_layout.host_data_base

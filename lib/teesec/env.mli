@@ -67,6 +67,3 @@ val victim_secret_line : t -> Word.t
 (** [secret_addr t] is the exact address the access gadget targets:
     secret line plus the offset parameter. *)
 val secret_addr : t -> Word.t
-
-(** [host_secret_addr t] is where the D7 host secret lives. *)
-val host_secret_addr : t -> Word.t

@@ -13,9 +13,6 @@ open! Import
     module exposes the same computation for side-channel demonstrations
     (see [examples/cache_prime_probe.ml]). *)
 
-(** [l1_set_index config ~addr] is the L1D set the address maps to. *)
-val l1_set_index : Config.t -> addr:Word.t -> int
-
 (** [same_set config ~addr1 ~addr2] — do the two addresses conflict in
     the L1D? *)
 val same_set : Config.t -> addr1:Word.t -> addr2:Word.t -> bool

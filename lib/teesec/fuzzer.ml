@@ -76,9 +76,6 @@ let grid = function
     cartesian ~offsets:[ 0 ] ~widths:[ 8 ] ~variants:[ 0; 1; 2; 3; 4; 5; 6; 7 ]
       ~seeds:3
 
-let corpus_for path =
-  List.mapi (fun i params -> Assembler.assemble ~id:i path ~params) (grid path)
-
 let corpus () =
   let id = ref 0 in
   List.concat_map

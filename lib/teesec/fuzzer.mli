@@ -13,10 +13,6 @@ open! Import
     [path]. *)
 val grid : Access_path.t -> Params.t list
 
-(** [corpus_for path] assembles the test cases of one access path (ids
-    local to the path). *)
-val corpus_for : Access_path.t -> Testcase.t list
-
 (** [corpus ()] is the full deterministic corpus over all 15 access
     paths; 585 test cases, globally numbered. *)
 val corpus : unit -> Testcase.t list

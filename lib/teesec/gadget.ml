@@ -2,22 +2,11 @@ open! Import
 
 type kind = Setup | Helper | Access of Access_path.t
 
-let kind_to_string = function
-  | Setup -> "setup"
-  | Helper -> "helper"
-  | Access p -> Printf.sprintf "access(%s)" (Access_path.to_string p)
-
 (* Which test-case parameters a gadget's emitted behaviour actually
    depends on.  The snapshot engine keys shared prefixes on the union of
    the prefix gadgets' dependencies, so two cases whose parameters differ
    only in components no prefix gadget reads share one snapshot. *)
 type param_dep = Dep_offset | Dep_width | Dep_variant | Dep_seed
-
-let param_dep_to_string = function
-  | Dep_offset -> "offset"
-  | Dep_width -> "width"
-  | Dep_variant -> "variant"
-  | Dep_seed -> "seed"
 
 type t = {
   name : string;
@@ -30,13 +19,9 @@ type t = {
 }
 
 let name t = t.name
-let is_setup t = t.kind = Setup
-let is_helper t = t.kind = Helper
-let is_access t = match t.kind with Access _ -> true | Setup | Helper -> false
 
 let access_path t =
   match t.kind with Access p -> Some p | Setup | Helper -> None
 
 let applicable t model = t.pre model
 let apply t model = t.post model
-let pp fmt t = Format.fprintf fmt "%s [%s]" t.name (kind_to_string t.kind)

@@ -13,15 +13,11 @@ open! Import
 
 type kind = Setup | Helper | Access of Access_path.t
 
-val kind_to_string : kind -> string
-
 (** Which components of {!Params.t} a gadget's [emit] reads.  Declared
     per gadget so the snapshot engine can key a shared setup prefix on
     only the parameters that actually shape it — cases differing in
     other components then share one snapshot. *)
 type param_dep = Dep_offset | Dep_width | Dep_variant | Dep_seed
-
-val param_dep_to_string : param_dep -> string
 
 type t = {
   name : string;
@@ -36,9 +32,6 @@ type t = {
 }
 
 val name : t -> string
-val is_setup : t -> bool
-val is_helper : t -> bool
-val is_access : t -> bool
 val access_path : t -> Access_path.t option
 
 (** [applicable g model] — [pre] holds. *)
@@ -46,5 +39,3 @@ val applicable : t -> Exec_model.t -> bool
 
 (** [apply g model] — run [post] on the abstract state (assembler use). *)
 val apply : t -> Exec_model.t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -133,6 +133,8 @@ let branch_elements ~index ~taken ~probe_cycles =
      else [])
   @ [ Program.Instr Instr.Halt ]
 
+(* Virtual address used by the PTW gadgets ([vpn2] selects which word
+   of the hijacked root-table line the walk reads). *)
 let ptw_probe_vaddr ~vpn2 =
   assert (vpn2 >= 0 && vpn2 < 512);
   Int64.shift_left (Int64.of_int vpn2) 30
@@ -855,5 +857,3 @@ let helper_gadgets =
   ]
 
 let access_gadgets = List.map access_gadget Access_path.all
-let all = setup_gadgets @ helper_gadgets @ access_gadgets
-let find name = List.find_opt (fun g -> g.Gadget.name = name) all

@@ -13,17 +13,11 @@ open! Import
 val create_enclave : Gadget.t
 val create_attacker_enclave : Gadget.t
 val exe_enclave : Gadget.t
-val stop_enclave : Gadget.t
-val resume_enclave : Gadget.t
-val exit_enclave : Gadget.t
-val destroy_enclave : Gadget.t
-val attest_enclave : Gadget.t
 
 (** {1 Helper gadgets} *)
 
 val fill_enc_mem : Gadget.t
 val fill_enc_mem_nodrain : Gadget.t
-val enc_secret_to_l1 : Gadget.t
 val evict_enc_l1 : Gadget.t
 val evict_enc_l2 : Gadget.t
 val seed_sm_secret : Gadget.t
@@ -42,8 +36,6 @@ val access_gadget : Access_path.t -> Gadget.t
 val setup_gadgets : Gadget.t list
 val helper_gadgets : Gadget.t list
 val access_gadgets : Gadget.t list
-val all : Gadget.t list
-val find : string -> Gadget.t option
 
 (** {1 Shared construction details (used by scenarios and tests)} *)
 
@@ -51,7 +43,3 @@ val find : string -> Gadget.t option
     probe and enclave-workload programs of the M2 gadget family, as a
     function of the variant parameter. *)
 val btb_branch_index : variant:int -> int
-
-(** Virtual address used by the PTW gadgets ([vpn2] selects which word of
-    the hijacked root-table line the walk reads). *)
-val ptw_probe_vaddr : vpn2:int -> Word.t

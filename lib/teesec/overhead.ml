@@ -135,17 +135,6 @@ let evaluate ?(workload = Mixed) ?(rounds = 16) ?(jobs = 1) config =
   in
   { config; workload; baseline_cycles; rounds; measurements }
 
-let pp_result fmt result =
-  Format.fprintf fmt
-    "Mitigation overhead on %s (%s workload, %d rounds, baseline %d cycles):@."
-    result.config.Config.name (workload_to_string result.workload) result.rounds
-    result.baseline_cycles;
-  List.iter
-    (fun m ->
-      Format.fprintf fmt "  %-28s %8d cycles  %8Ld L1 misses  %+7.1f%%@." m.label
-        m.cycles m.l1_misses m.overhead_pct)
-    result.measurements
-
 let table results =
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in

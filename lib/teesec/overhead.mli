@@ -27,8 +27,6 @@ type measurement = {
     compute-heavy code amortises them. *)
 type workload = Mixed | Switch_heavy | Compute_heavy
 
-val workload_to_string : workload -> string
-
 type result = {
   config : Config.t;
   workload : workload;
@@ -51,8 +49,6 @@ val workload_cycles : Config.t -> workload:workload -> rounds:int -> int * int64
     afterwards, so the output is identical for every job count. *)
 val evaluate :
   ?workload:workload -> ?rounds:int -> ?jobs:int -> Config.t -> result
-
-val pp_result : Format.formatter -> result -> unit
 
 (** [table results] renders the ablation for several cores side by
     side. *)

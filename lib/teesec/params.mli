@@ -22,5 +22,4 @@ val valid_widths : int list
 (** [make ()] builds a parameter record.  @raise Invalid_argument when
     [width] is not one of {!valid_widths}. *)
 val make : ?offset:int -> ?width:int -> ?variant:int -> ?seed:Word.t -> unit -> t
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

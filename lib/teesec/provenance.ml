@@ -103,11 +103,12 @@ let find_writes log (findings : Checker.finding array) =
    per-gadget cycle spans, which the snapshot-restored prefix path does
    not replay. *)
 let gadget_at (tc : Testcase.t) ~fork_cycle ~cycle =
-  if cycle > fork_cycle then Gadget.name (Testcase.access_gadget tc)
+  let prefix, access = Testcase.split tc in
+  if cycle > fork_cycle then Gadget.name access
   else
-    match List.rev tc.Testcase.gadgets with
-    | _access :: prev :: _ -> "prefix:" ^ Gadget.name prev
-    | _ -> Gadget.name (Testcase.access_gadget tc)
+    match List.rev prefix with
+    | prev :: _ -> "prefix:" ^ Gadget.name prev
+    | [] -> Gadget.name access
 
 let of_finding ~(config : Config.t) ~(outcome : Runner.outcome) (f : Checker.finding)
     write =

@@ -27,14 +27,12 @@ type result = {
   ranked : recommendation list;  (** Best first. *)
 }
 
-(** [candidate_sets ~max_size] is every combination of up to [max_size]
-    mitigations (flush-everything subsumes its components and is offered
-    alone). *)
-val candidate_sets : max_size:int -> Mitigation.t list list
+(** [candidate_sets] is every combination of up to two mitigations
+    (flush-everything subsumes its components and is offered alone). *)
+val candidate_sets : Mitigation.t list list
 
-(** [evaluate ?max_size config] measures every candidate set.  The
-    default [max_size] is 3. *)
-val evaluate : ?max_size:int -> Config.t -> result
+(** [evaluate config] measures every candidate set. *)
+val evaluate : Config.t -> result
 
 (** [best result] is the top-ranked recommendation. *)
 val best : result -> recommendation

@@ -11,16 +11,8 @@ type outcome = {
   wave : string;
 }
 
-let split_last gadgets =
-  let rec go acc = function
-    | [] -> invalid_arg "Runner.run: test case with no gadgets"
-    | [ last ] -> (List.rev acc, last)
-    | g :: rest -> go (g :: acc) rest
-  in
-  go [] gadgets
-
 let run ?snapshots ?prepare ?(wave = false) config (testcase : Testcase.t) =
-  let prefix, access = split_last testcase.Testcase.gadgets in
+  let prefix, access = Testcase.split testcase in
   let env =
     match snapshots with
     | Some engine ->

@@ -110,9 +110,7 @@ let create ?(slots = 1024) ?(obs = Obs.noop) ?(wave = false) config =
     ins = instruments obs;
   }
 
-let config t = t.config
 let config_hash t = t.config_hash
-let wave t = t.wave
 
 let stats t =
   {
@@ -217,16 +215,8 @@ let store t cache key ~depth env =
 
 (* {2 Establishing an environment} *)
 
-let split_last gadgets =
-  let rec go acc = function
-    | [] -> invalid_arg "Snapshot: test case with no gadgets"
-    | [ last ] -> (List.rev acc, last)
-    | g :: rest -> go (g :: acc) rest
-  in
-  go [] gadgets
-
 let establish t (tc : Testcase.t) =
-  let prefix, _access = split_last tc.Testcase.gadgets in
+  let prefix, _access = Testcase.split tc in
   let keys = cut_keys t prefix tc.Testcase.params in
   let cache = domain_cache t in
   (* Recycle the pooled environment: every pipeline fully consumes a

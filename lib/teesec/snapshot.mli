@@ -54,11 +54,6 @@ type stats = {
     to replayed ones.  Raises [Invalid_argument] when [slots < 1]. *)
 val create : ?slots:int -> ?obs:Obs.t -> ?wave:bool -> Config.t -> t
 
-val config : t -> Config.t
-
-(** Whether the engine's pooled machines carry an active wave tap. *)
-val wave : t -> bool
-
 (** The {!Config.hash} of the engine's config — runners use it to refuse
     an engine built for a different configuration. *)
 val config_hash : t -> int64

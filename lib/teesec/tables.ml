@@ -176,35 +176,3 @@ let table3_csv results =
       Case.all
   in
   String.concat "\n" (List.map (String.concat ",") (header :: rows)) ^ "\n"
-
-let table4_csv results =
-  let mitigations = Mitigation.all @ Mitigation.extensions in
-  let header =
-    "case" :: "mitigation" :: "paper"
-    :: List.map
-         (fun (r : Mitigation_eval.result) ->
-           Config.core_kind_to_string r.Mitigation_eval.config.Config.kind)
-         results
-  in
-  let rows =
-    List.concat_map
-      (fun case ->
-        List.map
-          (fun mitigation ->
-            Case.to_string case
-            :: Mitigation.to_string mitigation
-            :: (match Mitigation_eval.paper_expectation ~case ~mitigation with
-               | `Effective -> "effective"
-               | `Ineffective -> "ineffective"
-               | `Effective_xs_only -> "effective-xs-only")
-            :: List.map
-                 (fun r ->
-                   match Mitigation_eval.effective r ~case ~mitigation with
-                   | Some true -> "effective"
-                   | Some false -> "ineffective"
-                   | None -> "unknown")
-                 results)
-          mitigations)
-      Case.all
-  in
-  String.concat "\n" (List.map (String.concat ",") (header :: rows)) ^ "\n"

@@ -21,5 +21,3 @@ val table4 : Mitigation_eval.result list -> string
 (** Machine-readable exports for downstream analysis: one row per
     leakage case. *)
 val table3_csv : Campaign.result list -> string
-
-val table4_csv : Mitigation_eval.result list -> string

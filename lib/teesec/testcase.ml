@@ -7,14 +7,13 @@ type t = {
   params : Params.t;
 }
 
-let rec last_gadget = function
-  | [] -> invalid_arg "Testcase.access_gadget: empty gadget list"
-  | [ g ] -> g
-  | _ :: rest -> last_gadget rest
-
-(* Single traversal; the old [List.nth gadgets (length - 1)] walked the
-   list twice. *)
-let access_gadget t = last_gadget t.gadgets
+let split t =
+  let rec go acc = function
+    | [] -> invalid_arg "Testcase.split: test case with no gadgets"
+    | [ last ] -> (List.rev acc, last)
+    | g :: rest -> go (g :: acc) rest
+  in
+  go [] t.gadgets
 
 let name t =
   Printf.sprintf "#%d %s [%s]" t.id (Access_path.to_string t.path)

@@ -10,6 +10,9 @@ type t = {
   params : Params.t;
 }
 
-val access_gadget : t -> Gadget.t
+(** [split t] is [t]'s setup and helper chain and its access gadget.
+    Raises [Invalid_argument] on a test case with no gadgets. *)
+val split : t -> Gadget.t list * Gadget.t
+
 val name : t -> string
 val pp : Format.formatter -> t -> unit

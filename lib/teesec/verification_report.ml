@@ -1,15 +1,6 @@
 open! Import
 
-type options = {
-  full_corpus : bool;
-  include_scenarios : bool;
-  include_recommendations : bool;
-}
-
-let default_options =
-  { full_corpus = false; include_scenarios = true; include_recommendations = true }
-
-let generate ?(options = default_options) configs =
+let generate ~full_corpus configs =
   let buf = Buffer.create 16384 in
   let fmt = Format.formatter_of_buffer buf in
   let line s = Format.fprintf fmt "%s@." s in
@@ -25,7 +16,7 @@ let generate ?(options = default_options) configs =
     "Designs under test: %s.  Corpus: %s.  All results below are measured on \
      this run; 'paper' columns refer to ISCA 2023 Table 3/4.@.@."
     (String.concat ", " (List.map (fun c -> c.Config.name) configs))
-    (if options.full_corpus then "full (585 test cases)"
+    (if full_corpus then "full (585 test cases)"
      else "representative slice (2 per access path)");
 
   line "## Verification plans";
@@ -51,7 +42,7 @@ let generate ?(options = default_options) configs =
   line "## Leakage campaign (Table 3)";
   line "";
   let testcases =
-    if options.full_corpus then Fuzzer.corpus () else Mitigation_eval.slice ()
+    if full_corpus then Fuzzer.corpus () else Mitigation_eval.slice ()
   in
   let campaign_results = List.map (fun c -> Campaign.run c testcases) configs in
   verbatim (Tables.table3 campaign_results);
@@ -82,39 +73,27 @@ let generate ?(options = default_options) configs =
         (Format.asprintf "%a" Coverage.pp (Coverage.measure config testcases)))
     configs;
 
-  if options.include_recommendations then begin
-    line "## Recommended countermeasures";
-    line "";
-    List.iter
-      (fun config ->
-        verbatim
-          (Format.asprintf "%a" Recommend.pp_result
-             (Recommend.evaluate ~max_size:2 config)))
-      configs
-  end;
+  line "## Recommended countermeasures";
+  line "";
+  List.iter
+    (fun config ->
+      verbatim
+        (Format.asprintf "%a" Recommend.pp_result (Recommend.evaluate config)))
+    configs;
 
-  if options.include_scenarios then begin
-    line "## Case studies (paper figures 2-7)";
-    line "";
-    List.iter
-      (fun config ->
-        List.iter
-          (fun (_, trace) ->
-            Format.fprintf fmt "### %s@.@." trace.Scenarios.title;
-            List.iter
-              (fun (k, v) -> Format.fprintf fmt "- %s: %s@." k v)
-              trace.Scenarios.observations;
-            line "")
-          (Scenarios.all config))
-      configs
-  end;
+  line "## Case studies (paper figures 2-7)";
+  line "";
+  List.iter
+    (fun config ->
+      List.iter
+        (fun (_, trace) ->
+          Format.fprintf fmt "### %s@.@." trace.Scenarios.title;
+          List.iter
+            (fun (k, v) -> Format.fprintf fmt "- %s: %s@." k v)
+            trace.Scenarios.observations;
+          line "")
+        (Scenarios.all config))
+    configs;
 
   Format.pp_print_flush fmt ();
   Buffer.contents buf
-
-let save ?options ~path configs =
-  let report = generate ?options configs in
-  let oc = open_out path in
-  output_string oc report;
-  close_out oc;
-  String.length report

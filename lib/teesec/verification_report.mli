@@ -7,17 +7,7 @@ open! Import
     single markdown document, the deliverable a verification engineer
     would hand to the design team. *)
 
-type options = {
-  full_corpus : bool;  (** 585-case corpus vs the representative slice. *)
-  include_scenarios : bool;
-  include_recommendations : bool;
-}
-
-val default_options : options
-
-(** [generate ?options configs] runs everything and renders markdown. *)
-val generate : ?options:options -> Config.t list -> string
-
-(** [save ?options ~path configs] writes the report to a file and
-    returns its size in bytes. *)
-val save : ?options:options -> path:string -> Config.t list -> int
+(** [generate ~full_corpus configs] runs everything and renders
+    markdown, over the 585-case corpus when [full_corpus] and over the
+    representative slice otherwise. *)
+val generate : full_corpus:bool -> Config.t list -> string

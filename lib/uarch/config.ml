@@ -174,8 +174,3 @@ let hash t =
 
 let with_mitigations t ms = { t with mitigations = ms }
 let mitigated t m = Mitigation.active t.mitigations m
-
-let pp fmt t =
-  Format.fprintf fmt "%s: L1 %dx%d, L2 %dx%d, LFB %d, StB %d, uBTB %d" t.name
-    t.l1_sets t.l1_ways t.l2_sets t.l2_ways t.lfb_entries t.store_buffer_entries
-    t.ubtb_entries

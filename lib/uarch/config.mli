@@ -87,4 +87,3 @@ val hash : t -> int64
 val with_mitigations : t -> Mitigation.t list -> t
 
 val mitigated : t -> Mitigation.t -> bool
-val pp : Format.formatter -> t -> unit

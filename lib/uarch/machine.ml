@@ -110,7 +110,6 @@ let create ?(wave = false) config =
     faults_logged = 0;
   }
 
-let config t = t.config
 let memory t = t.mem
 let csr t = t.csr
 let pmp t = t.pmp
@@ -124,11 +123,8 @@ let cycle t = t.cycle
    occupancy) costs anything to compute, so the taps-off hot path pays
    exactly one predicted branch and zero allocation. *)
 
-let wave_tap t = t.wave
 let wave_enabled t = Wave.Tap.enabled t.wave
 let wave_contents t = Wave.Tap.contents t.wave
-let wave_clear t = Wave.Tap.clear t.wave
-let wave_case_mark t ~id = Wave.Tap.case_mark t.wave ~cycle:t.cycle ~ctx:t.ctx ~id
 
 let tap t ~kind ~structure ~slot ~value =
   Wave.Tap.emit t.wave ~kind ~cycle:t.cycle ~structure ~slot ~ctx:t.ctx ~value
@@ -688,8 +684,6 @@ let store_buffer_holds t v = Store_buffer.holds_value t.stb v
 let store_buffer_occupancy t = Store_buffer.occupancy t.stb
 let rf_holds t v = Regfile.holds_value t.regfile v
 let ubtb t = t.ubtb
-let ftb t = t.ftb
-let dtlb t = t.dtlb
 
 (* {2 Machine snapshot/restore}
 
@@ -1116,7 +1110,6 @@ let stop_reason_to_string = function
 
 let set_ecall_handler t f = t.ecall_handler <- f
 let set_pending_interrupt t f = t.pending_interrupt <- Some f
-let clear_pending_interrupt t = t.pending_interrupt <- None
 
 let step_limit = 200_000
 
@@ -1305,7 +1298,6 @@ let run t prog =
           pc := next)
   done;
   Option.get !result
-
 
 (* {2 Binary execution}
 

@@ -29,8 +29,6 @@ type cause =
   | Illegal_instruction
   | Env_call
 
-val cause_to_string : cause -> string
-
 type trap = { cause : cause; tval : Word.t }
 
 (** {1 Construction and basic accessors} *)
@@ -38,12 +36,13 @@ type trap = { cause : cause; tval : Word.t }
 (** [create ?wave config] builds a machine.  With [~wave:true] an
     active {!Wave.Tap.t} is attached and every structure operation
     appends a cycle-stamped event to it; the default is a noop tap
-    whose emission sites cost one predicted branch each.  The tap is
-    write-only: nothing in the execution or checking path reads it, so
-    verdicts are byte-identical with taps on or off. *)
+    whose emission sites cost one predicted branch each.  Verdicts are
+    byte-identical with taps on or off: the one branch on the tap
+    outside event emission ({!memset_region} takes its line path only
+    with taps off) chooses between two paths that a differential pins
+    equal. *)
 val create : ?wave:bool -> Config.t -> t
 
-val config : t -> Config.t
 val memory : t -> Memory.t
 val csr : t -> Csr.t
 val pmp : t -> Pmp.t
@@ -52,22 +51,9 @@ val cycle : t -> int
 
 (** {1 Wave tap} *)
 
-val wave_tap : t -> Wave.Tap.t
-val wave_enabled : t -> bool
-
 (** [wave_contents t] is the encoded event stream accumulated so far
     (empty when the tap is a noop). *)
 val wave_contents : t -> string
-
-(** [wave_clear t] truncates the stream to empty. *)
-val wave_clear : t -> unit
-
-(** [wave_case_mark t ~id] stamps a test-case boundary marker into the
-    stream at the current cycle. *)
-val wave_case_mark : t -> id:int -> unit
-
-(** [advance t n] burns [n] cycles (and the cycle CSR). *)
-val advance : t -> int -> unit
 
 val context : t -> Exec_context.t
 
@@ -75,12 +61,6 @@ val context : t -> Exec_context.t
     logging or flushing — the security monitor uses {!switch_context}
     instead. *)
 val set_context : t -> Exec_context.t -> unit
-
-(** Privilege of the current context: host contexts carry their own
-    mode, enclaves run in user mode, the monitor in machine mode. *)
-val priv : t -> Priv.t
-
-val priv_of_context : Exec_context.t -> Priv.t
 
 (** {1 Architectural registers} *)
 
@@ -98,8 +78,6 @@ val store_buffer_holds : t -> Word.t -> bool
 val store_buffer_occupancy : t -> int
 val rf_holds : t -> Word.t -> bool
 val ubtb : t -> Btb.t
-val ftb : t -> Btb.t
-val dtlb : t -> Tlb.t
 
 (** {1 Micro-operations}
 
@@ -153,14 +131,11 @@ val memset_region :
 val memset_words :
   t -> origin:Log.origin -> addr:Word.t -> size:int64 -> value:Word.t -> unit
 
-(** {1 Flushes (mitigations and helper gadgets)} *)
+(** {1 Flushes} *)
 
-val flush_l1d : t -> unit
-val flush_lfb : t -> unit
-val flush_store_buffer : t -> unit
+(** [flush_tlb t] empties the DTLB.  Nothing calls it yet, so the
+    [Dtlb] flush faults cannot act. *)
 val flush_tlb : t -> unit
-val flush_bpu : t -> unit
-val reset_hpcs : t -> unit
 
 (** [evict_line t ~addr] pushes the line holding [addr] out of the L1
     (writing it back to the L2 if dirty) — used by helper gadgets that
@@ -216,19 +191,21 @@ type flush_behaviour = Flush_normal | Flush_dropped | Flush_partial
     equals the number of [Fault_injected] records in {!log}. *)
 val faults_logged : t -> int
 
-(** [set_advance_hook t (Some f)] calls [f t] after every {!advance}.
+(** [set_advance_hook t (Some f)] calls [f t] each time the machine
+    burns cycles.
     The injector uses this as its cycle trigger: the hook inspects
     {!cycle} and applies faults whose window has opened.  Re-entrant
     calls are suppressed — cycles burnt by the hook's own perturbations
     do not re-invoke it.  [None] removes the hook; [f] may remove
-    itself, and an exception it raises propagates out of {!advance}. *)
+    itself, and an exception it raises propagates to the operation
+    that burnt the cycles. *)
 val set_advance_hook : t -> (t -> unit) option -> unit
 
 (** [set_flush_fault t ~structure behaviour] arms (or, with
     [Flush_normal], disarms) a flush fault.  The keyed structures are
-    [L1d_data] ({!flush_l1d}), [Lfb] ({!flush_lfb}), [Store_buffer]
-    ({!flush_store_buffer}), [Dtlb] ({!flush_tlb}), [Ubtb]
-    ({!flush_bpu}) and [Hpm_counters] ({!reset_hpcs}). *)
+    [L1d_data], [Lfb], [Store_buffer], [Dtlb] ({!flush_tlb}), [Ubtb]
+    and [Hpm_counters]; each fault acts on the flush of its structure
+    that a context switch's mitigations or a helper gadget performs. *)
 val set_flush_fault : t -> structure:Structure.t -> flush_behaviour -> unit
 
 (** [set_pmp_stuck_grant t true] forces every data-path PMP check (loads,
@@ -275,8 +252,6 @@ val set_ecall_handler : t -> (t -> unit) -> unit
     scenario); it is cleared after firing. *)
 val set_pending_interrupt : t -> (t -> unit) -> unit
 
-val clear_pending_interrupt : t -> unit
-
 (** [run t prog] interprets [prog] from its base address until a [Halt],
     the end of the program, or the step limit.  Faults from the untrusted
     program are logged and skipped (the attacker installs a trap handler
@@ -290,9 +265,6 @@ val run : t -> Program.t -> stop_reason
     code image placed in physical memory and executed by fetching
     through the instruction cache (PMP execute checks apply; code lines
     become visible I-cache state). *)
-
-(** [load_image t ~base words] writes the image into physical memory. *)
-val load_image : t -> base:Word.t -> Riscv.Encode.word array -> unit
 
 (** [run_binary t ~base words] loads and executes a machine-code image;
     [Error] reports an undecodable word. *)

@@ -30,8 +30,9 @@ let to_string = function
   | Flush_everything -> "flush-everything"
   | Tag_bpu_hpc -> "tag-bpu-hpc"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
+(* The primitive flushes implied by a mitigation: [Flush_everything]
+   implies every flush, but not [Clear_illegal_data_returns], which is a
+   datapath change rather than a flush. *)
 let expands = function
   | Flush_everything ->
     [ Flush_everything; Flush_l1d; Flush_store_buffer; Flush_lfb; Flush_bpu_hpc ]

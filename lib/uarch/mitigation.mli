@@ -30,13 +30,6 @@ val all : t list
 val extensions : t list
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-
-(** [expands m] is the list of primitive flushes implied by [m]
-    ([Flush_everything] implies every flush, but not
-    [Clear_illegal_data_returns], which is a datapath change rather than
-    a flush). *)
-val expands : t -> t list
 
 (** [active mitigations m] is true when [m] or a mitigation implying it
     is in [mitigations]. *)

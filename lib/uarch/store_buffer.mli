@@ -61,7 +61,6 @@ val corrupt_bit : t -> select:int -> bit:int -> (Word.t * Word.t) option
 
 val clear : t -> unit
 val occupancy : t -> int
-val entries : t -> entry list
 val holds_value : t -> Word.t -> bool
 
 (** [snapshot t log] appends the buffered stores, oldest first, to the

@@ -21,7 +21,6 @@ type kind =
   | Residue  (** Context-switch residue snapshot: occupancy survives. *)
   | Pmp_check  (** A PMP permission check; [value] is 1 on grant. *)
   | Ctx_switch  (** Security-domain switch; [value] is the new domain. *)
-  | Case_mark  (** Test-case boundary marker; [value] is the case id. *)
 
 let kind_to_int = function
   | Fill -> 0
@@ -31,7 +30,6 @@ let kind_to_int = function
   | Residue -> 4
   | Pmp_check -> 5
   | Ctx_switch -> 6
-  | Case_mark -> 7
 
 let kind_of_int = function
   | 0 -> Some Fill
@@ -41,7 +39,6 @@ let kind_of_int = function
   | 4 -> Some Residue
   | 5 -> Some Pmp_check
   | 6 -> Some Ctx_switch
-  | 7 -> Some Case_mark
   | _ -> None
 
 let kind_to_string = function
@@ -52,7 +49,6 @@ let kind_to_string = function
   | Residue -> "residue"
   | Pmp_check -> "pmp-check"
   | Ctx_switch -> "ctx-switch"
-  | Case_mark -> "case-mark"
 
 (* {2 Security-domain tags}
 
@@ -82,8 +78,7 @@ let domain_to_string d =
 (* {2 Structure ids}
 
    One byte, {!Structure.to_code} (the index in {!Structure.all}); 0xff
-   marks the machine-wide events (PMP checks, domain switches, case
-   marks). *)
+   marks the machine-wide events (PMP checks and domain switches). *)
 
 let no_structure = 0xff
 
@@ -103,8 +98,7 @@ type t = {
   value : int;
       (** For structure events: occupancy-after-the-operation plus one
           where cheap to read, 0 when unknown.  The grant bit for
-          {!Pmp_check}; the destination domain for {!Ctx_switch}; the
-          test-case id for {!Case_mark}. *)
+          {!Pmp_check}; the destination domain for {!Ctx_switch}. *)
 }
 
 let pp ppf e =
@@ -183,9 +177,8 @@ let decode_one src pos =
   let value, pos = read_varint src pos in
   ({ kind; cycle; structure; slot; domain; value }, pos)
 
-(* Decode a whole stream.  Raises {!Malformed} on corrupt input; use
-   {!decode} for the total variant. *)
-let decode_exn src =
+(* Decode a whole stream; corrupt input is an [Error]. *)
+let decode src =
   let len = String.length src in
   let rec go pos acc =
     if pos >= len then List.rev acc
@@ -193,10 +186,7 @@ let decode_exn src =
       let e, pos = decode_one src pos in
       go pos (e :: acc)
   in
-  go 0 []
-
-let decode src =
-  try Ok (decode_exn src) with Malformed msg -> Error msg
+  try Ok (go 0 []) with Malformed msg -> Error msg
 
 (* {2 Stream framing}
 
@@ -216,7 +206,7 @@ let frame_streams streams =
   List.iter (fun (name, payload) -> frame buf ~name payload) streams;
   Buffer.contents buf
 
-let unframe_exn src =
+let unframe src =
   let len = String.length src in
   let read_str pos =
     let n, pos = read_varint src pos in
@@ -230,7 +220,4 @@ let unframe_exn src =
       let payload, pos = read_str pos in
       go pos ((name, payload) :: acc)
   in
-  go 0 []
-
-let unframe src =
-  try Ok (unframe_exn src) with Malformed msg -> Error msg
+  try Ok (go 0 []) with Malformed msg -> Error msg

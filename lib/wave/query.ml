@@ -9,10 +9,8 @@ module Structure = Simlog.Structure
 
 type t = Event.t array
 
-let of_stream src = Array.of_list (Event.decode_exn src)
-
-let of_stream_result src =
-  match Event.decode src with Ok evs -> Ok (Array.of_list evs) | Error e -> Error e
+(* Corrupt input is an [Error]: streams also arrive from the service. *)
+let of_stream src = Result.map Array.of_list (Event.decode src)
 
 let events t = Array.to_list t
 let length t = Array.length t

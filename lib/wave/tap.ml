@@ -34,8 +34,6 @@ let reset_to t m =
     Buffer.clear a.buf;
     Buffer.add_string a.buf m
 
-let clear t = match t with Noop -> () | Active a -> Buffer.clear a.buf
-
 let contents = function Noop -> "" | Active a -> Buffer.contents a.buf
 
 (* [emit] takes every field as a required argument: evaluating them at
@@ -69,12 +67,3 @@ let ctx_switch t ~cycle ~from_ctx ~to_ctx =
       ~structure_id:Event.no_structure ~slot:0
       ~domain:(Event.domain_of_ctx from_ctx)
       ~value:(Event.domain_of_ctx to_ctx)
-
-let case_mark t ~cycle ~ctx ~id =
-  match t with
-  | Noop -> ()
-  | Active a ->
-    Event.encode a.buf ~kind:Event.Case_mark ~cycle
-      ~structure_id:Event.no_structure ~slot:0
-      ~domain:(Event.domain_of_ctx ctx)
-      ~value:id

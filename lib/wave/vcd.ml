@@ -91,7 +91,7 @@ let all_signals l =
 
 (* Collect (time, signal, value) changes for one stream shifted onto
    the global timeline. *)
-let changes_of_stream layout ~shift ~case_index q acc =
+let changes_of_stream layout ~shift q acc =
   let add time sig_ v = acc := (time, sig_, v) :: !acc in
   Query.iter
     (fun (e : Event.t) ->
@@ -99,7 +99,6 @@ let changes_of_stream layout ~shift ~case_index q acc =
       match e.Event.kind with
       | Event.Pmp_check -> add time layout.sig_pmp e.Event.value
       | Event.Ctx_switch -> add time layout.sig_domain e.Event.value
-      | Event.Case_mark -> add time layout.sig_case e.Event.value
       | Event.Fill | Event.Evict | Event.Flush | Event.Hit | Event.Residue
         -> (
         add time layout.sig_domain e.Event.domain;
@@ -118,16 +117,12 @@ let changes_of_stream layout ~shift ~case_index q acc =
             (* [value] carries occupancy+1 where the machine could read
                it cheaply; 0 means unknown, leaving the signal alone. *)
             if e.Event.value > 0 then add time occ (e.Event.value - 1))))
-    q;
-  ignore case_index
+    q
 
-let render streams =
-  let queries =
-    List.map (fun (name, payload) -> (name, Query.of_stream payload)) streams
-  in
+let render_queries queries =
   let structures =
     List.sort_uniq Structure.compare
-      (List.concat_map (fun (_, q) -> Query.structures q) queries)
+      (List.concat_map Query.structures queries)
   in
   (* Keep Structure.all order for stable scopes. *)
   let structures =
@@ -175,14 +170,13 @@ let render streams =
   let acc = ref [] in
   let offset = ref 0 in
   List.iteri
-    (fun i (name, q) ->
-      ignore name;
+    (fun i q ->
       let first, last =
         match Query.cycle_span q with Some (a, b) -> (a, b) | None -> (0, 0)
       in
       let shift = !offset - first in
       acc := (!offset, layout.sig_case, i) :: !acc;
-      changes_of_stream layout ~shift ~case_index:i q acc;
+      changes_of_stream layout ~shift q acc;
       offset := last + shift + gap_cycles)
     queries;
   (* Stable sort by time: within a timestamp the emission order is the
@@ -199,6 +193,18 @@ let render streams =
     changes;
   Buffer.add_string buf (Printf.sprintf "#%d\n" !offset);
   Buffer.contents buf
+
+(* A stream that does not decode is an [Error] naming it, and nothing is
+   rendered. *)
+let render streams =
+  let rec decode acc = function
+    | [] -> Ok (List.rev acc)
+    | (name, payload) :: rest -> (
+      match Query.of_stream payload with
+      | Ok q -> decode (q :: acc) rest
+      | Error e -> Error (Printf.sprintf "stream %S: %s" name e))
+  in
+  Result.map render_queries (decode [] streams)
 
 (* {2 Validation}
 

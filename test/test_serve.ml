@@ -788,7 +788,7 @@ let test_daemon_wave_artifact () =
           Alcotest.(check bool) "one stream per test case" true
             (List.length streams
             = List.length (Teesec.Mitigation_eval.slice ()));
-          (match Wave.Vcd.validate (Wave.Vcd.render streams) with
+          (match Result.bind (Wave.Vcd.render streams) Wave.Vcd.validate with
           | Ok stats ->
             Alcotest.(check bool) "VCD has signals and changes" true
               (stats.Wave.Vcd.signals > 0 && stats.Wave.Vcd.changes > 0)

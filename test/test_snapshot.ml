@@ -196,7 +196,7 @@ let test_env_snapshot_replay_identical () =
       (Log.length log) Log.pp log
   in
   let run_access env =
-    let access = Testcase.access_gadget tc in
+    let _, access = Testcase.split tc in
     access.Gadget.emit env;
     Uarch.Machine.switch_context env.Env.machine
       ~to_ctx:(Exec_context.Host Priv.Supervisor)

@@ -352,97 +352,6 @@ let test_invalid_enclave_id () =
   | Error Security_monitor.Invalid_enclave_id -> ()
   | _ -> Alcotest.fail "invalid id expected"
 
-(* {2 Enclave-private virtual memory (Eyrie-style)} *)
-
-module Enclave_vm = Tee.Enclave_vm
-module Tlb = Uarch.Tlb
-
-let vm_setup () =
-  let machine, sm = install () in
-  let eid = create_exn sm in
-  let e = Option.get (Security_monitor.enclave sm eid) in
-  let vm = Enclave_vm.build machine e in
-  Security_monitor.set_enclave_satp sm eid (Enclave_vm.satp vm);
-  (machine, sm, eid, e, vm)
-
-let test_enclave_vm_identity_execution () =
-  let machine, sm, eid, e, _vm = vm_setup () in
-  (* The enclave stores and reloads through its own translations. *)
-  let data = Int64.add e.Enclave.base 0x4000L in
-  Security_monitor.register_enclave_program sm eid
-    (enclave_prog eid
-       [
-         Instr.Li (Instr.t0, 0x7E57_DA7AL);
-         Instr.Li (Instr.t1, data);
-         Instr.sd Instr.t0 Instr.t1 0L;
-         Instr.Fence;
-         Instr.ld Instr.t2 Instr.t1 0L;
-         Instr.sd Instr.t2 Instr.t1 8L;
-         Instr.Fence;
-         Instr.Halt;
-       ]);
-  (match Security_monitor.run_enclave sm eid with
-  | Ok Enclave.Stopped -> ()
-  | _ -> Alcotest.fail "vm enclave should run");
-  (* The data is architecturally visible at the identity address. *)
-  let r = Machine.load machine ~vaddr:data ~size:8 () in
-  ignore r.Machine.fault;
-  (* (Host access faults on PMP; read via the monitor instead.) *)
-  Machine.set_context machine Simlog.Exec_context.Monitor;
-  let r = Machine.load machine ~vaddr:data ~size:8 () in
-  Alcotest.(check word) "stored through translation" 0x7E57_DA7AL r.Machine.value;
-  (* The walk really happened: the walker counted events and the host
-     satp was restored afterwards. *)
-  Alcotest.(check bool) "ptw walks occurred" true
-    (Int64.compare (Uarch.Hpc.read (Machine.csr machine) Uarch.Hpc.Ptw_walk_event) 0L > 0);
-  Alcotest.(check word) "host satp restored" 0L
-    (Riscv.Csr.raw_read (Machine.csr machine) Riscv.Csr.Satp)
-
-let test_enclave_vm_tlb_residue () =
-  let machine, sm, eid, e, _vm = vm_setup () in
-  Security_monitor.register_enclave_program sm eid
-    (enclave_prog eid
-       [
-         Instr.Li (Instr.t1, Int64.add e.Enclave.base 0x4000L);
-         Instr.ld Instr.t0 Instr.t1 0L;
-         Instr.Halt;
-       ]);
-  (match Security_monitor.run_enclave sm eid with Ok _ -> () | Error _ -> Alcotest.fail "run");
-  (* Nothing flushed the TLB on exit: the enclave's translation is still
-     resident while the host runs — metadata residue. *)
-  Alcotest.(check bool) "enclave translation survives the switch" true
-    (Tlb.occupancy (Machine.dtlb machine) > 0)
-
-let test_enclave_vm_malicious_mapping_d7 () =
-  (* The enclave controls its own tables: it maps host physical memory
-     into its address space.  Translation succeeds; only PMP objects —
-     and the transient window leaks the host secret (case D7). *)
-  let machine, sm, eid, _e, vm = vm_setup () in
-  let host_secret = 0x4057_5EC2_E7L in
-  Memory.write (Machine.memory machine) ~addr:Memory_layout.host_data_base ~size:8
-    host_secret;
-  (* Warm the host line into the L1D (the host touches its own data). *)
-  ignore (Machine.load machine ~vaddr:Memory_layout.host_data_base ~size:8 ());
-  Enclave_vm.map_extra vm ~vaddr:0x4000_0000L ~paddr:Memory_layout.host_data_base;
-  Security_monitor.register_enclave_program sm eid
-    (enclave_prog eid
-       [ Instr.Li (Instr.a4, 0x4000_0000L); Instr.ld Instr.a5 Instr.a4 0L; Instr.Halt ]);
-  (match Security_monitor.run_enclave sm eid with Ok _ -> () | Error _ -> Alcotest.fail "run");
-  (* The architectural register was protected, but the physical register
-     file received the host secret transiently. *)
-  Alcotest.(check bool) "host secret transiently forwarded to the enclave" true
-    (Machine.rf_holds machine host_secret)
-
-let test_enclave_vm_tables_inside_region () =
-  let _machine, _sm, _eid, e, vm = vm_setup () in
-  let root = Enclave_vm.root vm in
-  Alcotest.(check bool) "root inside the enclave region" true
-    (Tee.Enclave.contains e ~addr:root);
-  Alcotest.(check bool) "tables clear of the secret line" true
-    (Enclave_vm.table_offset > 0x8000 + 64);
-  Alcotest.(check bool) "tables clear of the tail line" true
-    (Enclave_vm.table_offset + (4 * 4096) <= Memory_layout.enclave_size - 64)
-
 let test_no_flush_by_default () =
   (* The security monitor performs no microarchitectural cleansing unless
      a mitigation is configured — the root design decision TEESec
@@ -541,14 +450,5 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_host_domain_never_opens_protected;
           QCheck_alcotest.to_alcotest prop_enclave_domain_confined;
-        ] );
-      ( "enclave_vm",
-        [
-          Alcotest.test_case "identity execution" `Quick test_enclave_vm_identity_execution;
-          Alcotest.test_case "TLB residue after exit" `Quick test_enclave_vm_tlb_residue;
-          Alcotest.test_case "malicious mapping leaks host data (D7)" `Quick
-            test_enclave_vm_malicious_mapping_d7;
-          Alcotest.test_case "tables inside the region" `Quick
-            test_enclave_vm_tables_inside_region;
         ] );
     ]

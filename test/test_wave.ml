@@ -19,7 +19,7 @@ module Provenance = Teesec.Provenance
 let all_kinds =
   [
     Event.Fill; Event.Evict; Event.Flush; Event.Hit; Event.Residue;
-    Event.Pmp_check; Event.Ctx_switch; Event.Case_mark;
+    Event.Pmp_check; Event.Ctx_switch;
   ]
 
 let encode_events evs =
@@ -96,7 +96,20 @@ let test_codec_rejects_corrupt () =
       ("negative cycle", "\x00" ^ String.make 8 '\xff' ^ "\x7f\xff\x00\x00\x00");
       ("2^62 cycle", "\x00" ^ String.make 8 '\x80' ^ "\x40\xff\x00\x00\x00");
       ("overlong slot", "\x00\x05\xff" ^ String.make 20 '\xff' ^ "\x01\x00\x00");
-    ]
+    ];
+  (* A valid frame around a corrupt payload, as the service could send:
+     it unframes, and then the query decoder and the VCD renderer
+     return errors instead of raising. *)
+  let blob = Event.frame_streams [ ("case", "\xfe\x01") ] in
+  match Event.unframe blob with
+  | Error e -> Alcotest.failf "valid frame rejected: %s" e
+  | Ok streams ->
+    (match Query.of_stream "\xfe\x01" with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail "corrupt payload decoded by the query engine");
+    (match Vcd.render streams with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail "corrupt payload rendered")
 
 (* {1 Framing} *)
 
@@ -144,6 +157,7 @@ let test_tap_noop_and_splice () =
     ~ctx:Exec_context.Monitor ~value:0;
   Alcotest.(check string) "noop stays empty" "" (Tap.contents Tap.noop);
   let t = Tap.create () in
+  let empty = Tap.mark t in
   let s = List.hd Structure.all in
   Tap.emit t ~kind:Event.Fill ~cycle:1 ~structure:s ~slot:0
     ~ctx:Exec_context.Monitor ~value:1;
@@ -153,7 +167,7 @@ let test_tap_noop_and_splice () =
   (* Restoring a mark drops the suffix and keeps the prefix bytes —
      even after the buffer was cleared and reused by another case,
      which is why a mark is the bytes and not a length. *)
-  Tap.clear t;
+  Tap.reset_to t empty;
   Tap.emit t ~kind:Event.Flush ~cycle:9 ~structure:s ~slot:0
     ~ctx:Exec_context.Monitor ~value:0;
   Tap.reset_to t m;
@@ -185,7 +199,11 @@ let synthetic_events =
 
 let test_query_filters () =
   let s0 = List.nth Structure.all 0 and s1 = List.nth Structure.all 1 in
-  let q = Query.of_stream (encode_events synthetic_events) in
+  let q =
+    match Query.of_stream (encode_events synthetic_events) with
+    | Ok q -> q
+    | Error e -> Alcotest.failf "synthetic stream rejected: %s" e
+  in
   Alcotest.(check int) "length" 5 (Query.length q);
   Alcotest.(check int) "filter by kind" 2
     (List.length (Query.filter ~kind:Event.Fill q));
@@ -206,9 +224,14 @@ let test_query_filters () =
 
 (* {1 VCD exporter} *)
 
+let render_ok streams =
+  match Vcd.render streams with
+  | Ok vcd -> vcd
+  | Error e -> Alcotest.failf "render rejected its streams: %s" e
+
 let test_vcd_render_validates () =
   let stream = encode_events synthetic_events in
-  let vcd = Vcd.render [ ("case-a", stream); ("case-b", stream) ] in
+  let vcd = render_ok [ ("case-a", stream); ("case-b", stream) ] in
   match Vcd.validate vcd with
   | Error e -> Alcotest.failf "rendered VCD invalid: %s" e
   | Ok stats ->
@@ -221,10 +244,10 @@ let test_vcd_render_validates () =
       stats.Vcd.last_time;
     (* Determinism: same input, same bytes. *)
     Alcotest.(check string) "render is deterministic" vcd
-      (Vcd.render [ ("case-a", stream); ("case-b", stream) ])
+      (render_ok [ ("case-a", stream); ("case-b", stream) ])
 
 let test_vcd_validate_rejects () =
-  let vcd = Vcd.render [ ("case", encode_events synthetic_events) ] in
+  let vcd = render_ok [ ("case", encode_events synthetic_events) ] in
   let reject what src =
     match Vcd.validate src with
     | Error _ -> ()
@@ -388,10 +411,12 @@ let test_campaign_wave_vcd () =
   let waves = r.Teesec.Campaign.waves in
   let total f = List.fold_left (fun acc (_, s) -> acc + f s) 0 waves in
   Alcotest.(check int) "events on the BOOM slice" 64_896
-    (total (fun s -> Query.length (Query.of_stream s)));
+    (total (fun s -> match Query.of_stream s with
+                       | Ok q -> Query.length q
+                       | Error e -> Alcotest.failf "campaign stream rejected: %s" e));
   Alcotest.(check int) "stream bytes on the BOOM slice" 503_204
     (total String.length);
-  match Vcd.validate (Vcd.render waves) with
+  match Vcd.validate (render_ok waves) with
   | Ok stats ->
     Alcotest.(check bool) "signals and changes present" true
       (stats.Vcd.signals > 0 && stats.Vcd.changes > 0 && stats.Vcd.last_time > 0)
