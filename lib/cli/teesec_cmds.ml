@@ -1459,23 +1459,6 @@ let trace_check_cmd =
 
 (* explain: reconstruct the causal chain behind one finding id. *)
 let explain_cmd =
-  (* Re-encode a decoded event slice as a stream the VCD exporter can
-     render — the witness clip around the finding's residue window. *)
-  let reencode_events evs =
-    let buf = Buffer.create 1024 in
-    List.iter
-      (fun (e : Wave.Event.t) ->
-        Wave.Event.encode buf ~kind:e.Wave.Event.kind
-          ~cycle:e.Wave.Event.cycle
-          ~structure_id:
-            (match e.Wave.Event.structure with
-            | Some s -> Wave.Event.structure_to_int s
-            | None -> Wave.Event.no_structure)
-          ~slot:e.Wave.Event.slot ~domain:e.Wave.Event.domain
-          ~value:e.Wave.Event.value)
-      evs;
-    Buffer.contents buf
-  in
   let run finding_id verify emit_vcd =
     match Teesec.Provenance.parse_id finding_id with
     | Error e ->
@@ -1535,29 +1518,21 @@ let explain_cmd =
           (match emit_vcd with
           | None -> ()
           | Some path ->
-            (* Clip the wave stream to the finding's window (plus the
-               machine-wide context events before it) — the minimal
-               witness that still renders meaningfully. *)
+            (* Clip the case's waves to the finding's window (plus the
+               context switches before it) — the minimal witness that
+               still renders meaningfully. *)
             let p = List.hd matches in
             let lo =
               match p.Teesec.Provenance.p_window with
               | Some (a, _) -> a
               | None -> 0
             in
-            let hi = p.Teesec.Provenance.p_cycle in
-            match Wave.Query.of_stream outcome.Teesec.Runner.wave with
-            | Error e -> skip_corrupt_wave ~path e
-            | Ok q ->
-              let clip =
-                List.filter
-                  (fun (e : Wave.Event.t) ->
-                    let c = e.Wave.Event.cycle in
-                    (c >= lo && c <= hi)
-                    || (c <= hi && e.Wave.Event.kind = Wave.Event.Ctx_switch))
-                  (Wave.Query.events q)
-              in
-              write_wave_file ~path
-                [ (p.Teesec.Provenance.p_id, reencode_events clip) ]);
+            let clip = (lo, p.Teesec.Provenance.p_cycle) in
+            write_wave_file ~path
+              [
+                ( p.Teesec.Provenance.p_id,
+                  Wave.Event.of_log ~clip outcome.Teesec.Runner.log );
+              ]);
           if verify then begin
             (* Replay through the snapshot engine (the other prefix
                path) and assert the causal chain reproduces exactly. *)

@@ -30,9 +30,8 @@ val record_program : t -> label:string -> Program.t -> unit
 (** [programs t] is the executed-program trace in execution order. *)
 val programs : t -> (string * Program.t) list
 
-(** [create ?wave config params] — with [~wave:true] the machine is
-    built with an active {!Wave.Tap.t} (see {!Machine.create});
-    default off. *)
+(** [create ?wave config params] — with [~wave:true] the machine's log
+    is tapped (see {!Machine.create}); default off. *)
 val create : ?wave:bool -> Config.t -> Params.t -> t
 
 (** {1 Snapshot/restore}

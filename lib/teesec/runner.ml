@@ -42,5 +42,5 @@ let run ?snapshots ?prepare ?(wave = false) config (testcase : Testcase.t) =
     cycles = Machine.cycle env.Env.machine;
     fork_cycle;
     log_records = Log.length log;
-    wave = Machine.wave_contents env.Env.machine;
+    wave = Wave.Event.of_log log;
   }

@@ -28,8 +28,8 @@ type outcome = {
           injector's relative firing cycles are measured against. *)
   log_records : int;
   wave : string;
-      (** The machine's encoded wave-event stream for this case
-          ([Wave.Event] codec); [""] when the tap is off. *)
+      (** The case's wave-event stream, encoded from its tapped log
+          ([Wave.Event.of_log]); [""] when taps are off. *)
 }
 
 (** [run config testcase] executes the gadget chain in order.
@@ -44,10 +44,10 @@ type outcome = {
     at the fork point keeps faulted runs identical across the two prefix
     paths.
 
-    [wave] (default false) attaches a wave tap to the replayed
-    machine; the encoded stream comes back in [outcome.wave].  With
-    [snapshots] the engine's own setting ({!Snapshot.wave}) decides and
-    [wave] is ignored, since the tap lives on the pooled machine. *)
+    [wave] (default false) taps the replayed machine's log; the encoded
+    stream comes back in [outcome.wave].  With [snapshots] the engine's
+    own setting ({!Snapshot.create}'s [wave]) decides and [wave] is
+    ignored, since the taps live on the pooled machine. *)
 val run :
   ?snapshots:Snapshot.t ->
   ?prepare:(Env.t -> unit) ->

@@ -49,9 +49,9 @@ type stats = {
     ([teesec_snapshot_*_total]) and a restore-duration histogram
     ([teesec_snapshot_restore_seconds]); register it from the
     orchestrating domain before fanning out.  [wave] (default false)
-    attaches an active wave tap to the pooled machines; snapshot marks
-    then carry the stream prefix so spliced streams stay byte-identical
-    to replayed ones.  Raises [Invalid_argument] when [slots < 1]. *)
+    taps the pooled machines' logs; a snapshot's log mark then carries
+    the wave records of the prefix, so spliced streams stay
+    byte-identical to replayed ones.  Raises [Invalid_argument] when [slots < 1]. *)
 val create : ?slots:int -> ?obs:Obs.t -> ?wave:bool -> Config.t -> t
 
 (** The {!Config.hash} of the engine's config — runners use it to refuse

@@ -33,11 +33,12 @@ type trap = { cause : cause; tval : Word.t }
 
 (** {1 Construction and basic accessors} *)
 
-(** [create ?wave config] builds a machine.  With [~wave:true] an
-    active {!Wave.Tap.t} is attached and every structure operation
-    appends a cycle-stamped event to it; the default is a noop tap
-    whose emission sites cost one predicted branch each.  Verdicts are
-    byte-identical with taps on or off: the one branch on the tap
+(** [create ?wave config] builds a machine.  With [~wave:true] its
+    {!log} is tapped: it also keeps a wave record for every structure
+    operation the log does not already record (see [Simlog.Log] and
+    [Wave.Event.of_log]); by default no wave record is kept and each
+    emission site costs one predicted branch.  Verdicts are
+    byte-identical with taps on or off: the one branch on the taps
     outside event emission ({!memset_region} takes its line path only
     with taps off) chooses between two paths that a differential pins
     equal. *)
@@ -48,12 +49,6 @@ val csr : t -> Csr.t
 val pmp : t -> Pmp.t
 val log : t -> Log.t
 val cycle : t -> int
-
-(** {1 Wave tap} *)
-
-(** [wave_contents t] is the encoded event stream accumulated so far
-    (empty when the tap is a noop). *)
-val wave_contents : t -> string
 
 val context : t -> Exec_context.t
 
