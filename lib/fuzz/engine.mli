@@ -83,10 +83,10 @@ type report = {
     through the snapshot engine (see {!Teesec.Snapshot}); the report
     stays byte-identical either way.
 
-    [wave] (default false) attaches a wave tap to every replayed
-    candidate's machine and collects the streams into [report.waves];
-    an engine carries its own setting ({!Teesec.Snapshot.wave}) and
-    [wave] is then ignored.  Every other report field is unaffected.
+    [wave] (default false) taps every replayed candidate's machine and
+    collects the streams into [report.waves]; an engine carries its own
+    setting ({!Teesec.Snapshot.create}'s [wave]) and [wave] is then
+    ignored.  Every other report field is unaffected.
 
     [seeds] appends external seed test cases (e.g. a symex-synthesised
     corpus loaded through {!Corpus_io}) after the built-in

@@ -148,10 +148,9 @@ val aggregate :
     and unit/outcome/fault counters.  The sink only reads campaign
     state — the result is identical with or without it.
 
-    [wave] (default false) attaches a wave tap to every replayed
-    baseline and collects the streams into [result.waves]; an engine
-    carries its own setting ({!Snapshot.wave}) and [wave] is then
-    ignored.  Verdict fields are unaffected. *)
+    [wave] (default false) taps every replayed baseline's machine and
+    collects the streams into [result.waves]; an engine carries its own
+    setting ({!Snapshot.create}'s [wave]) and [wave] is then ignored.  Verdict fields are unaffected. *)
 val run :
   ?progress:(int -> int -> string -> unit) ->
   ?jobs:int ->

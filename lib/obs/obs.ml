@@ -1,15 +1,4 @@
-(** Deterministic observability layer: a sink threaded through the
-    campaign, fuzzing and injection pipelines.
-
-    The sink is either {!noop} — every operation is a single branch and
-    does nothing, so instrumentation is zero-cost when observability is
-    off — or active, carrying a {!Metrics} registry, a {!Tracer} and the
-    clock both share.
-
-    {b Determinism boundary}: wall-clock readings flow only into the
-    trace and metrics outputs.  Verdict reports (campaign CSV, inject
-    and fuzz JSON) must be byte-identical whether the sink is [noop] or
-    active, at every job count — [test/test_obs.ml] pins exactly that. *)
+(* The observability sink, documented in obs.mli. *)
 
 module Clock = Clock
 module Metrics = Metrics
@@ -20,11 +9,8 @@ module Json = Json
 type active = { metrics : Metrics.t; tracer : Tracer.t; clock : Clock.t }
 type t = Noop | Active of active
 
-(** The zero-cost disabled sink. *)
 let noop = Noop
 
-(** A fresh active sink.  [clock] defaults to {!Clock.monotonic};
-    substitute {!Clock.fake} for reproducible traces in tests. *)
 let create ?clock () =
   let clock = match clock with Some c -> c | None -> Clock.monotonic () in
   Active
@@ -34,9 +20,6 @@ let enabled = function Noop -> false | Active _ -> true
 let metrics = function Noop -> None | Active a -> Some a.metrics
 let tracer = function Noop -> None | Active a -> Some a.tracer
 
-(** The sink's clock, in nanoseconds; [0L] on {!noop}.  The daemon reads
-    it to timestamp queue-wait/execute intervals and to align worker
-    span buffers onto its own timeline. *)
 let now_ns = function Noop -> 0L | Active a -> a.clock ()
 
 (* {2 Spans} *)
@@ -53,10 +36,6 @@ let end_span t name =
 let instant t ?args name =
   match t with Noop -> () | Active a -> Tracer.instant a.tracer ?args name
 
-(** [timed t ?histogram name f] runs [f] inside a span, observes the
-    elapsed seconds into [histogram] (if any) and returns
-    [(result, seconds)].  On {!noop} the clock is never read and the
-    elapsed time is [0.]. *)
 let timed t ?histogram name f =
   match t with
   | Noop -> (f (), 0.)
@@ -69,9 +48,6 @@ let timed t ?histogram name f =
 
 (* {2 GC sampling} *)
 
-(** Sample [Gc.quick_stat] into per-phase gauges
-    ([teesec_gc_minor_words{phase=...}] and friends).  Call at phase
-    boundaries; the gauges always hold the most recent sample. *)
 let gc_sample t ~phase =
   match t with
   | Noop -> ()
@@ -94,32 +70,23 @@ let gc_sample t ~phase =
 
 (* {2 Export} *)
 
-(** Write [contents] to [path] byte for byte, replacing the file — the
-    one file writer for the tool's JSON reports and exports. *)
 let write_file ~path contents =
   Out_channel.with_open_bin path (fun oc -> output_string oc contents)
 
-(** Write the Chrome trace-event JSON.  No-op on {!noop}. *)
 let save_trace t ~path =
   match t with
   | Noop -> ()
   | Active a -> write_file ~path (Tracer.to_chrome_json a.tracer)
 
-(** The metrics registry rendered as Prometheus exposition text, or
-    [None] on {!noop}.  What the serve daemon's HTTP scrape endpoint
-    returns. *)
 let prometheus_text = function
   | Noop -> None
   | Active a -> Some (Metrics.to_prometheus a.metrics)
 
-(** Write the metrics registry in Prometheus text format.  No-op on
-    {!noop}. *)
 let save_metrics t ~path =
   match t with
   | Noop -> ()
   | Active a -> write_file ~path (Metrics.to_prometheus a.metrics)
 
-(** Write the metrics registry as JSON.  No-op on {!noop}. *)
 let save_metrics_json t ~path =
   match t with
   | Noop -> ()

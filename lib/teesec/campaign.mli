@@ -96,9 +96,9 @@ val aggregate :
     through the snapshot engine instead of replaying it (see
     {!Snapshot}); the result stays byte-identical either way.
 
-    [wave] (default false) attaches a wave tap to every replayed case's
-    machine and collects the per-case streams into [result.waves]; an
-    engine carries its own setting ({!Snapshot.wave}) and [wave] is then
+    [wave] (default false) taps every replayed case's machine and
+    collects the per-case streams into [result.waves]; an engine carries
+    its own setting ({!Snapshot.create}'s [wave]) and [wave] is then
     ignored.  Verdict fields are unaffected. *)
 val run :
   ?progress:(int -> int -> string -> unit) ->

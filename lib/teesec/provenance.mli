@@ -7,10 +7,11 @@ open! Import
     the structure and the entry slot that absorbed the secret), the
     surviving-residue window, and the observing check — everything the
     [explain] subcommand needs to reconstruct why a verdict was
-    reported.  Records are derived purely from the simulation log, so
-    they are byte-identical across wave-tap settings, job counts and
-    snapshot paths; the optional wave stream only *corroborates* a
-    record (see {!residue_window_of_wave}), it never shapes one. *)
+    reported.  Records are derived purely from the simulation records
+    of the log, so they are byte-identical across wave-tap settings, job
+    counts and snapshot paths.  A waveform's residue events are derived
+    from the same [Snapshot] records that end a record's residue
+    window. *)
 
 (** The access that wrote the leaking value into the structure. *)
 type access = {

@@ -1,18 +1,11 @@
-(* In-process query engine over decoded wave streams.
-
-   Both consumers go through here: the VCD exporter iterates
-   per-structure slices to lay out signals, and the explain/provenance
-   path clips the residue window around a finding.  Filters compose as
-   a conjunction; an omitted field matches everything. *)
+(* In-process query engine over decoded wave streams. *)
 
 module Structure = Simlog.Structure
 
 type t = Event.t array
 
-(* Corrupt input is an [Error]: streams also arrive from the service. *)
 let of_stream src = Result.map Array.of_list (Event.decode src)
 
-let events t = Array.to_list t
 let length t = Array.length t
 
 let matches ?kind ?structure ?slot ?domain ?from_cycle ?to_cycle (e : Event.t) =
@@ -34,8 +27,7 @@ let filter ?kind ?structure ?slot ?domain ?from_cycle ?to_cycle t =
 
 let iter f t = Array.iter f t
 
-(* The structures that actually appear in a stream, in {!Structure.all}
-   order — the exporter declares one signal group per element. *)
+(* The exporter declares one signal group per element. *)
 let structures t =
   List.filter
     (fun s ->
@@ -47,8 +39,6 @@ let structures t =
         t)
     Structure.all
 
-(* Cycle span covered by the stream: [Some (first, last)] or [None] on
-   an empty stream. *)
 let cycle_span t =
   if Array.length t = 0 then None
   else begin
@@ -61,8 +51,6 @@ let cycle_span t =
     Some (!lo, !hi)
   end
 
-(* The latest event at or before [cycle] that matches the filter — what
-   the explain path uses to name the residue-writing access. *)
 let last_before ?kind ?structure ?slot ?domain t ~cycle =
   let best = ref None in
   Array.iter

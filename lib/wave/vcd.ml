@@ -1,13 +1,5 @@
-(* VCD (Value Change Dump) export of wave streams.
-
-   Renders a list of per-test-case framed streams onto one global
-   timeline loadable in GTKWave or Surfer: per-structure occupancy,
-   last-event-kind and last-touched-slot signals, plus machine-wide
-   security-domain, PMP-grant and case-index signals.  One simulated
-   cycle maps to one timescale unit (1ns).
-
-   The output is fully deterministic — no dates, no wall clock — so
-   the same run always yields the same bytes. *)
+(* VCD (Value Change Dump) export of wave streams, and the strict
+   reader behind [vcd-check]. *)
 
 module Structure = Simlog.Structure
 
@@ -194,8 +186,6 @@ let render_queries queries =
   Buffer.add_string buf (Printf.sprintf "#%d\n" !offset);
   Buffer.contents buf
 
-(* A stream that does not decode is an [Error] naming it, and nothing is
-   rendered. *)
 let render streams =
   let rec decode acc = function
     | [] -> Ok (List.rev acc)
@@ -210,8 +200,9 @@ let render streams =
 
    The strict reader behind the [vcd-check] subcommand and the CI wave
    smoke step: verifies the header shape, counts declarations, checks
-   every value change references a declared identifier and that
-   timestamps never go backwards. *)
+   every value change references a declared identifier with a value no
+   wider than its declared width, and that timestamps never go
+   backwards. *)
 
 type stats = {
   signals : int;
@@ -271,19 +262,20 @@ let validate src =
       else if line = "$dumpvars" || line = "$end" then go (lineno + 1) rest
       else if line.[0] = 'b' then (
         match String.split_on_char ' ' line with
-        | [ value; id ] ->
-          if not (Hashtbl.mem declared id) then
-            err "line %d: change for undeclared signal %S" lineno id
-          else if
-            not
-              (String.for_all
-                 (fun c -> c = '0' || c = '1')
-                 (String.sub value 1 (String.length value - 1)))
-          then err "line %d: bad vector value %S" lineno value
-          else begin
-            incr changes;
-            go (lineno + 1) rest
-          end
+        | [ value; id ] -> (
+          let digits = String.sub value 1 (String.length value - 1) in
+          match Hashtbl.find_opt declared id with
+          | None -> err "line %d: change for undeclared signal %S" lineno id
+          | Some width ->
+            if digits = "" || not (String.for_all (fun c -> c = '0' || c = '1') digits)
+            then err "line %d: bad vector value %S" lineno value
+            else if String.length digits > width then
+              err "line %d: vector value %S wider than its %d-bit signal %S" lineno
+                value width id
+            else begin
+              incr changes;
+              go (lineno + 1) rest
+            end)
         | _ -> err "line %d: malformed vector change %S" lineno line)
       else if line.[0] = '0' || line.[0] = '1' then begin
         let id = String.sub line 1 (String.length line - 1) in
