@@ -119,15 +119,18 @@ let wave_arg =
 let skip_corrupt_wave ~path e =
   Format.printf "warning: corrupt wave payload (%s); %s not written@." e path
 
+(* A .bin file is written frame by frame, so the framed blob never
+   exists beside the streams it frames. *)
 let write_wave_file ~path streams =
-  let contents =
-    if Filename.check_suffix path ".vcd" then Wave.Vcd.render streams
-    else Ok (Wave.Event.frame_streams streams)
+  let written =
+    if Filename.check_suffix path ".vcd" then
+      Result.map (Obs.write_file ~path) (Wave.Vcd.render streams)
+    else
+      Ok (Out_channel.with_open_bin path (fun oc -> Wave.Event.output_frames oc streams))
   in
-  match contents with
+  match written with
   | Error e -> skip_corrupt_wave ~path e
-  | Ok contents ->
-    Obs.write_file ~path contents;
+  | Ok () ->
     Format.printf "waveforms (%d stream(s)) written to %s@."
       (List.length streams) path
 

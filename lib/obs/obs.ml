@@ -66,7 +66,9 @@ let gc_sample t ~phase =
     g "teesec_gc_major_collections" "Major collections so far."
       (float_of_int s.Gc.major_collections);
     g "teesec_gc_heap_words" "Major heap size in words."
-      (float_of_int s.Gc.heap_words)
+      (float_of_int s.Gc.heap_words);
+    g "teesec_gc_top_heap_words" "Peak major heap size in words."
+      (float_of_int s.Gc.top_heap_words)
 
 (* {2 Export} *)
 

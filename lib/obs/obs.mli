@@ -51,8 +51,9 @@ val timed : t -> ?histogram:Metrics.histogram -> string -> (unit -> 'a) -> 'a * 
 (** {2 GC sampling} *)
 
 (** Sample [Gc.quick_stat] into per-phase gauges
-    ([teesec_gc_minor_words{phase=...}] and friends).  Call at phase
-    boundaries; the gauges always hold the most recent sample. *)
+    ([teesec_gc_minor_words{phase=...}] and friends, down to the peak
+    major heap, [teesec_gc_top_heap_words]).  Call at phase boundaries;
+    the gauges always hold the most recent sample. *)
 val gc_sample : t -> phase:string -> unit
 
 (** {2 Export} *)

@@ -142,10 +142,12 @@ let kind_of_code = function
 
    A log is an immutable prefix — the {!mark} it was last reset to, or
    last marked at — followed by a growable suffix; offsets in the string
-   heap count from the start of the prefix's heap.  Records never
-   straddle the two, so a cursor walks the prefix's bytes, then the
-   suffix's.  Restoring a snapshot therefore swaps one pointer: a mark's
-   bytes are shared, never copied back. *)
+   heap count from the start of the prefix's heap.  The prefix's records
+   are a chain of immutable segments, one per {!mark} call that found
+   records to keep.  Records never straddle two segments, so a cursor
+   walks the segments in order, then the suffix.  Restoring a snapshot
+   therefore swaps one pointer: a mark's bytes are shared, never copied
+   back. *)
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
@@ -193,11 +195,13 @@ let ctx_of ~tag ~id =
   | 4 -> Exec_context.Monitor
   | c -> invalid_arg (Printf.sprintf "Log: corrupt context tag %d" c)
 
-(* Exact-size copies of a whole log: its records, their count and its
-   string heap. *)
-type mark = { m_buf : Bytes.t; m_count : int; m_strs : Bytes.t }
+(* A whole log, frozen: its record segments, oldest first, each an
+   exact-size copy of the suffix one {!mark} call saw and never written
+   again; their record count; and an exact-size copy of its string
+   heap. *)
+type mark = { m_segs : Bytes.t array; m_count : int; m_strs : Bytes.t }
 
-let empty_mark = { m_buf = Bytes.empty; m_count = 0; m_strs = Bytes.empty }
+let empty_mark = { m_segs = [||]; m_count = 0; m_strs = Bytes.empty }
 
 type t = {
   wave : bool;  (* Keeps wave records. *)
@@ -403,23 +407,29 @@ let add_wave t payload n =
 
    A mark holds the log's bytes, not a length: snapshot slots outlive
    unrelated cases run on the same pooled machine, so a saved length
-   could keep another prefix's records.  Marking copies the suffix onto
-   the prefix once and adopts the result as the new prefix; restoring
-   adopts the mark — in both cases the log's contents are unchanged
-   and later marks and restores share the bytes. *)
+   could keep another prefix's records.  Marking copies the suffix once,
+   as a new segment after the prefix's, and adopts the result as the
+   new prefix; restoring adopts the mark — in both cases the log's
+   contents are unchanged.  A mark shares every segment of the prefix it
+   extends, so a snapshot slot costs its own records, not its parent
+   cut's again.  Only the string heap is copied whole. *)
 
+(* A mark whose records added no string shares its parent's heap. *)
 let append prefix suffix len =
-  let b = Bytes.create (Bytes.length prefix + len) in
-  Bytes.blit prefix 0 b 0 (Bytes.length prefix);
-  Bytes.blit suffix 0 b (Bytes.length prefix) len;
-  b
+  if len = 0 then prefix
+  else begin
+    let b = Bytes.create (Bytes.length prefix + len) in
+    Bytes.blit prefix 0 b 0 (Bytes.length prefix);
+    Bytes.blit suffix 0 b (Bytes.length prefix) len;
+    b
+  end
 
 let mark t =
   t.open_at <- -1;
   if t.len > 0 then begin
     t.base <-
       {
-        m_buf = append t.base.m_buf t.buf t.len;
+        m_segs = Array.append t.base.m_segs [| Bytes.sub t.buf 0 t.len |];
         m_count = t.base.m_count + t.count;
         m_strs = append t.base.m_strs t.strs t.strs_len;
       };
@@ -624,14 +634,14 @@ module Cursor = struct
     | _ (* wave_code *) -> 2 + byte c 1
 end
 
-(* Walks the records of [t] from byte [from] of its prefix, calling [f]
-   on each simulation record and, when [waves], on each wave record too;
-   the cursor index counts simulation records only. *)
-let walk t ~waves ~from ~index f =
-  let c = { Cursor.log = t; seg = t.base.m_buf; at = 0; index } in
-  let segment seg at len =
+(* Walks the records of [t] from segment [first] of its prefix, calling
+   [f] on each simulation record and, when [waves], on each wave record
+   too; the cursor index counts simulation records only. *)
+let walk t ~waves ~first ~index f =
+  let c = { Cursor.log = t; seg = t.buf; at = 0; index } in
+  let segment seg len =
     c.Cursor.seg <- seg;
-    c.Cursor.at <- at;
+    c.Cursor.at <- 0;
     while c.Cursor.at < len do
       let size = Cursor.size c in
       if not (Cursor.is_wave c) then begin
@@ -642,19 +652,25 @@ let walk t ~waves ~from ~index f =
       c.Cursor.at <- c.Cursor.at + size
     done
   in
-  segment t.base.m_buf from (Bytes.length t.base.m_buf);
-  segment t.buf 0 t.len
+  let segs = t.base.m_segs in
+  for i = first to Array.length segs - 1 do
+    segment segs.(i) (Bytes.length segs.(i))
+  done;
+  segment t.buf t.len
 
-let iter t f = walk t ~waves:false ~from:0 ~index:0 f
-let iter_waves t f = walk t ~waves:true ~from:0 ~index:0 f
+let iter t f = walk t ~waves:false ~first:0 ~index:0 f
+let iter_waves t f = walk t ~waves:true ~first:0 ~index:0 f
 
-(* The prefix [m] holds is the first [m.m_count] records of [t]'s own
-   prefix, so the walk starts [Bytes.length m.m_buf] bytes into it. *)
+(* [t]'s prefix extends [m], so its segments begin with [m]'s: the walk
+   starts at the first segment after them. *)
 let iter_since t m f =
-  let from = Bytes.length m.m_buf in
-  if m.m_count > t.base.m_count || from > Bytes.length t.base.m_buf then
-    invalid_arg "Log.iter_since: the log does not extend the mark";
-  walk t ~waves:false ~from ~index:m.m_count f
+  let first = Array.length m.m_segs in
+  if
+    m.m_count > t.base.m_count
+    || first > Array.length t.base.m_segs
+    || (first > 0 && t.base.m_segs.(first - 1) != m.m_segs.(first - 1))
+  then invalid_arg "Log.iter_since: the log does not extend the mark";
+  walk t ~waves:false ~first ~index:m.m_count f
 
 let note_at = string_at
 let context_of_code = ctx_of

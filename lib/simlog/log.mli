@@ -151,8 +151,12 @@ val length : t -> int
 (** A saved log position, for the snapshot engine. *)
 type mark
 
-(** [mark t] captures the log's contents: a copy of its bytes, so the
-    mark stays valid whatever the log records or restores later. *)
+(** [mark t] captures the log's contents, so the mark stays valid
+    whatever the log records or restores later.  A mark shares the
+    record bytes of the mark [t] last took or was reset to, and copies
+    only the records appended since, once, as a new immutable segment;
+    the string heap is copied whole when those records added a string.
+    Marking twice with nothing appended in between copies nothing. *)
 val mark : t -> mark
 
 (** [reset_to t m] makes the log hold exactly what it held at [mark]

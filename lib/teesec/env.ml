@@ -28,7 +28,7 @@ let create ?(wave = false) config params =
 type snapshot = {
   snap_machine : Machine.snapshot;
   snap_sm : Security_monitor.snapshot;
-  snap_tracker : Secret.tracker;
+  snap_tracker : Secret.capture;
   snap_victim : int option;
   snap_attacker : int option;
   snap_hpc_baseline : (int * Word.t) list;
@@ -39,7 +39,7 @@ let snapshot t =
   {
     snap_machine = Machine.snapshot t.machine;
     snap_sm = Security_monitor.snapshot t.sm;
-    snap_tracker = Secret.copy_tracker t.tracker;
+    snap_tracker = Secret.capture_tracker t.tracker;
     snap_victim = t.victim;
     snap_attacker = t.attacker;
     snap_hpc_baseline = t.hpc_baseline;

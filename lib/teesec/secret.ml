@@ -37,14 +37,21 @@ type tracker = {
 
 let create_tracker () = { seeded = []; n = 0; by_value = Hashtbl.create 64 }
 
-(* Seeded records are immutable, so sharing the list spine is safe. *)
-let copy_tracker t = { seeded = t.seeded; n = t.n; by_value = Hashtbl.copy t.by_value }
+(* Seeded records and the list spine are immutable, so a capture shares
+   the list and keeps no index: [restore_tracker] rebuilds it. *)
+type capture = { c_seeded : seeded list; c_n : int }
 
-let restore_tracker src ~into =
-  into.seeded <- src.seeded;
-  into.n <- src.n;
+let capture_tracker t = { c_seeded = t.seeded; c_n = t.n }
+
+let restore_tracker c ~into =
+  into.seeded <- c.c_seeded;
+  into.n <- c.c_n;
   Hashtbl.reset into.by_value;
-  Hashtbl.iter (fun k v -> Hashtbl.replace into.by_value k v) src.by_value
+  (* Newest first: a value's newest registration is indexed, older ones
+     are skipped. *)
+  List.iter
+    (fun s -> if not (Hashtbl.mem into.by_value s.value) then Hashtbl.add into.by_value s.value s)
+    c.c_seeded
 
 let add t s =
   t.seeded <- s :: t.seeded;

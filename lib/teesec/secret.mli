@@ -38,12 +38,18 @@ type tracker
 
 val create_tracker : unit -> tracker
 
-(** [copy_tracker t] is an independent copy (seeded records are
-    immutable and shared). *)
-val copy_tracker : tracker -> tracker
+(** A tracker's registrations at one moment, for the snapshot engine. *)
+type capture
 
-(** [restore_tracker src ~into] overwrites [into] with [src]'s state. *)
-val restore_tracker : tracker -> into:tracker -> unit
+(** [capture_tracker t] captures [t] in constant time: the seeded list
+    is immutable, so the capture shares it with [t]. *)
+val capture_tracker : tracker -> capture
+
+(** [restore_tracker c ~into] makes [into] hold exactly the
+    registrations [c] captured.  It rebuilds [into]'s value index from
+    them, so {!find_by_value} again returns the newest registration of
+    each value at capture time. *)
+val restore_tracker : capture -> into:tracker -> unit
 
 (** [register t ~seed ~addr ~owner] computes and records the secret for
     [addr], returning its value. *)

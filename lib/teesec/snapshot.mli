@@ -44,7 +44,11 @@ type stats = {
     cache of [slots] snapshots per domain (default 1024 — enough to hold
     a full grid corpus's distinct seed-dependent cuts, so repeated
     seeds share full-depth prefixes across families without LRU
-    thrash; a slot is a few KB).  [obs] (default
+    thrash).  A slot holds only live state and shares what its prefix
+    did not change with the slots before it ({!Uarch.Machine.snapshot}):
+    after a full grid campaign the engine holds about 23 KB per slot on
+    BOOM and 25 KB on XiangShan, against 35 and 55 KB when every
+    capture copied its log prefix and replacement pointers.  [obs] (default
     [Obs.noop]) receives hit/miss/store counters
     ([teesec_snapshot_*_total]) and a restore-duration histogram
     ([teesec_snapshot_restore_seconds]); register it from the

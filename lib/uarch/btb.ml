@@ -20,7 +20,7 @@ type t = {
   tagged_by_owner : bool;
   slots : slot array array;  (* [set].[way] *)
   live : Occupancy.t;
-  next_way : int array;
+  next_way : Round_robin.t;
 }
 
 let empty =
@@ -45,11 +45,12 @@ let create ?(tagged_by_owner = false) ~entries ~tag_bits ~ways () =
     tagged_by_owner;
     slots = Array.init sets (fun _ -> Array.make ways empty);
     live = Occupancy.create ~sets ~ways;
-    next_way = Array.make sets 0;
+    next_way = Round_robin.create ~sets ~ways;
   }
 
 (* Live-slots-only snapshot form; see {!Cache.capture} for the
-   rationale.  Slots are immutable, so a capture shares them. *)
+   rationale.  Slots are immutable, so a capture shares them, and the
+   round-robin pointers copy-on-write ({!Round_robin}). *)
 type capture = {
   cap_sets : int;
   cap_ways : int;
@@ -57,7 +58,7 @@ type capture = {
   cap_tagged_by_owner : bool;
   cap_at : int array;  (* occupancy cursors *)
   cap_slots : slot array;
-  cap_next_way : int array;
+  cap_next_way : Round_robin.capture;
 }
 
 let capture t =
@@ -76,7 +77,7 @@ let capture t =
     cap_tagged_by_owner = t.tagged_by_owner;
     cap_at = at;
     cap_slots = slots;
-    cap_next_way = Array.copy t.next_way;
+    cap_next_way = Round_robin.capture t.next_way;
   }
 
 let restore_capture cap ~into =
@@ -92,7 +93,7 @@ let restore_capture cap ~into =
       into.slots.(set).(way) <- cap.cap_slots.(i);
       Occupancy.add into.live ~set ~way)
     cap.cap_at;
-  Array.blit cap.cap_next_way 0 into.next_way 0 cap.cap_sets
+  Round_robin.restore into.next_way cap.cap_next_way
 
 (* Instructions are 4-byte aligned in this model; bit 1 upward indexes. *)
 let index_of t ~pc = Int64.to_int (Word.extract pc ~pos:1 ~len:t.index_bits)
@@ -129,12 +130,7 @@ let update t ~pc ~target ~taken ~owner =
     if hit >= 0 then hit
     else
       let free = Occupancy.free_way t.live si in
-      if free >= 0 then free
-      else begin
-        let w = t.next_way.(si) in
-        t.next_way.(si) <- (w + 1) mod t.ways;
-        w
-      end
+      if free >= 0 then free else Round_robin.victim t.next_way si
   in
   let note =
     Printf.sprintf "tag=%s taken=%b owner=%s" (Word.to_hex tag) taken

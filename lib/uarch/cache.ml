@@ -13,7 +13,7 @@ type t = {
   ways : int;
   lines : line array array;  (* [set].[way] *)
   live : Occupancy.t;
-  next_victim : int array;  (* round-robin pointer per set *)
+  victims : Round_robin.t;
 }
 
 let line_words = Memory.line_bytes / 8
@@ -28,7 +28,7 @@ let create ~sets ~ways =
           Array.init ways (fun _ ->
               { tag = 0L; dirty = false; data = Array.make line_words 0L }));
     live = Occupancy.create ~sets ~ways;
-    next_victim = Array.make sets 0;
+    victims = Round_robin.create ~sets ~ways;
   }
 
 let occupancy t = t.live.Occupancy.count
@@ -37,7 +37,8 @@ let occupancy t = t.live.Occupancy.count
    mostly-empty cache costs a few hundred words rather than one record
    per (set, way) of the geometry.  It is a restore source only — never
    a live cache — which is what lets it drop the invalid slots
-   entirely. *)
+   entirely.  It shares the round-robin pointers copy-on-write
+   ({!Round_robin}). *)
 type captured_line = {
   cl_at : int;  (* occupancy cursor *)
   cl_tag : Word.t;
@@ -49,7 +50,7 @@ type capture = {
   cap_sets : int;
   cap_ways : int;
   cap_lines : captured_line array;
-  cap_next_victim : int array;
+  cap_victims : Round_robin.capture;
 }
 
 let no_capture = { cl_at = -1; cl_tag = 0L; cl_dirty = false; cl_data = [||] }
@@ -66,7 +67,7 @@ let capture t =
     cap_sets = t.sets;
     cap_ways = t.ways;
     cap_lines = lines;
-    cap_next_victim = Array.copy t.next_victim;
+    cap_victims = Round_robin.capture t.victims;
   }
 
 let restore_capture cap ~into =
@@ -82,7 +83,7 @@ let restore_capture cap ~into =
       Array.blit cl.cl_data 0 l.data 0 line_words;
       Occupancy.add into.live ~set ~way)
     cap.cap_lines;
-  Array.blit cap.cap_next_victim 0 into.next_victim 0 cap.cap_sets
+  Round_robin.restore into.victims cap.cap_victims
 
 (* Address arithmetic stays on unboxed primitives: a lookup allocates
    nothing. *)
@@ -150,14 +151,7 @@ let insert t ~addr line_data =
     let si = set_index t addr in
     (* Prefer an invalid way; otherwise round-robin over valid ones. *)
     let free = Occupancy.free_way t.live si in
-    let way =
-      if free >= 0 then free
-      else begin
-        let w = t.next_victim.(si) in
-        t.next_victim.(si) <- (w + 1) mod t.ways;
-        w
-      end
-    in
+    let way = if free >= 0 then free else Round_robin.victim t.victims si in
     let victim = t.lines.(si).(way) in
     let evicted =
       if free >= 0 then None else Some (victim.tag, Array.copy victim.data, victim.dirty)

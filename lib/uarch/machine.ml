@@ -691,8 +691,15 @@ let ubtb t = t.ubtb
    ecall handler (which is a binding into the installed security monitor
    and stays valid across restores) and the fault-injection advance hook
    (snapshots are only taken of clean prefixes; [restore] clears it).
-   Restores blit into the live machine's preallocated storage, so the
-   hot path allocates nothing beyond the hashtable refills. *)
+   A snapshot shares what it can instead of copying it, on one
+   invariant: a captured array or log segment is never written again,
+   and a live structure copies it before its first write.  The log mark
+   shares the record segments of the mark before it ({!Log.mark}); the
+   caches and BTBs share their round-robin pointers ({!Round_robin});
+   cache lines, the register file and the remaining structures are
+   copied, the register file as three flat arrays.  Restores blit into
+   the live machine's preallocated storage or adopt the shared arrays,
+   so they allocate nothing beyond the hashtable refills. *)
 
 type snapshot = {
   snap_mem : Memory.capture;

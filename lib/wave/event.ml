@@ -107,10 +107,6 @@ let rec put_varint b p n =
     put_varint b (p + 1) (n lsr 7)
   end
 
-let add_varint buf n =
-  let b = Bytes.create 9 in
-  Buffer.add_subbytes buf b 0 (put_varint b 0 n)
-
 (* The longest event: a kind byte, a structure byte and four varints. *)
 let event_bytes = 2 + (4 * 9)
 
@@ -128,7 +124,7 @@ let encode buf ~kind ~cycle ~structure_id ~slot ~domain ~value =
 
 exception Malformed of string
 
-(* [add_varint] writes a non-negative int (62 value bits) in at most
+(* [put_varint] writes a non-negative int (62 value bits) in at most
    nine bytes, the ninth carrying bits 56-61 only; anything longer, or a
    ninth byte that would set the sign bit, is not one of ours. *)
 let read_varint src pos =
@@ -250,16 +246,24 @@ let of_log ?clip log =
 
 (* {2 Stream framing} *)
 
-let frame buf ~name payload =
-  add_varint buf (String.length name);
-  Buffer.add_string buf name;
-  add_varint buf (String.length payload);
-  Buffer.add_string buf payload
+(* The one frame writer: [add_bytes b off len] and [add_string s]
+   receive the frame's bytes in order. *)
+let write_frame ~add_bytes ~add_string (name, payload) =
+  let len = Bytes.create 9 in
+  add_bytes len 0 (put_varint len 0 (String.length name));
+  add_string name;
+  add_bytes len 0 (put_varint len 0 (String.length payload));
+  add_string payload
 
 let frame_streams streams =
   let buf = Buffer.create 4096 in
-  List.iter (fun (name, payload) -> frame buf ~name payload) streams;
+  List.iter
+    (write_frame ~add_bytes:(Buffer.add_subbytes buf) ~add_string:(Buffer.add_string buf))
+    streams;
   Buffer.contents buf
+
+let output_frames oc streams =
+  List.iter (write_frame ~add_bytes:(output oc) ~add_string:(output_string oc)) streams
 
 let unframe src =
   let len = String.length src in

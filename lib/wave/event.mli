@@ -102,6 +102,10 @@ val of_log : ?clip:int * int -> Simlog.Log.t -> string
 
 val frame_streams : (string * string) list -> string
 
+(** [output_frames oc streams] writes [frame_streams streams] to [oc]
+    one frame at a time, without building the whole blob. *)
+val output_frames : out_channel -> (string * string) list -> unit
+
 (** [unframe src] inverts {!frame_streams}; corrupt framing is an
     [Error]. *)
 val unframe : string -> ((string * string) list, string) result

@@ -10,7 +10,9 @@
    byte for byte across changes to the log's representation.
 
    The same digests must come out of the snapshot engine and of the
-   replay path ([Runner.run] without an engine).
+   replay path ([Runner.run] without an engine).  The engine's counters
+   after the corpus are pinned too ([engine_stats]), so a change to how
+   snapshots are stored cannot change what the engine does.
 
    The symex report is pinned the same way: one digest per core of the
    JSON document [symex --json] writes at the default [--max-paths],
@@ -43,8 +45,7 @@ let case_text config (outcome : Runner.outcome) =
     (Provenance.list_to_json (Provenance.of_outcome ~config outcome findings));
   Buffer.contents buf
 
-let core_digest ?(wave = false) ~snapshot config =
-  let snapshots = if snapshot then Some (Snapshot.create ~wave config) else None in
+let core_digest ?(wave = false) ?snapshots config =
   let digests = Buffer.create (16 * 600) in
   List.iter
     (fun tc ->
@@ -59,13 +60,31 @@ let golden =
     (Config.xiangshan, "b4a7314056543beaf219f1a2010cba1b");
   ]
 
+(* A fresh engine's counters after the corpus at jobs 1, the same on both
+   cores. *)
+let engine_stats =
+  [ ("hits", 535); ("misses", 50); ("stores", 564); ("replayed", 564); ("restored", 894) ]
+
 let check_core ~snapshot (config, expected) () =
+  let snapshots = if snapshot then Some (Snapshot.create config) else None in
+  let core = Config.core_kind_to_string config.Config.kind in
   Alcotest.(check string)
-    (Printf.sprintf "%s digest (%s)"
-       (Config.core_kind_to_string config.Config.kind)
-       (if snapshot then "snapshot" else "replay"))
+    (Printf.sprintf "%s digest (%s)" core (if snapshot then "snapshot" else "replay"))
     expected
-    (core_digest ~snapshot config)
+    (core_digest ?snapshots config);
+  Option.iter
+    (fun engine ->
+      let s = Snapshot.stats engine in
+      Alcotest.(check (list (pair string int)))
+        (core ^ " engine counters") engine_stats
+        [
+          ("hits", s.Snapshot.hits);
+          ("misses", s.Snapshot.misses);
+          ("stores", s.Snapshot.stores);
+          ("replayed", s.Snapshot.replayed_gadgets);
+          ("restored", s.Snapshot.restored_gadgets);
+        ])
+    snapshots
 
 let symex_golden =
   [
@@ -87,8 +106,8 @@ let waves_golden =
   ]
 
 let check_waves ~snapshot (config, expected) () =
-  let snapshots = if snapshot then Some (Snapshot.create ~wave:true config) else None in
-  let r = Campaign.run_full ?snapshots ~wave:true config in
+  let engine () = if snapshot then Some (Snapshot.create ~wave:true config) else None in
+  let r = Campaign.run_full ?snapshots:(engine ()) ~wave:true config in
   Alcotest.(check string)
     (Printf.sprintf "%s wave digest (%s)"
        (Config.core_kind_to_string config.Config.kind)
@@ -100,7 +119,7 @@ let check_waves ~snapshot (config, expected) () =
        (Config.core_kind_to_string config.Config.kind)
        (if snapshot then "snapshot" else "replay"))
     (List.assq config golden)
-    (core_digest ~wave:true ~snapshot config)
+    (core_digest ~wave:true ?snapshots:(engine ()) config)
 
 let () =
   Alcotest.run "golden"

@@ -524,7 +524,11 @@ let test_active_sink_collects () =
     Metrics.gauge_value
       (Metrics.gauge m ~labels:[ ("phase", "test") ] "teesec_gc_minor_words")
   in
-  Alcotest.(check bool) "gc gauge sampled" true (words > 0.)
+  Alcotest.(check bool) "gc gauge sampled" true (words > 0.);
+  let gauge name = Metrics.gauge_value (Metrics.gauge m ~labels:[ ("phase", "test") ] name) in
+  Alcotest.(check bool) "peak heap sampled, at least the current heap" true
+    (gauge "teesec_gc_top_heap_words" >= gauge "teesec_gc_heap_words"
+    && gauge "teesec_gc_heap_words" > 0.)
 
 (* {1 Pool instrumentation} *)
 

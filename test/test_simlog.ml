@@ -191,6 +191,75 @@ let test_marks_are_exact () =
     (Invalid_argument "Log.add_entry: no open Write or Snapshot record") (fun () ->
       Log.add_entry log ~slot:0 ~note:"" 5L)
 
+(* Marks chain the log's records as segments: marking again shares the
+   earlier segments, and resetting to an older mark, then appending and
+   marking, branches off them.  Every reader must see one record
+   sequence whatever the segments: [to_list], the serialized text,
+   cursor indices and [iter_since]. *)
+let test_marks_branch () =
+  let log = Log.create () in
+  let record i =
+    {
+      Log.cycle = i;
+      ctx = host;
+      event =
+        Log.Write
+          {
+            structure = Structure.Reg_file;
+            entries = [ Log.entry ~slot:i ~note:(Printf.sprintf "v%d" (i mod 3)) (Int64.of_int i) ];
+            origin = Log.Writeback;
+          };
+    }
+  in
+  let add i =
+    let r = record i in
+    Log.record log ~cycle:r.Log.cycle ~ctx:r.Log.ctx r.Log.event
+  in
+  let expect what ids =
+    let records = List.map record ids in
+    Alcotest.(check bool) (what ^ ": records") true (Log.to_list log = records);
+    let fresh = Log.create () in
+    List.iter (fun r -> Log.record fresh ~cycle:r.Log.cycle ~ctx:r.Log.ctx r.Log.event) records;
+    Alcotest.(check string) (what ^ ": serialized") (Simlog.Serialize.to_string fresh)
+      (Simlog.Serialize.to_string log);
+    let indices = ref [] in
+    Log.iter log (fun c -> indices := Log.Cursor.index c :: !indices);
+    Alcotest.(check (list int)) (what ^ ": cursor indices")
+      (List.init (List.length ids) Fun.id) (List.rev !indices)
+  in
+  (* [since m ~from ids]: the records after [m] are [ids], at indices
+     from [from] on. *)
+  let since what m ~from ids =
+    let seen = ref [] in
+    Log.iter_since log m (fun c -> seen := (Log.Cursor.index c, Log.Cursor.record c) :: !seen);
+    Alcotest.(check bool) (what ^ ": records since the mark") true
+      (List.rev !seen = List.mapi (fun k i -> (from + k, record i)) ids)
+  in
+  add 1;
+  add 2;
+  let m1 = Log.mark log in
+  add 3;
+  let m2 = Log.mark log in
+  add 4;
+  expect "marked twice" [ 1; 2; 3; 4 ];
+  since "marked twice" m1 ~from:2 [ 3; 4 ];
+  Log.reset_to log m1;
+  expect "reset to the first mark" [ 1; 2 ];
+  add 5;
+  add 6;
+  let m3 = Log.mark log in
+  add 7;
+  expect "a branch off the first mark" [ 1; 2; 5; 6; 7 ];
+  since "the branch, from the first mark" m1 ~from:2 [ 5; 6; 7 ];
+  since "the branch, from its own mark" m3 ~from:4 [ 7 ];
+  Log.reset_to log m2;
+  expect "reset to the second mark" [ 1; 2; 3 ];
+  since "the second mark, from the first" m1 ~from:2 [ 3 ];
+  Log.reset_to log m3;
+  expect "reset to the branch" [ 1; 2; 5; 6 ];
+  since "the branch restored" m1 ~from:2 [ 5; 6 ];
+  Alcotest.(check int) "length follows" 4 (Log.length log)
+
 let test_cursor_filters () =
   let log = sample_log ~records:sample_records () in
   let values = Log.Values.of_list [ 0xBEEFL; Int64.min_int; 42L ] in
@@ -341,6 +410,7 @@ let () =
           Alcotest.test_case "marks are exact" `Quick test_marks_are_exact;
           Alcotest.test_case "cursor filters" `Quick test_cursor_filters;
           Alcotest.test_case "enum codes" `Quick test_codes;
+          Alcotest.test_case "marks branch and share segments" `Quick test_marks_branch;
         ] );
       ( "serialize",
         [

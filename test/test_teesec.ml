@@ -72,6 +72,32 @@ let test_secret_derived_flag () =
   Secret.register_value t ~value:0L ~addr:0x8800_8008L ~owner:(Secret.Enclave_owner 0);
   Alcotest.(check int) "zero not registered" 1 (Secret.count t)
 
+(* A capture keeps only the seeded list; a restore rebuilds the value
+   index from it, so the newest registration at capture time wins again,
+   whatever was registered after the capture. *)
+let test_secret_restore_capture () =
+  let addr_of t v = Option.map (fun s -> s.Secret.addr) (Secret.find_by_value t v) in
+  let t = Secret.create_tracker () in
+  Secret.register_value t ~value:7L ~addr:0x100L ~owner:Secret.Host_owner;
+  Secret.register_value t ~value:7L ~addr:0x200L ~owner:Secret.Sm_owner;
+  let c = Secret.capture_tracker t in
+  Secret.register_value t ~value:7L ~addr:0x300L ~owner:(Secret.Enclave_owner 1);
+  Secret.register_value t ~value:9L ~addr:0x400L ~owner:(Secret.Enclave_owner 1);
+  Alcotest.(check (option int64)) "live: the newest registration" (Some 0x300L) (addr_of t 7L);
+  let u = Secret.create_tracker () in
+  Secret.register_value u ~value:9L ~addr:0x500L ~owner:Secret.Host_owner;
+  List.iter
+    (fun (what, into) ->
+      Secret.restore_tracker c ~into;
+      Alcotest.(check (option int64)) (what ^ ": newest at capture time") (Some 0x200L)
+        (addr_of into 7L);
+      Alcotest.(check (option int64)) (what ^ ": later values are gone") None (addr_of into 9L);
+      Alcotest.(check int) (what ^ ": count") 2 (Secret.count into);
+      Alcotest.(check (list int64)) (what ^ ": registrations, oldest first")
+        [ 0x100L; 0x200L ]
+        (List.map (fun s -> s.Secret.addr) (Secret.all into)))
+    [ ("into the source", t); ("into another tracker", u) ]
+
 (* {1 Case} *)
 
 let test_case_metadata () =
@@ -593,6 +619,7 @@ let () =
           Alcotest.test_case "line registration" `Quick test_secret_register_line;
           Alcotest.test_case "authorization" `Quick test_secret_authorization;
           Alcotest.test_case "derived flag" `Quick test_secret_derived_flag;
+          Alcotest.test_case "restoring a capture" `Quick test_secret_restore_capture;
         ] );
       ("case", [ Alcotest.test_case "metadata and Table 3 shape" `Quick test_case_metadata ]);
       ( "access_path",

@@ -91,6 +91,35 @@ let test_cache_snapshot () =
   Alcotest.(check bool) "snapshot carries values" true
     (List.for_all (fun (e : Log.entry) -> Int64.equal e.Log.data 0xABL) entries)
 
+(* A capture shares the round-robin pointers with the cache it was taken
+   from and with every cache restored from it; each side copies them
+   before its first eviction.  One set of three ways: lines 0..3 fill
+   the ways and evict line 0, so the capture's next victim is way 1
+   (line 1). *)
+let test_cache_capture_shares_victims () =
+  let line i = Int64.of_int (i * 64) in
+  let fill c ids = List.iter (fun i -> ignore (Cache.insert c ~addr:(line i) (line_of_value (line i)))) ids in
+  let victim c i =
+    match Cache.insert c ~addr:(line i) (line_of_value (line i)) with
+    | Some (addr, _, _) -> addr
+    | None -> Alcotest.fail "a full set must evict"
+  in
+  let live = Cache.create ~sets:1 ~ways:3 in
+  fill live [ 0; 1; 2; 3 ];
+  let cap = Cache.capture live in
+  Alcotest.(check word) "the source evicts in order" (line 1) (victim live 4);
+  Alcotest.(check word) "and moves on" (line 2) (victim live 5);
+  let a = Cache.create ~sets:1 ~ways:3 and b = Cache.create ~sets:1 ~ways:3 in
+  Cache.restore_capture cap ~into:a;
+  Cache.restore_capture cap ~into:b;
+  Alcotest.(check word) "restored: the captured victim" (line 1) (victim a 6);
+  Alcotest.(check word) "restored: then the next way" (line 2) (victim a 7);
+  Alcotest.(check word) "a second restore evicts independently" (line 1) (victim b 8);
+  let c = Cache.create ~sets:1 ~ways:3 in
+  Cache.restore_capture cap ~into:c;
+  Alcotest.(check word) "the capture is unchanged" (line 1) (victim c 9);
+  Alcotest.(check word) "the source kept its own order" (line 3) (victim live 10)
+
 (* {1 LFB} *)
 
 let test_lfb_stale_retention () =
@@ -303,6 +332,36 @@ let test_btb_set_associative () =
   let resident = List.filter (fun pc -> Btb.lookup btb ~pc <> None) pcs in
   Alcotest.(check int) "one way reclaimed" 3 (List.length resident)
 
+(* The BTB's round-robin pointers are shared copy-on-write like the
+   cache's: one set of four ways, where a fifth branch has replaced way
+   0, so the capture's next victim is way 1. *)
+let test_btb_capture_shares_ways () =
+  let pc i = Int64.of_int (i * 8) in
+  let install b i = ignore (Btb.update b ~pc:(pc i) ~target:(pc i) ~taken:true ~owner:host_s) in
+  let resident b = List.filter (fun i -> Btb.lookup b ~pc:(pc i) <> None) (List.init 12 Fun.id) in
+  let live = Btb.create ~entries:4 ~tag_bits:8 ~ways:4 () in
+  List.iter (install live) [ 0; 1; 2; 3; 4 ];
+  let cap = Btb.capture live in
+  install live 5;
+  install live 6;
+  Alcotest.(check (list int)) "the source replaced ways 1 and 2" [ 3; 4; 5; 6 ] (resident live);
+  let a = Btb.create ~entries:4 ~tag_bits:8 ~ways:4 () in
+  let b = Btb.create ~entries:4 ~tag_bits:8 ~ways:4 () in
+  Btb.restore_capture cap ~into:a;
+  Btb.restore_capture cap ~into:b;
+  install a 7;
+  install a 8;
+  Alcotest.(check (list int)) "restored: the captured order" [ 3; 4; 7; 8 ] (resident a);
+  install b 9;
+  Alcotest.(check (list int)) "a second restore evicts independently" [ 2; 3; 4; 9 ]
+    (resident b);
+  let c = Btb.create ~entries:4 ~tag_bits:8 ~ways:4 () in
+  Btb.restore_capture cap ~into:c;
+  install c 10;
+  Alcotest.(check (list int)) "the capture is unchanged" [ 2; 3; 4; 10 ] (resident c);
+  install live 11;
+  Alcotest.(check (list int)) "the source kept its own order" [ 4; 5; 6; 11 ] (resident live)
+
 (* {1 HPC} *)
 
 let test_hpc_bump_read () =
@@ -343,6 +402,39 @@ let test_regfile () =
          let n = e.Log.note in
          String.length n >= 9 && String.sub n (String.length n - 9) 9 = "transient")
        snapshot)
+
+(* A restored copy is independent of the file it was copied from, and
+   of every other file restored from it. *)
+let test_regfile_restore_independent () =
+  let rf = Regfile.create ~regs:4 in
+  ignore (Regfile.writeback rf ~value:0x10L ~ctx:host_s ~transient:false);
+  ignore (Regfile.writeback rf ~value:0x20L ~ctx:host_s ~transient:true);
+  let snap = Regfile.copy rf in
+  let a = Regfile.create ~regs:4 in
+  Regfile.restore_into snap ~into:a;
+  Alcotest.(check int) "write-back continues after the restored ones" 2
+    (Regfile.writeback a ~value:0x30L ~ctx:host_s ~transient:false);
+  Alcotest.(check (option (pair int word))) "corrupt the first register in use"
+    (Some (0, 0x11L)) (Regfile.corrupt_bit a ~select:0 ~bit:0);
+  Alcotest.(check bool) "the restored file holds its writes" true
+    (Regfile.holds_value a 0x30L && Regfile.holds_value a 0x11L);
+  Alcotest.(check bool) "the source does not" false
+    (Regfile.holds_value rf 0x30L || Regfile.holds_value rf 0x11L);
+  Alcotest.(check bool) "nor does the copy" false
+    (Regfile.holds_value snap 0x30L || Regfile.holds_value snap 0x11L);
+  Alcotest.(check bool) "both still hold the originals" true
+    (Regfile.holds_value rf 0x10L && Regfile.holds_value snap 0x10L);
+  ignore (Regfile.writeback rf ~value:0x40L ~ctx:host_s ~transient:false);
+  ignore (Regfile.corrupt_bit rf ~select:0 ~bit:1);
+  Alcotest.(check bool) "the source's writes stay in the source" false
+    (Regfile.holds_value snap 0x40L || Regfile.holds_value a 0x40L
+    || Regfile.holds_value snap 0x12L);
+  Regfile.restore_into snap ~into:a;
+  Alcotest.(check bool) "restoring again undoes the writes" true
+    (Regfile.holds_value a 0x10L && Regfile.holds_value a 0x20L
+    && not (Regfile.holds_value a 0x30L || Regfile.holds_value a 0x11L));
+  Alcotest.(check int) "and the free-list position" 2
+    (Regfile.writeback a ~value:0x50L ~ctx:host_s ~transient:false)
 
 (* {1 Machine: micro-op level} *)
 
@@ -1598,6 +1690,8 @@ let () =
           Alcotest.test_case "snapshot" `Quick test_cache_snapshot;
           Alcotest.test_case "snapshots and write-backs allocate nothing" `Quick
             test_snapshots_allocate_nothing;
+          Alcotest.test_case "captures share the victim pointers" `Quick
+            test_cache_capture_shares_victims;
         ] );
       ( "lfb",
         [
@@ -1625,13 +1719,20 @@ let () =
           Alcotest.test_case "residue and flush" `Quick test_btb_residue_and_flush;
           Alcotest.test_case "set associativity" `Quick test_btb_set_associative;
           Alcotest.test_case "owner tagging (extension)" `Quick test_btb_owner_tagging;
+          Alcotest.test_case "captures share the way pointers" `Quick
+            test_btb_capture_shares_ways;
         ] );
       ( "hpc",
         [
           Alcotest.test_case "bump and read" `Quick test_hpc_bump_read;
           Alcotest.test_case "distinct indices" `Quick test_hpc_distinct_indices;
         ] );
-      ("regfile", [ Alcotest.test_case "writeback and wrap" `Quick test_regfile ]);
+      ( "regfile",
+        [
+          Alcotest.test_case "writeback and wrap" `Quick test_regfile;
+          Alcotest.test_case "restored copies are independent" `Quick
+            test_regfile_restore_independent;
+        ] );
       ( "lsu",
         [
           Alcotest.test_case "load/store roundtrip" `Quick test_load_store_roundtrip;

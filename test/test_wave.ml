@@ -133,6 +133,17 @@ let frame_concat =
       | Ok streams -> streams = a @ b
       | Error _ -> false)
 
+let frame_output =
+  QCheck.Test.make ~count:50 ~name:"output_frames writes the frame_streams bytes"
+    QCheck.(list (pair small_string (string_of_size Gen.(int_bound 300))))
+    (fun streams ->
+      let path = Filename.temp_file "frames" ".bin" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> Event.output_frames oc streams);
+          In_channel.with_open_bin path In_channel.input_all = Event.frame_streams streams))
+
 let test_unframe_rejects_corrupt () =
   List.iter
     (fun src ->
@@ -512,6 +523,7 @@ let () =
           QCheck_alcotest.to_alcotest frame_concat;
           Alcotest.test_case "corrupt framing is an error" `Quick
             test_unframe_rejects_corrupt;
+          QCheck_alcotest.to_alcotest frame_output;
         ] );
       ( "tap",
         [
