@@ -25,7 +25,10 @@
    tapped snapshot engine and from the tapped replay path.  They were
    recorded while the machine still wrote a second, wave-only event
    buffer beside its log.  The tapped logs, which now hold the wave
-   events too, must still give the full-corpus digests above. *)
+   events too, must still give the full-corpus digests above.  The VCD
+   rendering of the same streams (the bytes [campaign --full --wave
+   FILE.vcd] writes) is pinned per core too, recorded from the renderer
+   that collected every value change and sorted them by time. *)
 
 open Teesec
 module Config = Uarch.Config
@@ -105,6 +108,12 @@ let waves_golden =
     (Config.xiangshan, "0d50208904c4284f24a9d7c1c86d8862");
   ]
 
+let vcd_golden =
+  [
+    (Config.boom, "969512facb83a5b638b5cb2c7e91d8d0");
+    (Config.xiangshan, "e22e0723fbd419b5ed140ddb3c4465f5");
+  ]
+
 let check_waves ~snapshot (config, expected) () =
   let engine () = if snapshot then Some (Snapshot.create ~wave:true config) else None in
   let r = Campaign.run_full ?snapshots:(engine ()) ~wave:true config in
@@ -114,6 +123,14 @@ let check_waves ~snapshot (config, expected) () =
        (if snapshot then "snapshot" else "replay"))
     expected
     (Digest.to_hex (Digest.string (Wave.Event.frame_streams r.Campaign.waves)));
+  Alcotest.(check string)
+    (Printf.sprintf "%s vcd digest (%s)"
+       (Config.core_kind_to_string config.Config.kind)
+       (if snapshot then "snapshot" else "replay"))
+    (List.assq config vcd_golden)
+    (match Wave.Vcd.render r.Campaign.waves with
+    | Ok vcd -> Digest.to_hex (Digest.string vcd)
+    | Error e -> Alcotest.fail e);
   Alcotest.(check string)
     (Printf.sprintf "%s digest with taps on (%s)"
        (Config.core_kind_to_string config.Config.kind)
