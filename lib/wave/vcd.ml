@@ -24,19 +24,16 @@ let id_of_index i =
   in
   go i ""
 
-let binary_of_int ~width v =
-  let b = Bytes.make width '0' in
-  for i = 0 to width - 1 do
-    if (v lsr i) land 1 = 1 then Bytes.set b (width - 1 - i) '1'
-  done;
-  Bytes.to_string b
-
-let change buf ~time_sorted:(sig_ : signal) v =
-  if sig_.width = 1 then
-    Buffer.add_string buf (Printf.sprintf "%d%s\n" (v land 1) sig_.id)
-  else
-    Buffer.add_string buf
-      (Printf.sprintf "b%s %s\n" (binary_of_int ~width:sig_.width v) sig_.id)
+(* One value change (or initial value) of [sig_], written in place. *)
+let add_value buf sig_ v =
+  if sig_.width = 1 then Printf.bprintf buf "%d%s\n" (v land 1) sig_.id
+  else begin
+    Buffer.add_char buf 'b';
+    for i = sig_.width - 1 downto 0 do
+      Buffer.add_char buf (if (v lsr i) land 1 = 1 then '1' else '0')
+    done;
+    Printf.bprintf buf " %s\n" sig_.id
+  end
 
 let structure_signal_name s suffix =
   let base =
@@ -81,34 +78,26 @@ let all_signals l =
   (l.sig_domain :: l.sig_pmp :: l.sig_case :: [])
   @ List.concat_map (fun (_, a, b, c) -> [ a; b; c ]) l.per_structure
 
-(* Collect (time, signal, value) changes for one stream shifted onto
-   the global timeline. *)
-let changes_of_stream layout ~shift q acc =
-  let add time sig_ v = acc := (time, sig_, v) :: !acc in
+(* Write one stream's changes, shifted onto the global timeline, in the
+   stream's own order. *)
+let write_stream layout groups change ~shift q =
   Query.iter
     (fun (e : Event.t) ->
       let time = e.Event.cycle + shift in
       match e.Event.kind with
-      | Event.Pmp_check -> add time layout.sig_pmp e.Event.value
-      | Event.Ctx_switch -> add time layout.sig_domain e.Event.value
+      | Event.Pmp_check -> change time layout.sig_pmp e.Event.value
+      | Event.Ctx_switch -> change time layout.sig_domain e.Event.value
       | Event.Fill | Event.Evict | Event.Flush | Event.Hit | Event.Residue
         -> (
-        add time layout.sig_domain e.Event.domain;
-        match e.Event.structure with
+        change time layout.sig_domain e.Event.domain;
+        match Option.bind e.Event.structure (fun s -> groups.(Structure.to_code s)) with
         | None -> ()
-        | Some s -> (
-          match
-            List.find_opt
-              (fun (s', _, _, _) -> Structure.equal s s')
-              layout.per_structure
-          with
-          | None -> ()
-          | Some (_, occ, ev, slot) ->
-            add time ev (1 + Event.kind_to_int e.Event.kind);
-            add time slot e.Event.slot;
-            (* [value] carries occupancy+1 where the machine could read
-               it cheaply; 0 means unknown, leaving the signal alone. *)
-            if e.Event.value > 0 then add time occ (e.Event.value - 1))))
+        | Some (occ, ev, slot) ->
+          change time ev (1 + Event.kind_to_int e.Event.kind);
+          change time slot e.Event.slot;
+          (* [value] carries occupancy+1 where the machine could read
+             it cheaply; 0 means unknown, leaving the signal alone. *)
+          if e.Event.value > 0 then change time occ (e.Event.value - 1)))
     q
 
 let render_queries queries =
@@ -121,25 +110,27 @@ let render_queries queries =
     List.filter (fun s -> List.exists (Structure.equal s) structures) Structure.all
   in
   let layout = make_layout structures in
+  let groups = Array.make Structure.count None in
+  List.iter
+    (fun (s, occ, ev, slot) -> groups.(Structure.to_code s) <- Some (occ, ev, slot))
+    layout.per_structure;
   let buf = Buffer.create 8192 in
   Buffer.add_string buf "$comment TEESec microarchitectural waveform $end\n";
   Buffer.add_string buf "$version teesec wave exporter $end\n";
   Buffer.add_string buf "$timescale 1ns $end\n";
   Buffer.add_string buf "$scope module teesec $end\n";
   let declare sig_ =
-    Buffer.add_string buf
-      (Printf.sprintf "$var wire %d %s %s $end\n" sig_.width sig_.id sig_.name)
+    Printf.bprintf buf "$var wire %d %s %s $end\n" sig_.width sig_.id sig_.name
   in
   declare layout.sig_domain;
   declare layout.sig_pmp;
   declare layout.sig_case;
   List.iter
     (fun (s, occ, ev, slot) ->
-      Buffer.add_string buf
-        (Printf.sprintf "$scope module %s $end\n"
-           (String.map
-              (fun c -> if c = '-' || c = ' ' then '_' else c)
-              (Structure.to_string s)));
+      Printf.bprintf buf "$scope module %s $end\n"
+        (String.map
+           (fun c -> if c = '-' || c = ' ' then '_' else c)
+           (Structure.to_string s));
       declare occ;
       declare ev;
       declare slot;
@@ -149,17 +140,20 @@ let render_queries queries =
   Buffer.add_string buf "$enddefinitions $end\n";
   (* Initial values. *)
   Buffer.add_string buf "$dumpvars\n";
-  List.iter
-    (fun sig_ ->
-      if sig_.width = 1 then
-        Buffer.add_string buf (Printf.sprintf "0%s\n" sig_.id)
-      else
-        Buffer.add_string buf
-          (Printf.sprintf "b%s %s\n" (binary_of_int ~width:sig_.width 0) sig_.id))
-    (all_signals layout);
+  List.iter (fun sig_ -> add_value buf sig_ 0) (all_signals layout);
   Buffer.add_string buf "$end\n";
-  (* Lay the streams end to end on the global timeline. *)
-  let acc = ref [] in
+  let current_time = ref (-1) in
+  let change time sig_ v =
+    if time <> !current_time then begin
+      Printf.bprintf buf "#%d\n" time;
+      current_time := time
+    end;
+    add_value buf sig_ v
+  in
+  (* Lay the streams end to end on the global timeline.  A stream's
+     cycles never decrease ([render] checks) and each stream starts
+     after the previous one ends, so stream order is time order; within
+     a timestamp it is the machine's own operation order. *)
   let offset = ref 0 in
   List.iteri
     (fun i q ->
@@ -167,32 +161,34 @@ let render_queries queries =
         match Query.cycle_span q with Some (a, b) -> (a, b) | None -> (0, 0)
       in
       let shift = !offset - first in
-      acc := (!offset, layout.sig_case, i) :: !acc;
-      changes_of_stream layout ~shift q acc;
+      change !offset layout.sig_case i;
+      write_stream layout groups change ~shift q;
       offset := last + shift + gap_cycles)
     queries;
-  (* Stable sort by time: within a timestamp the emission order is the
-     machine's own operation order. *)
-  let changes = List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) (List.rev !acc) in
-  let current_time = ref (-1) in
-  List.iter
-    (fun (time, sig_, v) ->
-      if time <> !current_time then begin
-        Buffer.add_string buf (Printf.sprintf "#%d\n" time);
-        current_time := time
-      end;
-      change buf ~time_sorted:sig_ v)
-    changes;
-  Buffer.add_string buf (Printf.sprintf "#%d\n" !offset);
+  Printf.bprintf buf "#%d\n" !offset;
   Buffer.contents buf
+
+(* The cycles of the first backward step of [q], if any. *)
+let backward_step q =
+  let prev = ref min_int and step = ref None in
+  Query.iter
+    (fun (e : Event.t) ->
+      if !step = None && e.Event.cycle < !prev then step := Some (!prev, e.Event.cycle);
+      prev := e.Event.cycle)
+    q;
+  !step
 
 let render streams =
   let rec decode acc = function
     | [] -> Ok (List.rev acc)
     | (name, payload) :: rest -> (
       match Query.of_stream payload with
-      | Ok q -> decode (q :: acc) rest
-      | Error e -> Error (Printf.sprintf "stream %S: %s" name e))
+      | Error e -> Error (Printf.sprintf "stream %S: %s" name e)
+      | Ok q -> (
+        match backward_step q with
+        | Some (a, b) ->
+          Error (Printf.sprintf "stream %S: cycle %d goes backwards after %d" name b a)
+        | None -> decode (q :: acc) rest))
   in
   Result.map render_queries (decode [] streams)
 

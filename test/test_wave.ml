@@ -304,6 +304,20 @@ let test_vcd_validate_rejects () =
   reject "empty vector" (four_bit ^ "b !\n");
   ()
 
+(* The renderer writes each stream in its own order, so a stream whose
+   cycles go backwards (streams also arrive from the service) is an
+   error that names it. *)
+let test_vcd_rejects_backward_stream () =
+  let forward = encode_events synthetic_events in
+  let backward = encode_events (List.rev synthetic_events) in
+  match Vcd.render [ ("in-order", forward); ("reversed", backward) ] with
+  | Ok _ -> Alcotest.fail "rendered a stream whose cycles go backwards"
+  | Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error %S names the stream" e)
+      true
+      (String.starts_with ~prefix:"stream \"reversed\"" e)
+
 (* {1 Cross-layer: runner splice, campaign determinism, provenance} *)
 
 let slice_prefix n =
@@ -541,6 +555,8 @@ let () =
             test_vcd_render_validates;
           Alcotest.test_case "validator rejects malformed files" `Quick
             test_vcd_validate_rejects;
+          Alcotest.test_case "a backward stream is an error" `Quick
+            test_vcd_rejects_backward_stream;
         ] );
       ( "integration",
         [
