@@ -1481,11 +1481,12 @@ let explain_cmd =
             (fun (tc : Teesec.Testcase.t) -> tc.Teesec.Testcase.id = tcid)
             (Teesec.Mitigation_eval.slice () @ Teesec.Fuzzer.corpus ())
         in
+        (* The chains come from the campaign's own per-case outcome, so
+           the one printed is the campaign's chain by construction. *)
         let matching ?snapshots ?wave (tc : Teesec.Testcase.t) =
           let outcome = Teesec.Runner.run ?snapshots ?wave config tc in
-          let findings =
-            List.filter
-              (fun (f : Teesec.Checker.finding) -> f.Teesec.Checker.case <> None)
+          let co =
+            Teesec.Campaign.outcome_of_run ~config outcome
               (Teesec.Checker.check outcome.Teesec.Runner.log
                  outcome.Teesec.Runner.tracker)
           in
@@ -1493,7 +1494,7 @@ let explain_cmd =
             List.filter
               (fun (p : Teesec.Provenance.t) ->
                 p.Teesec.Provenance.p_id = finding_id)
-              (Teesec.Provenance.of_outcome ~config outcome findings)
+              co.Teesec.Campaign.co_provenance
           in
           (outcome, matches)
         in

@@ -171,42 +171,42 @@ let run ?(progress = fun _ _ _ -> ()) ?(jobs = 1) ?(obs = Obs.noop) ?snapshots
   in
   (* Merge one observation; sequential and candidate-ordered, so the
      whole accumulated state is identical for every job count. *)
-  let merge (tc, (obs : Observe.t)) =
+  let merge (tc, { Observe.outcome = co; edges }) =
     let at = !executed + 1 in
     executed := at;
     stream := tc :: !stream;
-    if obs.Observe.wave <> "" then
-      waves := (obs.Observe.name, obs.Observe.wave) :: !waves;
-    residue := !residue + obs.Observe.residue;
-    cycles := !cycles + obs.Observe.cycles;
-    let novelty = Bitmap.add bitmap obs.Observe.edges in
-    Schedule.register_exec sched ~family:obs.Observe.path ~reward:novelty;
+    if co.Campaign.co_wave <> "" then
+      waves := (co.Campaign.co_name, co.Campaign.co_wave) :: !waves;
+    residue := !residue + co.Campaign.co_residue;
+    cycles := !cycles + co.Campaign.co_cycles;
+    let novelty = Bitmap.add bitmap edges in
+    Schedule.register_exec sched ~family:tc.Testcase.path ~reward:novelty;
     if novelty > 0 then begin
       Schedule.add_entry sched
         { Schedule.testcase = tc; novelty; born = at - 1 };
-      kept := (tc, obs.Observe.edges) :: !kept
+      kept := (tc, edges) :: !kept
     end;
     List.iter
       (fun case ->
         if not (Hashtbl.mem found case) then begin
           Hashtbl.replace found case ();
           discoveries :=
-            { case; at; testcase = obs.Observe.name } :: !discoveries;
+            { case; at; testcase = co.Campaign.co_name } :: !discoveries;
           List.iter
             (fun (p : Provenance.t) ->
               if p.Provenance.p_case = Case.to_string case then
                 provenance := p :: !provenance)
-            obs.Observe.provenance;
+            co.Campaign.co_provenance;
           if
             !full_at = None
             && List.for_all (fun c -> Hashtbl.mem found c) expected
           then full_at := Some at
         end)
-      obs.Observe.cases;
+      co.Campaign.co_cases;
     progress at options.budget
       (Printf.sprintf "%s%s  [%d new coverage bit(s), %d edges total]"
-         obs.Observe.name
-         (match obs.Observe.cases with
+         co.Campaign.co_name
+         (match co.Campaign.co_cases with
          | [] -> ""
          | cases ->
            "  -> " ^ String.concat " " (List.map Case.to_string cases))

@@ -9,6 +9,7 @@ module Params = Teesec.Params
 module Testcase = Teesec.Testcase
 module Assembler = Teesec.Assembler
 module Fuzzer = Teesec.Fuzzer
+module Campaign = Teesec.Campaign
 module Case = Teesec.Case
 module Checker = Teesec.Checker
 module Provenance = Teesec.Provenance

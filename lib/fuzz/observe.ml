@@ -1,31 +1,14 @@
 open! Import
 
 type t = {
-  name : string;
-  path : Access_path.t;
+  outcome : Campaign.case_outcome;
   edges : (int * int) list;
-  cases : Case.id list;
-  residue : int;
-  cycles : int;
-  log_records : int;
-  wave : string;
-  provenance : Provenance.t list;
 }
 
 let run ?snapshots ?wave config tc =
-  let outcome = Runner.run ?snapshots ?wave config tc in
-  let findings = Checker.check outcome.Runner.log outcome.Runner.tracker in
+  let run = Runner.run ?snapshots ?wave config tc in
+  let findings = Checker.check run.Runner.log run.Runner.tracker in
   {
-    name = Testcase.name tc;
-    path = tc.Testcase.path;
-    edges =
-      List.map (fun (e, n) -> (Edge.index e, n)) (Edge.of_log outcome.Runner.log);
-    cases = Checker.distinct_cases findings;
-    residue = Checker.residue_warnings findings;
-    cycles = outcome.Runner.cycles;
-    log_records = outcome.Runner.log_records;
-    wave = outcome.Runner.wave;
-    provenance =
-      Provenance.of_outcome ~config outcome
-        (List.filter (fun f -> f.Checker.case <> None) findings);
+    outcome = Campaign.outcome_of_run ~config run findings;
+    edges = List.map (fun (e, n) -> (Edge.index e, n)) (Edge.of_log run.Runner.log);
   }

@@ -8,17 +8,9 @@ open Import
     across domains and are merged back in candidate order. *)
 
 type t = {
-  name : string;  (** [Testcase.name], for reports. *)
-  path : Access_path.t;
+  outcome : Campaign.case_outcome;
+      (** The run's verdict, built as a campaign builds it. *)
   edges : (int * int) list;  (** [(Edge.index, raw hit count)] pairs. *)
-  cases : Case.id list;  (** Classified findings of the checker. *)
-  residue : int;
-  cycles : int;
-  log_records : int;
-  wave : string;
-      (** Encoded wave stream of the run; [""] when taps are off. *)
-  provenance : Provenance.t list;
-      (** Causal chains of the classified findings (log-derived). *)
 }
 
 (** [snapshots], if given, establishes the candidate's setup prefix

@@ -62,4 +62,3 @@ let of_string s =
   List.find_opt (fun m -> to_string m = s) vocabulary
 
 let equal (a : t) b = a = b
-let compare (a : t) b = Stdlib.compare a b

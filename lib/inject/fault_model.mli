@@ -56,4 +56,3 @@ val to_string : t -> string
 val of_string : string -> t option
 
 val equal : t -> t -> bool
-val compare : t -> t -> int

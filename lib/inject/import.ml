@@ -4,6 +4,7 @@ module Log = Simlog.Log
 module Structure = Simlog.Structure
 module Machine = Uarch.Machine
 module Config = Uarch.Config
+module Campaign = Teesec.Campaign
 module Case = Teesec.Case
 module Checker = Teesec.Checker
 module Provenance = Teesec.Provenance

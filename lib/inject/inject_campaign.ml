@@ -53,42 +53,6 @@ type result = {
   provenance : Provenance.t list;
 }
 
-(* Per-test-case clean verdict, computed once and diffed against every
-   faulted rerun of the same test case. *)
-type baseline = {
-  b_name : string;
-  b_cases : Case.id list;
-  b_residue : int;
-  b_span : int;
-      (* Cycles the clean run spent past the fork point.  The injector
-         fires a fault once the cycle count {e relative to arming} (= the
-         fork point) reaches its window start, so a plan whose every
-         window opens strictly after this span can never fire: the
-         faulted run is instruction-for-instruction the clean run. *)
-  b_wave : string;
-      (* Encoded wave stream of the clean run; [""] when taps are off.
-         Only the baselines carry waves — the faulted reruns would
-         multiply the volume by the plan count for streams that diverge
-         from the baseline only after the fault fires. *)
-  b_provenance : Provenance.t list;
-      (* Causal chains of the clean run's classified findings — the
-         reference the masked/spurious diffs are read against. *)
-}
-
-let eval_baseline ?snapshots ?wave config tc =
-  let outcome = Runner.run ?snapshots ?wave config tc in
-  let findings = Checker.check outcome.Runner.log outcome.Runner.tracker in
-  {
-    b_name = Testcase.name tc;
-    b_cases = Checker.distinct_cases findings;
-    b_residue = Checker.residue_warnings findings;
-    b_span = outcome.Runner.cycles - outcome.Runner.fork_cycle;
-    b_wave = outcome.Runner.wave;
-    b_provenance =
-      Provenance.of_outcome ~config outcome
-        (List.filter (fun f -> f.Checker.case <> None) findings);
-  }
-
 (* True when no fault in [plan] can fire within [span] cycles of the
    fork point.  Strict comparison: a window opening exactly at the final
    cycle still fires (and logs a fault event), so it must run. *)
@@ -98,10 +62,12 @@ let plan_never_fires (plan : Fault_plan.t) ~span =
     plan.Fault_plan.faults
 
 (* The verdict of a unit whose run is the clean run: no diff, no fault. *)
-let clean_unit (base : baseline) =
-  ({ testcase = base.b_name; masked_cases = []; spurious_cases = [] }, 0)
+let clean_unit (base : Campaign.case_outcome) =
+  ({ testcase = base.Campaign.co_name; masked_cases = []; spurious_cases = [] }, 0)
 
-let eval_unit ?snapshots ~stop_when_inert config (plan, tc, (base : baseline)) =
+(* A faulted unit is only diffed against its baseline: it computes its
+   distinct cases, not a whole case outcome. *)
+let eval_unit ?snapshots ~stop_when_inert config (plan, tc, (base : Campaign.case_outcome)) =
   match
     Runner.run ?snapshots
       ~prepare:(fun env -> Injector.arm ~stop_when_inert env.Env.machine plan)
@@ -111,25 +77,37 @@ let eval_unit ?snapshots ~stop_when_inert config (plan, tc, (base : baseline)) =
   | outcome ->
     let findings = Checker.check outcome.Runner.log outcome.Runner.tracker in
     let cases = Checker.distinct_cases findings in
+    let base_cases = base.Campaign.co_cases in
     let masked_cases =
-      List.filter (fun c -> not (List.exists (Case.equal c) cases)) base.b_cases
+      List.filter (fun c -> not (List.exists (Case.equal c) cases)) base_cases
     in
     let spurious_cases =
-      List.filter (fun c -> not (List.exists (Case.equal c) base.b_cases)) cases
+      List.filter (fun c -> not (List.exists (Case.equal c) base_cases)) cases
     in
     let faults = Machine.faults_logged outcome.Runner.env.Env.machine in
-    ({ testcase = base.b_name; masked_cases; spurious_cases }, faults)
+    ({ testcase = base.Campaign.co_name; masked_cases; spurious_cases }, faults)
 
 (* One parallel task = one test case: the clean baseline plus every
    faulted rerun, evaluated back to back on the same domain so all of
    them fork from the snapshot the first run captured. *)
 type case_eval = {
-  ce_base : baseline;
+  ce_base : Campaign.case_outcome;
+  ce_span : int;
+      (* Cycles the clean run spent past the fork point.  The injector
+         fires a fault once the cycle count {e relative to arming} (= the
+         fork point) reaches its window start, so a plan whose every
+         window opens strictly after this span can never fire: the
+         faulted run is instruction-for-instruction the clean run. *)
   ce_units : (unit_diff * int) array;  (* one per plan, in plan order *)
 }
 
 let eval_case ?snapshots ?wave config plan_list tc =
-  let base = eval_baseline ?snapshots ?wave config tc in
+  let run = Runner.run ?snapshots ?wave config tc in
+  let base =
+    Campaign.outcome_of_run ~config run
+      (Checker.check run.Runner.log run.Runner.tracker)
+  in
+  let span = run.Runner.cycles - run.Runner.fork_cycle in
   (* Span pruning and the early stop ride with the snapshot engine: a
      plan that can never fire, or one spent without a trace, diffs to
      the baseline verdict with zero faults applied, exactly what
@@ -140,20 +118,16 @@ let eval_case ?snapshots ?wave config plan_list tc =
   let units =
     List.map
       (fun plan ->
-        if prune && plan_never_fires plan ~span:base.b_span then clean_unit base
+        if prune && plan_never_fires plan ~span then clean_unit base
         else eval_unit ?snapshots ~stop_when_inert:prune config (plan, tc, base))
       plan_list
   in
-  { ce_base = base; ce_units = Array.of_list units }
+  { ce_base = base; ce_span = span; ce_units = Array.of_list units }
 
 let unit_outcome d =
   if d.masked_cases <> [] then Masked
   else if d.spurious_cases <> [] then Spurious
   else Stable
-
-let dedup_sorted compare l =
-  let sorted = List.sort_uniq compare l in
-  sorted
 
 (* Observability handles, registered once per run from the orchestrating
    domain; [None] when the sink is off.  Outcome counters are registered
@@ -195,74 +169,55 @@ let instruments obs =
    over [evals] in corpus order — shared by [run] and by the campaign
    service (lib/serve), whose daemon concatenates worker-computed
    [case_eval]s shard by shard and must reproduce [run]'s result
-   byte for byte. *)
+   byte for byte.  The clean baselines fold exactly as a campaign's
+   outcomes do. *)
 let aggregate_with ins ?(progress = fun _ _ _ -> ()) ~obs ~seed ~plan_list
     config evals =
-  let plans = List.length plan_list in
-  let total_units = plans * List.length evals in
-  let baselines = List.map (fun e -> e.ce_base) evals in
-  let baseline_found =
-    dedup_sorted Case.compare (List.concat_map (fun b -> b.b_cases) baselines)
-  in
-  let expected_cases =
-    List.filter (fun c -> Case.expected c config.Config.kind) Case.all
-  in
-  let baseline_matches_paper = List.equal Case.equal baseline_found expected_cases in
-  let baseline_residue = List.fold_left (fun n b -> n + b.b_residue) 0 baselines in
-  (* Flatten back to the plan-major unit order the report is built in. *)
+  let clean = Campaign.aggregate config (List.map (fun e -> e.ce_base) evals) in
   let per_testcase = List.length evals in
-  let evaluated =
-    List.concat
-      (List.mapi
-         (fun j _plan -> List.map (fun e -> e.ce_units.(j)) evals)
-         plan_list)
+  let total_units = List.length plan_list * per_testcase in
+  (* Units are reported plan-major: plan [j]'s units are every test
+     case's [j]th. *)
+  let plan_results =
+    List.mapi
+      (fun j plan ->
+        let units = List.map (fun e -> e.ce_units.(j)) evals in
+        List.iteri
+          (fun k ((d : unit_diff), faults) ->
+            let outcome = unit_outcome d in
+            progress
+              ((j * per_testcase) + k + 1)
+              total_units
+              (Printf.sprintf "plan %d x %s: %s" j d.testcase
+                 (outcome_to_string outcome));
+            Option.iter
+              (fun ins ->
+                Obs.Metrics.inc ins.i_units;
+                Obs.Metrics.inc ~by:faults ins.i_faults;
+                Obs.Metrics.inc
+                  (match outcome with
+                  | Stable -> ins.i_stable
+                  | Spurious -> ins.i_spurious
+                  | Masked -> ins.i_masked))
+              ins)
+          units;
+        let diffs = List.map fst units in
+        {
+          plan;
+          outcome = List.fold_left (fun o d -> worst o (unit_outcome d)) Stable diffs;
+          diffs;
+          faults_applied = List.fold_left (fun n (_, f) -> n + f) 0 units;
+        })
+      plan_list
   in
-  List.iteri
-    (fun i ((d : unit_diff), _) ->
-      progress (i + 1) total_units
-        (Printf.sprintf "plan %d x %s: %s" (i / per_testcase) d.testcase
-           (outcome_to_string (unit_outcome d))))
-    evaluated;
-  Option.iter
-    (fun ins ->
-      Obs.Metrics.inc ~by:(List.length evaluated) ins.i_units;
-      List.iter
-        (fun ((d : unit_diff), faults) ->
-          Obs.Metrics.inc ~by:faults ins.i_faults;
-          Obs.Metrics.inc
-            (match unit_outcome d with
-            | Stable -> ins.i_stable
-            | Spurious -> ins.i_spurious
-            | Masked -> ins.i_masked))
-        evaluated)
-    ins;
-  (* Regroup the flat unit list back into per-plan chunks. *)
-  let rec chunk acc rest = function
-    | [] -> List.rev acc
-    | plan :: plans ->
-      let rec take n acc' rest' =
-        if n = 0 then (List.rev acc', rest')
-        else
-          match rest' with
-          | [] -> (List.rev acc', [])
-          | x :: xs -> take (n - 1) (x :: acc') xs
-      in
-      let mine, rest' = take per_testcase [] rest in
-      let diffs = List.map fst mine in
-      let faults_applied = List.fold_left (fun n (_, f) -> n + f) 0 mine in
-      let outcome =
-        List.fold_left (fun o d -> worst o (unit_outcome d)) Stable diffs
-      in
-      chunk ({ plan; outcome; diffs; faults_applied } :: acc) rest' plans
-  in
-  let plan_results = chunk [] evaluated plan_list in
   let plan_totals =
     List.fold_left (fun c p -> count_outcome c p.outcome) zero_counts plan_results
   in
   let unit_totals =
     List.fold_left
-      (fun c (d, _) -> count_outcome c (unit_outcome d))
-      zero_counts evaluated
+      (fun c p ->
+        List.fold_left (fun c d -> count_outcome c (unit_outcome d)) c p.diffs)
+      zero_counts plan_results
   in
   (* Attribute each plan's outcome to every fault model (and structure)
      the plan contains — a plan with several faults counts towards each. *)
@@ -272,12 +227,11 @@ let aggregate_with ins ?(progress = fun _ _ _ -> ()) ~obs ~seed ~plan_list
         let counts =
           List.fold_left
             (fun c p ->
-              let models =
-                dedup_sorted Fault_model.compare
-                  (List.map (fun f -> f.Fault_plan.model) p.plan.Fault_plan.faults)
-              in
-              if List.exists (fun m -> key_of m = Some key) models then
-                count_outcome c p.outcome
+              if
+                List.exists
+                  (fun f -> key_of f.Fault_plan.model = Some key)
+                  p.plan.Fault_plan.faults
+              then count_outcome c p.outcome
               else c)
             zero_counts plan_results
         in
@@ -286,27 +240,21 @@ let aggregate_with ins ?(progress = fun _ _ _ -> ()) ~obs ~seed ~plan_list
   in
   let by_model = aggregate (fun m -> Some m) Fault_model.vocabulary in
   let by_structure = aggregate Fault_model.structure_of Structure.all in
-  let waves =
-    List.filter_map
-      (fun b -> if b.b_wave <> "" then Some (b.b_name, b.b_wave) else None)
-      baselines
-  in
-  let provenance = List.concat_map (fun b -> b.b_provenance) baselines in
   Obs.gc_sample obs ~phase:"inject";
   {
     config;
     seed;
     testcases = per_testcase;
-    baseline_found;
-    baseline_matches_paper;
-    baseline_residue;
+    baseline_found = clean.Campaign.found;
+    baseline_matches_paper = Campaign.matches_paper clean;
+    baseline_residue = clean.Campaign.residue_warnings;
     plan_results;
     plan_totals;
     unit_totals;
     by_model;
     by_structure;
-    waves;
-    provenance;
+    waves = clean.Campaign.waves;
+    provenance = clean.Campaign.provenance;
   }
 
 let aggregate ?progress ?(obs = Obs.noop) ~seed ~plan_list config evals =
@@ -320,7 +268,7 @@ let run ?progress ?(jobs = 1) ?(obs = Obs.noop) ?snapshots ?wave ~seed ~plans
   let plan_list = Fault_plan.sample ~seed ~count:plans in
   (* One task per test case: baseline plus every faulted rerun, so the
      reruns fork from the snapshot the baseline run captured.  Results
-     are merged sequentially in corpus order, then flattened plan-major,
+     are merged sequentially in corpus order, then read plan by plan,
      so the report is identical for every job count (and with or
      without the snapshot engine). *)
   let evals =

@@ -69,22 +69,10 @@ type result = {
           wave, jobs and snapshot settings). *)
 }
 
-type baseline = {
-  b_name : string;
-  b_cases : Case.id list;
-  b_residue : int;
-  b_span : int;  (** Cycles the clean run spent past the fork point. *)
-  b_wave : string;
-      (** Encoded wave stream of the clean run; [""] when taps are off.
-          Excluded from the serve layer's store payloads. *)
-  b_provenance : Provenance.t list;
-      (** Causal chains of the clean run's classified findings. *)
-}
-(** Per-test-case clean verdict, computed once and diffed against every
-    faulted rerun of the same test case. *)
-
 type case_eval = {
-  ce_base : baseline;
+  ce_base : Campaign.case_outcome;
+      (** The clean run's verdict, built as a campaign builds it. *)
+  ce_span : int;  (** Cycles the clean run spent past the fork point. *)
   ce_units : (unit_diff * int) array;
       (** One per plan, in plan order; the int is faults applied. *)
 }
@@ -97,7 +85,9 @@ type case_eval = {
 (** [eval_case ?snapshots config plan_list tc] evaluates the clean
     baseline and every faulted rerun of one test case.  [wave] (default
     false) attaches a wave tap on the replay path (an engine carries its
-    own setting); the baseline's stream lands in [b_wave].
+    own setting); the baseline's stream lands in its [co_wave].  Faulted
+    units compute only their distinct cases, to diff against the
+    baseline's.
 
     With an engine, a unit whose plan cannot fire within the baseline's
     span is not run, and one whose plan is spent without a trace stops
@@ -115,7 +105,9 @@ val eval_case :
 (** [aggregate ?progress ?obs ~seed ~plan_list config evals] folds
     per-case evaluations (in corpus order; [plan_list] must be the plan
     list the evaluations ran against, i.e. [Fault_plan.sample ~seed]) into
-    the campaign result.  Deterministic: a pure sequential fold. *)
+    the campaign result.  The baseline fields come from one
+    {!Campaign.aggregate} over the clean outcomes.  Deterministic: a pure
+    sequential fold. *)
 val aggregate :
   ?progress:(int -> int -> string -> unit) ->
   ?obs:Obs.t ->

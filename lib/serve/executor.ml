@@ -97,36 +97,18 @@ let decode_unit_diff d =
   let faults = Codec.int' d in
   ({ Inject_campaign.testcase; masked_cases; spurious_cases }, faults)
 
+(* An inject case's clean baseline is a campaign outcome and ships with
+   that codec, waves excluded alike. *)
 let encode_inject_eval b (e : Inject_campaign.case_eval) =
-  let base = e.Inject_campaign.ce_base in
-  Codec.str b base.Inject_campaign.b_name;
-  Codec.list b encode_case base.Inject_campaign.b_cases;
-  Codec.int b base.Inject_campaign.b_residue;
-  Codec.int b base.Inject_campaign.b_span;
-  Codec.list b encode_provenance base.Inject_campaign.b_provenance;
+  encode_campaign_outcome b e.Inject_campaign.ce_base;
+  Codec.int b e.Inject_campaign.ce_span;
   Codec.list b encode_unit_diff (Array.to_list e.Inject_campaign.ce_units)
 
 let decode_inject_eval d =
-  let b_name = Codec.str' d in
-  let b_cases = Codec.list' d decode_case in
-  let b_residue = Codec.int' d in
-  let b_span = Codec.int' d in
-  let b_provenance = Codec.list' d decode_provenance in
+  let ce_base = decode_campaign_outcome d in
+  let ce_span = Codec.int' d in
   let units = Codec.list' d decode_unit_diff in
-  {
-    Inject_campaign.ce_base =
-      (* [b_wave = ""] for the same reason campaign outcomes decode
-         without waves: store payloads are wave-free by construction. *)
-      {
-        Inject_campaign.b_name;
-        b_cases;
-        b_residue;
-        b_span;
-        b_wave = "";
-        b_provenance;
-      };
-    ce_units = Array.of_list units;
-  }
+  { Inject_campaign.ce_base; ce_span; ce_units = Array.of_list units }
 
 let encode_inject_evals evals =
   let b = Codec.enc () in
@@ -161,29 +143,26 @@ let execute ~engines ~wave { Request.spec; cases } =
   let framed streams =
     Wave.Event.frame_streams (List.filter (fun (_, w) -> w <> "") streams)
   in
+  let outcome_waves outcomes =
+    framed
+      (List.map
+         (fun (co : Campaign.case_outcome) ->
+           (co.Campaign.co_name, co.Campaign.co_wave))
+         outcomes)
+  in
   match spec with
   | Request.Campaign _ ->
     let outcomes =
       List.map (Campaign.eval_case ~obs ~snapshots config) testcases
     in
-    ( encode_campaign_outcomes outcomes,
-      framed
-        (List.map
-           (fun (co : Campaign.case_outcome) ->
-             (co.Campaign.co_name, co.Campaign.co_wave))
-           outcomes) )
+    (encode_campaign_outcomes outcomes, outcome_waves outcomes)
   | Request.Inject { faults; seed; _ } ->
     let plan_list = Fault_plan.sample ~seed ~count:faults in
     let evals =
       List.map (Inject_campaign.eval_case ~snapshots config plan_list) testcases
     in
     ( encode_inject_evals evals,
-      framed
-        (List.map
-           (fun (e : Inject_campaign.case_eval) ->
-             let b = e.Inject_campaign.ce_base in
-             (b.Inject_campaign.b_name, b.Inject_campaign.b_wave))
-           evals) )
+      outcome_waves (List.map (fun e -> e.Inject_campaign.ce_base) evals) )
   | Request.Fuzz { options; _ } ->
     let report = Engine.run ~obs ~snapshots options config in
     (Fuzz_report.to_json_string report, framed report.Engine.waves)

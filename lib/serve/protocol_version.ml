@@ -14,6 +14,6 @@
    change too. *)
 
 let protocol = 3
-let build = "1.4.0"
+let build = "1.5.0"
 let code_version = build
 let version_string = Printf.sprintf "teesec %s (protocol %d)" build protocol

@@ -21,7 +21,7 @@ type result = {
 
 (* Everything the merge phase needs from one test case.  Computed
    in-domain (including the summary line), so the merge is a cheap
-   deterministic fold. *)
+   deterministic fold.  [outcome_of_run] is its one builder. *)
 type case_outcome = {
   co_name : string;
   co_cases : Case.id list;
@@ -74,8 +74,23 @@ let instruments obs =
             "teesec_campaign_case_cycles";
       }
 
+let outcome_of_run ~config (run : Runner.outcome) findings =
+  let tc = run.Runner.testcase in
+  {
+    co_name = Testcase.name tc;
+    co_cases = Checker.distinct_cases findings;
+    co_residue = Checker.residue_warnings findings;
+    co_cycles = run.Runner.cycles;
+    co_log_records = run.Runner.log_records;
+    co_summary = Report.summary_line tc findings;
+    co_wave = run.Runner.wave;
+    co_provenance =
+      Provenance.of_outcome ~config run
+        (List.filter (fun f -> f.Checker.case <> None) findings);
+  }
+
 let eval_case_with obs ins ?snapshots ?wave config tc =
-  let outcome, _ =
+  let run, _ =
     Obs.timed obs
       ?histogram:(Option.map (fun i -> i.i_runner) ins)
       "campaign/runner"
@@ -85,20 +100,9 @@ let eval_case_with obs ins ?snapshots ?wave config tc =
     Obs.timed obs
       ?histogram:(Option.map (fun i -> i.i_checker) ins)
       "campaign/checker"
-      (fun () -> Checker.check outcome.Runner.log outcome.Runner.tracker)
+      (fun () -> Checker.check run.Runner.log run.Runner.tracker)
   in
-  {
-    co_name = Testcase.name tc;
-    co_cases = Checker.distinct_cases findings;
-    co_residue = Checker.residue_warnings findings;
-    co_cycles = outcome.Runner.cycles;
-    co_log_records = outcome.Runner.log_records;
-    co_summary = Report.summary_line tc findings;
-    co_wave = outcome.Runner.wave;
-    co_provenance =
-      Provenance.of_outcome ~config outcome
-        (List.filter (fun f -> f.Checker.case <> None) findings);
-  }
+  outcome_of_run ~config run findings
 
 (* [eval_case] is the public per-case evaluator: the serve layer runs it
    shard by shard in worker processes and merges the outcomes with

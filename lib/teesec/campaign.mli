@@ -48,12 +48,22 @@ type case_outcome = {
   co_provenance : Provenance.t list;
       (** Causal chains of the case's classified findings. *)
 }
-(** Everything the merge phase needs from one test case.  This is the
-    unit of work the campaign service (lib/serve) ships between worker
+(** Everything the merge phase needs from one test case, and the one
+    per-case verdict record: campaigns, the clean baselines of fault
+    injection ([Inject_campaign]), fuzzing observations and
+    [explain] all build it with {!outcome_of_run}.  It is also the unit
+    of work the campaign service (lib/serve) ships between worker
     processes and the daemon: outcomes for any partition of a corpus,
     concatenated back in corpus order and folded through {!aggregate},
     produce exactly the {!result} a single {!run} over the whole corpus
     would. *)
+
+(** [outcome_of_run ~config run findings] derives every field of a case's
+    outcome from its run and the checker's [findings] on that run's log:
+    distinct cases, residue count, cycles, log records, summary line,
+    wave stream and the provenance of the classified findings. *)
+val outcome_of_run :
+  config:Config.t -> Runner.outcome -> Checker.finding list -> case_outcome
 
 (** [eval_case ?obs ?snapshots config tc] runs and checks one test case.
     [run] is (observably) [aggregate] over [eval_case] of every test

@@ -605,7 +605,7 @@ let payloads_roundtrip =
             {
               e with
               Inject.Inject_campaign.ce_base =
-                { e.Inject.Inject_campaign.ce_base with Inject.Inject_campaign.b_wave = "" };
+                { e.Inject.Inject_campaign.ce_base with Teesec.Campaign.co_wave = "" };
             })
       else
         let spec, outcomes, expected = campaign in
