@@ -71,6 +71,43 @@ let test_campaign_deterministic () =
     r2.Campaign.residue_warnings;
   Alcotest.(check int) "same cycle count" r1.Campaign.total_cycles r2.Campaign.total_cycles
 
+(* Campaign, inject baselines and fuzz observations fold the same
+   per-case outcome, so over the same test cases they must agree: a
+   pipeline that derived its verdicts again would drift from the
+   others.  Tapped engines, so the wave streams are compared too. *)
+let test_pipelines_agree () =
+  let slice = Mitigation_eval.slice () in
+  List.iter
+    (fun config ->
+      let tapped () = Snapshot.create ~wave:true config in
+      let campaign cases = Campaign.run ~snapshots:(tapped ()) config cases in
+      let c = campaign slice in
+      let i =
+        Inject.Inject_campaign.run ~snapshots:(tapped ()) ~seed:0x5EEDL ~plans:0
+          config slice
+      in
+      let core = config.Config.name in
+      Alcotest.(check (list cases)) (core ^ " inject found") c.Campaign.found
+        i.Inject.Inject_campaign.baseline_found;
+      Alcotest.(check int) (core ^ " inject residue warnings")
+        c.Campaign.residue_warnings i.Inject.Inject_campaign.baseline_residue;
+      Alcotest.(check bool) (core ^ " inject provenance") true
+        (List.equal Provenance.equal c.Campaign.provenance
+           i.Inject.Inject_campaign.provenance);
+      Alcotest.(check bool) (core ^ " inject waves") true
+        (c.Campaign.waves <> [] && c.Campaign.waves = i.Inject.Inject_campaign.waves);
+      let f =
+        Fuzz.Engine.run ~snapshots:(tapped ())
+          { Fuzz.Engine.default with Fuzz.Engine.budget = 40; seed = 42L }
+          config
+      in
+      let c = campaign f.Fuzz.Engine.executed_cases in
+      Alcotest.(check int) (core ^ " fuzz residue warnings")
+        c.Campaign.residue_warnings f.Fuzz.Engine.residue_warnings;
+      Alcotest.(check int) (core ^ " fuzz cycles") c.Campaign.total_cycles
+        f.Fuzz.Engine.total_cycles)
+    [ Config.boom; Config.xiangshan ]
+
 let test_negative_paths_clean config () =
   (* Store-to-enclave and legitimate page walks must not produce
      numbered findings. *)
@@ -462,6 +499,8 @@ let () =
             (test_negative_paths_clean Config.boom);
           Alcotest.test_case "negative paths clean on XS" `Quick
             (test_negative_paths_clean Config.xiangshan);
+          Alcotest.test_case "campaign, inject and fuzz agree" `Slow
+            test_pipelines_agree;
         ] );
       ( "mitigations",
         [
