@@ -1,41 +1,21 @@
-(* Benchmark harness and experiment regeneration.
+(* Benchmark harness: writes the two throughput records that
+   bench/compare.ml gates.
 
-   Running this executable regenerates every table and figure of the
-   paper's evaluation:
+   - BENCH_snapshot.json: the snapshot/fork engine against the
+     replay-everything oracle, four phases on BOOM.
+   - BENCH_campaign.json: the full 585-test-case campaign per core on the
+     replay path, with its Table 3 verdict.
 
-   - Table 1: component automation summary (static plan metadata).
-   - Table 2: gadget inventory, the 585-test-case corpus, and measured
-     per-phase timing (Bechamel micro-benchmarks of the gadget
-     constructor, the checker and a full test-case execution).
-   - Table 3: the full campaign on BOOM and XiangShan, compared with the
-     paper's per-core verdicts.
-   - Table 4: the mitigation matrix, re-running a corpus slice under each
-     countermeasure on both cores.
-   - Figures 2-7: the case-study scenarios with their measured
-     observations (prefetcher abuse, PTW hijack, destroy residue, the
-     fake-hit timing gap, the HPC interrupt window, uBTB aliasing).
+   The paper's tables and figures are printed by [teesec report --full]. *)
 
-   Absolute times differ from the paper (their substrate was Verilator
-   RTL simulation; ours is a behavioural model), but the shape of every
-   result — which cases are found on which core, which mitigations help —
-   is compared row by row. *)
-
-open Bechamel
-open Toolkit
 module Json = Obs.Json
 
 let boom = Uarch.Config.boom
 let xiangshan = Uarch.Config.xiangshan
 
-(* Campaign phases fan out across domains; override with TEESEC_JOBS
-   (results are deterministic for every value). *)
-let jobs =
-  match Sys.getenv_opt "TEESEC_JOBS" with
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> n
-    | _ -> invalid_arg "TEESEC_JOBS must be a positive integer")
-  | None -> Parallel.Pool.default_jobs ()
+(* Both checked-in baselines record one job, and the engine's caches
+   are per domain, so its snapshot counts reproduce only at one job. *)
+let jobs = 1
 
 (* All wall-clock measurement goes through one active observability
    sink: phase timings land in the
@@ -78,82 +58,6 @@ let core_name (config : Uarch.Config.t) =
 
 let write_record ~path fields =
   Obs.write_file ~path (Json.to_document (Json.Obj fields))
-
-(* {1 Bechamel benches} *)
-
-let bench_gadget_constructor =
-  Test.make ~name:"table2/gadget-constructor"
-    (Staged.stage (fun () ->
-         ignore
-           (Teesec.Assembler.assemble ~id:0 Teesec.Access_path.Exp_acc_enc_l1
-              ~params:Teesec.Params.default)))
-
-(* The checker bench analyses a representative prepared log. *)
-let prepared_outcome =
-  lazy
-    (let tc =
-       Teesec.Assembler.assemble ~id:0 Teesec.Access_path.Exp_acc_enc_l1
-         ~params:Teesec.Params.default
-     in
-     Teesec.Runner.run boom tc)
-
-let bench_checker =
-  Test.make ~name:"table2/checker"
-    (Staged.stage (fun () ->
-         let outcome = Lazy.force prepared_outcome in
-         ignore
-           (Teesec.Checker.check outcome.Teesec.Runner.log
-              outcome.Teesec.Runner.tracker)))
-
-let bench_testcase =
-  Test.make ~name:"table3/test-case-boom"
-    (Staged.stage (fun () ->
-         let tc =
-           Teesec.Assembler.assemble ~id:0 Teesec.Access_path.Exp_acc_enc_l1
-             ~params:Teesec.Params.default
-         in
-         let outcome = Teesec.Runner.run boom tc in
-         ignore
-           (Teesec.Checker.check outcome.Teesec.Runner.log
-              outcome.Teesec.Runner.tracker)))
-
-let benches = [ bench_gadget_constructor; bench_checker; bench_testcase ]
-
-(* Run one bench and return the OLS estimates of nanoseconds per run. *)
-let measure_bench test =
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let instances = [ Instance.monotonic_clock ] in
-  let analyze = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Benchmark.all cfg instances test in
-  let ols = Analyze.all analyze Instance.monotonic_clock results in
-  Hashtbl.fold
-    (fun name ols acc ->
-      match Analyze.OLS.estimates ols with
-      | Some (estimate :: _) -> (name, estimate) :: acc
-      | _ -> acc)
-    ols []
-
-let run_benches () =
-  Format.printf "== Bechamel micro-benchmarks (ns/run) ==@.";
-  let results =
-    List.concat_map
-      (fun test -> measure_bench (Test.make_grouped ~name:"" [ test ]))
-      benches
-  in
-  let results = List.sort compare results in
-  List.iter
-    (fun (name, ns) ->
-      Format.printf "  %-44s %14.1f ns/run (%.3f ms)@." name ns (ns /. 1e6))
-    results;
-  Format.printf "@.";
-  results
-
-let find_ns results fragment =
-  List.fold_left
-    (fun acc (name, ns) ->
-      if Teesec.Strutil.contains_substring ~needle:fragment name then Some ns
-      else acc)
-    None results
 
 (* {1 Machine-readable campaign record}
 
@@ -338,129 +242,29 @@ let write_snapshot_json ~path phases =
       ("phases", Json.list phase phases);
     ]
 
-(* {1 Experiment regeneration} *)
-
 let section title =
   Format.printf "@.==================== %s ====================@." title
 
 let () =
-  Format.printf
-    "TEESec evaluation harness: regenerating every table and figure of the paper@.@.";
-
-  (* Measured before the table/figure phases: once those have run, the
-     harness heap is large enough to shift both paths' absolute times
-     (see the caveat in EXPERIMENTS.md), so the throughput record is
-     taken while the process still looks like a fresh one. *)
-  section "Extension: snapshot/fork engine vs replay oracle";
+  (* The snapshot phases go first, while the process still looks like a
+     fresh one: the heap the campaigns leave behind shifts both paths'
+     absolute times. *)
+  section "Snapshot/fork engine vs replay oracle";
   let snapshot_phases = run_snapshot_phases () in
   write_snapshot_json ~path:"BENCH_snapshot.json" snapshot_phases;
   Format.printf "snapshot record written to BENCH_snapshot.json@.";
 
-  section "Table 1";
-  print_string (Teesec.Tables.table1 ());
-
-  section "Table 3 (full 585-test-case campaign per core)";
+  section "Full 585-test-case campaign per core";
   let campaign_results =
     List.map
       (fun config ->
-        Format.printf "running the corpus on %s (%d jobs)...@."
-          config.Uarch.Config.name jobs;
+        Format.printf "running the corpus on %s...@." config.Uarch.Config.name;
         timed_phase "campaign" (fun () ->
             Teesec.Campaign.run_full ~jobs ~obs config))
       [ boom; xiangshan ]
   in
-  print_string (Teesec.Tables.table3 (List.map fst campaign_results));
   write_campaign_json ~path:"BENCH_campaign.json" campaign_results;
   Format.printf "campaign record written to BENCH_campaign.json@.";
-  (* The paper also evaluated the pre-SonicBOOM release (v2.3). *)
-  let v2 =
-    Teesec.Campaign.run ~jobs ~obs Uarch.Config.boom_v2
-      (Teesec.Mitigation_eval.slice ())
-  in
-  Format.printf "BOOM v2.3 (corpus slice): %s@."
-    (if Teesec.Campaign.matches_paper v2 then
-       "same findings as the BOOM column (matches the paper)"
-     else "DIFFERS from the BOOM column");
-  let distinct =
-    List.sort_uniq Teesec.Case.compare
-      (List.concat_map (fun (r, _) -> r.Teesec.Campaign.found) campaign_results)
-  in
-  Format.printf "Distinct vulnerabilities across both designs: %d (paper: 10)@."
-    (List.length distinct);
-
-  section "Table 4 (mitigation matrix per core)";
-  let mitigation_results =
-    List.map (Teesec.Mitigation_eval.evaluate ~jobs) [ boom; xiangshan ]
-  in
-  print_string (Teesec.Tables.table4 mitigation_results);
-
-  section "Verification-plan coverage";
-  List.iter
-    (fun config ->
-      Format.printf "%a@." Teesec.Coverage.pp
-        (Teesec.Coverage.measure ~jobs config (Teesec.Mitigation_eval.slice ())))
-    [ boom; xiangshan ];
-
-  section "Extension: mitigation performance ablation";
-  List.iter
-    (fun workload ->
-      let overhead_results =
-        List.map (Teesec.Overhead.evaluate ~workload ~jobs) [ boom; xiangshan ]
-      in
-      print_string (Teesec.Overhead.table overhead_results);
-      print_newline ())
-    [ Teesec.Overhead.Mixed; Teesec.Overhead.Switch_heavy; Teesec.Overhead.Compute_heavy ];
-
-  section "Extension: uBTB partial-tag width sweep (Figure 7 ablation)";
-  List.iter
-    (fun config ->
-      Format.printf "%s (PCs differ at bit 27; offset+index cover %d bits):@."
-        config.Uarch.Config.name
-        (1 + 10);
-      List.iter
-        (fun (bits, aliases, distinguishable) ->
-          Format.printf
-            "  tag=%2d bits: PCs alias=%b, probe distinguishes enclave branch=%b@."
-            bits aliases distinguishable)
-        (Teesec.Scenarios.btb_tag_sweep config
-           ~tag_bits:[ 12; 14; 16; 17; 18; 20 ]))
-    [ xiangshan ];
-
-  section "Extension: mitigation recommendations";
-  List.iter
-    (fun config ->
-      Format.printf "%a@." Teesec.Recommend.pp_result
-        (Teesec.Recommend.evaluate config))
-    [ boom; xiangshan ];
-
-  List.iter
-    (fun config ->
-      section
-        (Printf.sprintf "Figures 2-7 on %s"
-           (Uarch.Config.core_kind_to_string config.Uarch.Config.kind));
-      List.iter
-        (fun (_, trace) -> Format.printf "%a@." Teesec.Scenarios.pp_trace trace)
-        (Teesec.Scenarios.all config))
-    [ boom; xiangshan ];
-
-  (* The micro-benchmarks run last: after Bechamel has run, this
-     process's heap keeps growing through every later phase (to several
-     GB by exit), so no timed phase may follow it.  Their estimates feed
-     Table 2. *)
-  let bench_results = run_benches () in
-  section "Table 2";
-  let timings =
-    match
-      ( find_ns bench_results "gadget-constructor",
-        find_ns bench_results "checker",
-        find_ns bench_results "test-case-boom" )
-    with
-    | Some c, Some k, Some t -> Some (c /. 1e9, k /. 1e9, t /. 1e9)
-    | _ -> None
-  in
-  print_string (Teesec.Tables.table2 ?timings ());
-
-  section "Summary";
   List.iter
     (fun ((r : Teesec.Campaign.result), _) ->
       Format.printf "%s: Table 3 %s@." r.Teesec.Campaign.config.Uarch.Config.name

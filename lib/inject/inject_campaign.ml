@@ -92,12 +92,6 @@ let eval_unit ?snapshots ~stop_when_inert config (plan, tc, (base : Campaign.cas
    them fork from the snapshot the first run captured. *)
 type case_eval = {
   ce_base : Campaign.case_outcome;
-  ce_span : int;
-      (* Cycles the clean run spent past the fork point.  The injector
-         fires a fault once the cycle count {e relative to arming} (= the
-         fork point) reaches its window start, so a plan whose every
-         window opens strictly after this span can never fire: the
-         faulted run is instruction-for-instruction the clean run. *)
   ce_units : (unit_diff * int) array;  (* one per plan, in plan order *)
 }
 
@@ -107,6 +101,11 @@ let eval_case ?snapshots ?wave config plan_list tc =
     Campaign.outcome_of_run ~config run
       (Checker.check run.Runner.log run.Runner.tracker)
   in
+  (* Cycles the clean run spent past the fork point.  The injector
+     fires a fault once the cycle count {e relative to arming} (= the
+     fork point) reaches its window start, so a plan whose every window
+     opens strictly after this span can never fire: the faulted run is
+     instruction-for-instruction the clean run. *)
   let span = run.Runner.cycles - run.Runner.fork_cycle in
   (* Span pruning and the early stop ride with the snapshot engine: a
      plan that can never fire, or one spent without a trace, diffs to
@@ -122,7 +121,7 @@ let eval_case ?snapshots ?wave config plan_list tc =
         else eval_unit ?snapshots ~stop_when_inert:prune config (plan, tc, base))
       plan_list
   in
-  { ce_base = base; ce_span = span; ce_units = Array.of_list units }
+  { ce_base = base; ce_units = Array.of_list units }
 
 let unit_outcome d =
   if d.masked_cases <> [] then Masked

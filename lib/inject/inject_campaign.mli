@@ -72,7 +72,6 @@ type result = {
 type case_eval = {
   ce_base : Campaign.case_outcome;
       (** The clean run's verdict, built as a campaign builds it. *)
-  ce_span : int;  (** Cycles the clean run spent past the fork point. *)
   ce_units : (unit_diff * int) array;
       (** One per plan, in plan order; the int is faults applied. *)
 }

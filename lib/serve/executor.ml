@@ -101,14 +101,12 @@ let decode_unit_diff d =
    that codec, waves excluded alike. *)
 let encode_inject_eval b (e : Inject_campaign.case_eval) =
   encode_campaign_outcome b e.Inject_campaign.ce_base;
-  Codec.int b e.Inject_campaign.ce_span;
   Codec.list b encode_unit_diff (Array.to_list e.Inject_campaign.ce_units)
 
 let decode_inject_eval d =
   let ce_base = decode_campaign_outcome d in
-  let ce_span = Codec.int' d in
   let units = Codec.list' d decode_unit_diff in
-  { Inject_campaign.ce_base; ce_span; ce_units = Array.of_list units }
+  { Inject_campaign.ce_base; ce_units = Array.of_list units }
 
 let encode_inject_evals evals =
   let b = Codec.enc () in

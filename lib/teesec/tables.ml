@@ -22,10 +22,9 @@ let table1 () =
         Plan.automation_table;
       rule fmt 78)
 
-let table2 ?timings () =
+let table2 () =
   with_buffer (fun fmt ->
-      Format.fprintf fmt
-        "Table 2: gadget inventory, generated test cases and phase timing@.";
+      Format.fprintf fmt "Table 2: gadget inventory and generated test cases@.";
       rule fmt 78;
       let setup = List.length Gadget_library.setup_gadgets in
       let helper = List.length Gadget_library.helper_gadgets in
@@ -41,16 +40,6 @@ let table2 ?timings () =
         (fun (path, n) ->
           Format.fprintf fmt "  %-28s %4d@." (Access_path.to_string path) n)
         (Fuzzer.count_per_path ());
-      (match timings with
-      | Some (constructor_s, checker_s, per_case_s) ->
-        Format.fprintf fmt
-          "@.Measured phase timing (paper reports ~1min constructor, ~4min checker, \
-           ~5min per case on Verilator RTL simulation; ours is a behavioural \
-           simulator, so absolute numbers differ):@.";
-        Format.fprintf fmt "  gadget constructor: %.6f s/case@." constructor_s;
-        Format.fprintf fmt "  checker:            %.6f s/case@." checker_s;
-        Format.fprintf fmt "  full test case:     %.6f s/case@." per_case_s
-      | None -> ());
       rule fmt 78)
 
 let verdict_cell ~expected ~found =

@@ -1,16 +1,15 @@
 open! Import
 
 (** Text rendering of the paper's tables, comparing our measured results
-    with the published ones.  Used by the benchmark harness and the
+    with the published ones.  Used by the verification report and the
     CLI. *)
 
 (** Table 1: TEESec component automation. *)
 val table1 : unit -> string
 
-(** Table 2: gadget inventory, corpus size and per-phase timing.
-    [timings] supplies measured seconds per phase as
-    [(constructor, checker, avg_testcase)]. *)
-val table2 : ?timings:float * float * float -> unit -> string
+(** Table 2: gadget inventory and corpus size.  The paper's per-phase
+    times are testbed-specific; [teesec profile] measures ours. *)
+val table2 : unit -> string
 
 (** Table 3: leakage cases per core, paper vs measured. *)
 val table3 : Campaign.result list -> string

@@ -35,6 +35,10 @@ let generate ~full_corpus configs =
     configs;
   line "";
 
+  line "## Component automation (Table 1)";
+  line "";
+  verbatim (Tables.table1 ());
+
   line "## Gadget inventory";
   line "";
   verbatim (Tables.table2 ());
@@ -65,6 +69,14 @@ let generate ~full_corpus configs =
   let mitigation_results = List.map Mitigation_eval.evaluate configs in
   verbatim (Tables.table4 mitigation_results);
 
+  line "## Mitigation performance ablation";
+  line "";
+  List.iter
+    (fun workload ->
+      verbatim
+        (Overhead.table (List.map (Overhead.evaluate ~workload) configs)))
+    [ Overhead.Mixed; Overhead.Switch_heavy; Overhead.Compute_heavy ];
+
   line "## Coverage";
   line "";
   List.iter
@@ -93,6 +105,22 @@ let generate ~full_corpus configs =
             trace.Scenarios.observations;
           line "")
         (Scenarios.all config))
+    configs;
+
+  line "## uBTB partial-tag width sweep (Figure 7 ablation)";
+  line "";
+  List.iter
+    (fun config ->
+      Format.fprintf fmt "%s:@.@." config.Config.name;
+      verbatim
+        (String.concat ""
+           (List.map
+              (fun (bits, aliases, distinguishable) ->
+                Printf.sprintf
+                  "tag=%2d bits: PCs alias=%b, probe distinguishes enclave branch=%b\n"
+                  bits aliases distinguishable)
+              (Scenarios.btb_tag_sweep config
+                 ~tag_bits:[ 12; 14; 16; 17; 18; 20 ]))))
     configs;
 
   Format.pp_print_flush fmt ();

@@ -398,6 +398,10 @@ let test_verification_report () =
       "## Recommended countermeasures";
       "matches the paper's verdicts";
       "Figure 7";
+      "Table 1: TEESec components and automation status";
+      "Extension: mitigation performance ablation";
+      "XiangShan/switch-heavy";
+      "tag=17 bits: PCs alias=false";
     ]
 
 (* {1 Scenarios (figures)} *)
